@@ -55,7 +55,6 @@ from .model import (
 from .symmetry import (
     MatrixEnsemble,
     SecondMomentForm,
-    delta_estimate,
     delta_report,
     pushed_delta_bound,
     moment_symmetry_report,

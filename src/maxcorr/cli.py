@@ -279,9 +279,9 @@ def cmd_symmetry(args) -> int:
     eps = cfg.epsilon_grid[0]
     s = args.anisotropy
     spec = cfg.ensemble_u(eps, s) if args.side == "x" else cfg.ensemble_v(eps, s)
-    ens = information_ensemble(spec)
-    rep = delta_report(ens, samples, seed=cfg.seed, workers=cfg.workers)
-    lem = moment_symmetry_report(ens, samples, seed=cfg.seed, workers=cfg.workers)
+    block = information_ensemble(spec).sample(samples, seed=cfg.seed, workers=cfg.workers)
+    rep = delta_report(block)
+    lem = moment_symmetry_report(block)
     body = (
         f"side: {args.side}\nanisotropy: {_f(s)}\nepsilon: {_f(eps)}\n"
         f"samples: {samples}\nworkers: {cfg.workers}\n"
@@ -320,14 +320,10 @@ def _simulate_point(cfg: ExperimentConfig, point_id: str, eps: float, k: int,
     chan_y = cfg.channel_y(eta2)
     mu_u = cfg.ensemble_u(eps, s)
     mu_v = cfg.ensemble_v(eps, s)
-    d_u = delta_report(
-        information_ensemble(mu_u), cfg.delta_samples,
-        seed=(cfg.seed, 10), workers=cfg.workers,
-    ).delta
-    d_v = delta_report(
-        information_ensemble(mu_v), cfg.delta_samples,
-        seed=(cfg.seed, 11), workers=cfg.workers,
-    ).delta
+    d_u = delta_report(information_ensemble(mu_u).sample(
+        cfg.delta_samples, seed=(cfg.seed, 10), workers=cfg.workers)).delta
+    d_v = delta_report(information_ensemble(mu_v).sample(
+        cfg.delta_samples, seed=(cfg.seed, 11), workers=cfg.workers)).delta
     delta_hat = max(d_u, d_v)
     noisy = apply_channels(cfg.joint, chan_x, chan_y)
     f, g = select_features(noisy, k)
@@ -424,24 +420,25 @@ def _verify_checks(cfg: ExperimentConfig) -> list[tuple[str, bool, str]]:
         f"gram {gram_err:.2e}, mean {mean_err:.2e}",
     ))
 
-    d = delta_report(variance_bump(2, 2, 1.5), 100_000, seed=cfg.seed).delta
+    d = delta_report(variance_bump(2, 2, 1.5).sample(100_000, seed=cfg.seed)).delta
     checks.append((
         "variance_bump_delta", abs(d - 0.5) <= 0.05, f"delta_hat {d:.4f} vs 0.5",
     ))
 
     ens = information_ensemble(cfg.ensemble_u(cfg.epsilon_grid[0], 0.0))
-    dhat = delta_report(ens, cfg.delta_samples, seed=cfg.seed).delta
+    dhat = delta_report(ens.sample(cfg.delta_samples, seed=cfg.seed)).delta
     ok4 = True
     for i in range(10):
         gmat = rng.normal(size=(ens.n, 2))
         hmat = rng.normal(size=(ens.m, 2))
-        res = projection_bound_check(ens, gmat, hmat, dhat, cfg.delta_samples, seed=cfg.seed + i)
+        block = ens.sample(cfg.delta_samples, seed=cfg.seed + i)
+        res = projection_bound_check(block, gmat, hmat, dhat)
         ok4 = ok4 and res.passed
     checks.append(("projection_bound", ok4, f"10 random (G,H) at delta {dhat:.3f}"))
 
     ok5 = True
     for i, b in enumerate((np.eye(ens.n), np.diag(np.linspace(0.5, 1.5, ens.n)))):
-        res = propagation_check(ens, b, cfg.delta_samples, seed=cfg.seed + 50 + i)
+        res = propagation_check(ens.sample(cfg.delta_samples, seed=cfg.seed + 50 + i), b)
         ok5 = ok5 and res.passed
     checks.append(("push_forward_bound", ok5, "identity and diagonal B"))
 

@@ -26,7 +26,7 @@ import numpy as np
 from .dependence import hgr_profile
 from .ensemble import AttributeEnsembleSpec, configuration_stream
 from .errors import AlphabetMismatchError, ValidationError
-from .geometry import FeatureSet, feature_vectors
+from .geometry import FeatureSet, feature_vectors, information_phi
 from .model import Channel, JointPmf, Pmf, apply_channels
 
 DEGENERATE_MEAN_GAP = 1e-12
@@ -290,10 +290,6 @@ class ExponentReport:
         return (self.stderr_u_s, self.stderr_v_s, self.stderr_u_t, self.stderr_v_t)
 
 
-def _info_matrix(cond: np.ndarray, base: np.ndarray, epsilon: float) -> np.ndarray:
-    return (cond - base[:, None]) / (epsilon * np.sqrt(base)[:, None])
-
-
 def _least_pair(proj: np.ndarray) -> tuple[float, int, int]:
     """Minimal squared column distance, ties by lexicographic pair order."""
     m = proj.shape[1]
@@ -373,7 +369,7 @@ def average_exponents(
 
     def score(psi: np.ndarray, cond_hat: np.ndarray, base_hat: np.ndarray,
               fs: FeatureSet) -> float:
-        phi = _info_matrix(cond_hat, base_hat, epsilon)
+        phi = information_phi(cond_hat, base_hat, epsilon)
         val, i, j = _least_pair(psi.T @ phi)
         if oracle:
             return iprojection_exponent(
@@ -393,7 +389,7 @@ def average_exponents(
         cond_yh = to_yh_from_y @ (y_given_x @ cfg.conditionals)
         u_s[c_idx] = score(psi_f, cond_xh, pxh.probs, f)
         u_t[c_idx] = score(psi_g, cond_yh, pyh.probs, g)
-        phi_xh = _info_matrix(cond_xh, pxh.probs, epsilon)
+        phi_xh = information_phi(cond_xh, pxh.probs, epsilon)
         u_frob[c_idx] = float((phi_xh**2).sum())
 
     v_s = np.empty(n_configs)
@@ -406,7 +402,7 @@ def average_exponents(
         cond_xh = to_xh_from_x @ (x_given_y @ cfg.conditionals)
         v_t[c_idx] = score(psi_g, cond_yh, pyh.probs, g)
         v_s[c_idx] = score(psi_f, cond_xh, pxh.probs, f)
-        phi_yh = _info_matrix(cond_yh, pyh.probs, epsilon)
+        phi_yh = information_phi(cond_yh, pyh.probs, epsilon)
         v_frob[c_idx] = float((phi_yh**2).sum())
 
     e_u_s, se_u_s = _mean_se(u_s)
@@ -477,11 +473,11 @@ def bound_constants(
     eps_u, eps_v = mu_u.epsilon, mu_v.epsilon
 
     u_vals = np.array([
-        float((_info_matrix(chan_x.P @ cfg.conditionals, pxh.probs, eps_u) ** 2).sum())
+        float((information_phi(chan_x.P @ cfg.conditionals, pxh.probs, eps_u) ** 2).sum())
         for cfg in configuration_stream(mu_u, n_configs, seed=(seed, 0), workers=workers)
     ])
     v_vals = np.array([
-        float((_info_matrix(chan_y.P @ cfg.conditionals, pyh.probs, eps_v) ** 2).sum())
+        float((information_phi(chan_y.P @ cfg.conditionals, pyh.probs, eps_v) ** 2).sum())
         for cfg in configuration_stream(mu_v, n_configs, seed=(seed, 1), workers=workers)
     ])
     mu, se_u = _mean_se(u_vals)

@@ -27,7 +27,7 @@ from .errors import (
     RankDeficiencyError,
     ValidationError,
 )
-from .model import FLOAT_FMT, Pmf, _check_labels, _fmt_row, _freeze
+from .model import FLOAT_FMT, Pmf, _check_labels, _fmt_row, _freeze, max_feasible_step
 from .svd import canonical_sign
 
 NULL_TOL = 1e-10
@@ -141,27 +141,26 @@ class InformationMatrix:
         return np.linalg.norm(self.phi, axis=0)
 
 
+def information_phi(
+    conditionals: np.ndarray, base: np.ndarray, epsilon: float
+) -> np.ndarray:
+    """phi[i, j] = (P(z_i | w_j) - P(z_i)) / (eps * sqrt(P(z_i))), unvalidated.
+
+    Raw formula for hot loops; :func:`information_matrix` validates it.
+    """
+    return (conditionals - base[:, None]) / (epsilon * np.sqrt(base)[:, None])
+
+
 def information_matrix(config: Configuration) -> InformationMatrix:
-    """phi[i, j] = (P(z_i | w_j) - P(z_i)) / (eps * sqrt(P(z_i)))."""
-    base = config.base.probs
-    phi = (config.conditionals - base[:, None]) / (
-        config.epsilon * np.sqrt(base)[:, None]
-    )
+    """The validated information matrix of a configuration."""
+    phi = information_phi(config.conditionals, config.base.probs, config.epsilon)
     return InformationMatrix(phi=phi, epsilon=config.epsilon, base=config.base)
 
 
 def max_feasible_epsilon(base: Pmf, phi: np.ndarray) -> float:
     """Largest eps keeping P(z) + eps*sqrt(P(z))*phi inside [0, 1] entrywise."""
     step = np.sqrt(base.probs)[:, None] * np.asarray(phi, dtype=float)
-    p = np.broadcast_to(base.probs[:, None], step.shape)
-    bound = np.inf
-    neg = step < 0
-    if np.any(neg):
-        bound = min(bound, float(np.min(p[neg] / -step[neg])))
-    pos = step > 0
-    if np.any(pos):
-        bound = min(bound, float(np.min((1.0 - p[pos]) / step[pos])))
-    return bound
+    return max_feasible_step(base.probs[:, None], step)
 
 
 def config_from_information_matrix(

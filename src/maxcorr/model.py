@@ -184,9 +184,6 @@ class Channel:
     def size(self) -> int:
         return len(self.labels)
 
-    def decompose(self) -> tuple[np.ndarray, float]:
-        return self.T, self.eta
-
     def apply(self, pmf: Pmf) -> Pmf:
         if pmf.labels != self.labels:
             raise AlphabetMismatchError(
@@ -200,20 +197,24 @@ def identity_channel(labels: Sequence[str]) -> Channel:
     return Channel(tuple(labels), 0.0, np.zeros((n, n)))
 
 
+def max_feasible_step(start: np.ndarray, step: np.ndarray) -> float:
+    """Largest s >= 0 keeping start + s*step inside [0, 1] entrywise.
+
+    `start` broadcasts against `step`; an all-zero step gives inf.
+    """
+    step = np.asarray(step, dtype=float)
+    start = np.broadcast_to(np.asarray(start, dtype=float), step.shape)
+    moving = step != 0
+    if not np.any(moving):
+        return math.inf
+    room = np.where(step > 0, 1.0 - start, start)
+    return float(np.min(room[moving] / np.abs(step[moving])))
+
+
 def max_feasible_eta(T: np.ndarray) -> float:
     """Largest eta >= 0 keeping every entry of I + eta*T inside [0, 1]."""
     T = np.asarray(T, dtype=float)
-    n = T.shape[0]
-    bound = math.inf
-    for i in range(n):
-        for j in range(n):
-            t = T[i, j]
-            base = 1.0 if i == j else 0.0
-            if t > 0:
-                bound = min(bound, (1.0 - base) / t)
-            elif t < 0:
-                bound = min(bound, base / (-t))
-    return bound
+    return max_feasible_step(np.eye(T.shape[0]), T)
 
 
 def make_channel(T: np.ndarray, eta: float, labels: Sequence[str] | None = None) -> Channel:

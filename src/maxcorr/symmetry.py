@@ -9,20 +9,19 @@ the estimator here is: build the empirical second-moment operator
 K = E[vec(A) vec(A)^T], find the extrema of (v (x) u)^T K (v (x) u) by
 alternating eigen-iteration with restarts, and report max - min.
 
+Every statistic here is a function of an already-drawn (count, n, m) block
+of samples; none of them draws.  Drawing happens only in
+:meth:`MatrixEnsemble.sample`, which holds the seeded-parallel contract, so
+statistics that must see the same draws of A are handed the same block.
+
 Monte Carlo verdicts carry explicit 3-sigma margins (plug-in variance);
 pass/fail is always `statistic <= bound + margin`.
-
-Seeded-parallel contract: worker w of W draws from
-``numpy.random.default_rng(SeedSequence(entropy=seed, spawn_key=(w,)))``
-and worker blocks are concatenated in worker order, so results are
-reproducible for a fixed (seed, worker-count) pair.  Other modules reuse
-this rule via :func:`worker_rngs`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -66,6 +65,14 @@ class MatrixEnsemble:
     declared_delta: float | None = None
 
     def sample(self, count: int, seed: int, workers: int = 1) -> np.ndarray:
+        """Draw a (count, n, m) block under the seeded-parallel contract.
+
+        Worker w of `workers` draws from
+        ``numpy.random.default_rng(SeedSequence(entropy=seed, spawn_key=(w,)))``
+        and worker blocks are concatenated in worker order, so the block is
+        reproducible for a fixed (seed, worker-count) pair.  Other modules
+        reuse this rule via :func:`worker_rngs`.
+        """
         if count < 1:
             raise ValidationError("count must be >= 1")
         blocks = []
@@ -157,16 +164,14 @@ def scaled(ens: MatrixEnsemble, c: float) -> MatrixEnsemble:
     )
 
 
-def pushed(ens: MatrixEnsemble, b: np.ndarray) -> MatrixEnsemble:
-    """Left-multiplied ensemble {B A}."""
-    b = np.asarray(b, dtype=float)
-    if b.shape[1] != ens.n:
-        raise ValidationError(f"B shape {b.shape} does not match ensemble n={ens.n}")
-    return MatrixEnsemble(
-        b.shape[0], ens.m,
-        lambda rng, c: np.einsum("ab,sbm->sam", b, ens.sample_block(rng, c)),
-        name=f"pushed({ens.name})",
-    )
+def _as_block(block) -> np.ndarray:
+    """A drawn (count, n, m) sample block with at least two samples."""
+    block = np.asarray(block, dtype=float)
+    if block.ndim != 3:
+        raise ValidationError(f"expected a (count, n, m) block, got shape {block.shape}")
+    if block.shape[0] < 2:
+        raise ValidationError("need at least 2 samples")
+    return block
 
 
 def _vec_blocks(samples: np.ndarray) -> np.ndarray:
@@ -209,16 +214,14 @@ class SecondMomentForm:
         return float(w @ self.k @ w)
 
 
-def second_moment_form(
-    ens: MatrixEnsemble, samples: int, *, seed: int = 0, workers: int = 1
-) -> SecondMomentForm:
-    if samples < 2:
-        raise ValidationError("need at least 2 samples")
-    block = ens.sample(samples, seed=seed, workers=workers)
+def second_moment_form(block: np.ndarray) -> SecondMomentForm:
+    """K of a drawn (count, n, m) block."""
+    block = _as_block(block)
+    count, n, m = block.shape
     vec = _vec_blocks(block)
-    k = vec.T @ vec / samples
+    k = vec.T @ vec / count
     k = (k + k.T) / 2.0
-    return SecondMomentForm(k=k, sample_count=samples, dims=(ens.n, ens.m))
+    return SecondMomentForm(k=k, sample_count=count, dims=(n, m))
 
 
 @dataclass(frozen=True)
@@ -313,45 +316,31 @@ class DeltaReport:
     sample_count: int
 
 
-def delta_report(
-    ens: MatrixEnsemble,
-    samples: int,
-    *,
-    seed: int = 0,
-    workers: int = 1,
-    restarts: int = 16,
-) -> DeltaReport:
-    """Estimate the symmetry deviation delta with a sampling error bar.
+def delta_report(block: np.ndarray, *, restarts: int = 16) -> DeltaReport:
+    """Estimate the symmetry deviation delta of a drawn block with an error bar.
 
     The stderr combines plug-in standard errors of the rank-one moments at
-    the located argmin and argmax directions, evaluated on the same sample
-    stream that built the form.
+    the located argmin and argmax directions, evaluated on the same block
+    that built the form.
     """
-    block = ens.sample(samples, seed=seed, workers=workers)
+    block = _as_block(block)
+    count = block.shape[0]
+    form = second_moment_form(block)
     vec = _vec_blocks(block)
-    k = vec.T @ vec / samples
-    form = SecondMomentForm(k=(k + k.T) / 2.0, sample_count=samples, dims=(ens.n, ens.m))
     rng_range = rank_one_range(form, restarts=restarts)
     ses = []
     for u, v in (rng_range.argmin, rng_range.argmax):
         w = np.kron(v, u)
         per_sample = (vec @ w) ** 2
-        ses.append(float(per_sample.std(ddof=1)) / np.sqrt(samples))
+        ses.append(float(per_sample.std(ddof=1)) / np.sqrt(count))
     return DeltaReport(
         delta=rng_range.spread,
         stderr=float(np.hypot(ses[0], ses[1])),
         min_val=rng_range.min_val,
         max_val=rng_range.max_val,
         range_result=rng_range,
-        sample_count=samples,
+        sample_count=count,
     )
-
-
-def delta_estimate(
-    ens: MatrixEnsemble, samples: int, *, seed: int = 0, workers: int = 1
-) -> float:
-    """Point estimate of the symmetry deviation (max - min rank-one moment)."""
-    return delta_report(ens, samples, seed=seed, workers=workers).delta
 
 
 @dataclass(frozen=True)
@@ -373,12 +362,9 @@ class MomentSymmetryReport:
     sample_count: int
 
 
-def moment_symmetry_report(
-    ens: MatrixEnsemble, samples: int, *, seed: int = 0, workers: int = 1
-) -> MomentSymmetryReport:
-    if samples < 2:
-        raise ValidationError("need at least 2 samples")
-    block = ens.sample(samples, seed=seed, workers=workers)
+def moment_symmetry_report(block: np.ndarray) -> MomentSymmetryReport:
+    block = _as_block(block)
+    samples = block.shape[0]
     vec = _vec_blocks(block)
     mean = vec.mean(axis=0)
     se_mean = vec.std(axis=0, ddof=1) / np.sqrt(samples)
@@ -419,34 +405,27 @@ class ProjectionBoundResult:
 
 
 def projection_bound_check(
-    ens: MatrixEnsemble,
-    g: np.ndarray,
-    h: np.ndarray,
-    delta: float,
-    samples: int,
-    *,
-    seed: int = 0,
-    workers: int = 1,
+    block: np.ndarray, g: np.ndarray, h: np.ndarray, delta: float
 ) -> ProjectionBoundResult:
     """Monte Carlo check of |E||G^T A H||^2 - c E||A||^2| <= 2||G||^2||H||^2 delta.
 
-    c = ||G||^2 ||H||^2 / (mn); the margin is 3 sigma of the estimated
-    difference statistic.
+    c = ||G||^2 ||H||^2 / (mn) over the drawn (count, n, m) block; the
+    margin is 3 sigma of the estimated difference statistic.
     """
+    block = _as_block(block)
+    samples, n, m = block.shape
     g = np.asarray(g, dtype=float)
     h = np.asarray(h, dtype=float)
-    if g.ndim != 2 or h.ndim != 2 or g.shape[0] != ens.n or h.shape[0] != ens.m:
+    if g.ndim != 2 or h.ndim != 2 or g.shape[0] != n or h.shape[0] != m:
         raise ValidationError(
-            f"G {g.shape} / H {h.shape} incompatible with ensemble "
-            f"({ens.n}, {ens.m})"
+            f"G {g.shape} / H {h.shape} incompatible with samples ({n}, {m})"
         )
-    block = ens.sample(samples, seed=seed, workers=workers)
     proj = np.einsum("ia,sij,jb->sab", g, block, h)
     s = (proj**2).sum(axis=(1, 2))
     t = (block**2).sum(axis=(1, 2))
     g2 = float((g**2).sum())
     h2 = float((h**2).sum())
-    c = g2 * h2 / (ens.m * ens.n)
+    c = g2 * h2 / (m * n)
     d = s - c * t
     lhs = abs(float(d.mean()))
     margin = 3.0 * float(d.std(ddof=1)) / np.sqrt(samples)
@@ -479,26 +458,22 @@ class PropagationResult:
     passed: bool
 
 
-def propagation_check(
-    ens: MatrixEnsemble,
-    b: np.ndarray,
-    samples: int,
-    *,
-    seed: int = 0,
-    workers: int = 1,
-) -> PropagationResult:
+def propagation_check(block: np.ndarray, b: np.ndarray) -> PropagationResult:
     """Verify delta(BA) <= gamma(B, delta(A), alpha) within 3-sigma margins.
 
-    The pushed ensemble reuses the same seed, so it sees exactly {B A_i}
-    for the same draws A_i that produced delta_in.
+    delta_in, alpha and delta_out all come from the one drawn block: the
+    pushed samples are exactly {B A_i} for the draws A_i behind delta_in.
     """
+    block = _as_block(block)
+    count, n, m = block.shape
     b = np.asarray(b, dtype=float)
-    rep_in = delta_report(ens, samples, seed=seed, workers=workers)
-    block = ens.sample(samples, seed=seed, workers=workers)
-    norms = (block**2).sum(axis=(1, 2)) / (ens.n * ens.m)
+    if b.ndim != 2 or b.shape[1] != n:
+        raise ValidationError(f"B shape {b.shape} does not match samples n={n}")
+    rep_in = delta_report(block)
+    norms = (block**2).sum(axis=(1, 2)) / (n * m)
     alpha = float(norms.mean())
-    se_alpha = float(norms.std(ddof=1)) / np.sqrt(samples)
-    rep_out = delta_report(pushed(ens, b), samples, seed=seed, workers=workers)
+    se_alpha = float(norms.std(ddof=1)) / np.sqrt(count)
+    rep_out = delta_report(np.einsum("ab,sbm->sam", b, block))
 
     s = jacobi_svd(b).s
     spread2 = float(s[0] ** 2 - s[-1] ** 2)

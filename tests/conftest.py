@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -28,3 +30,18 @@ def random_perturbation_t(rng, n):
     k = rng.random((n, n)) + 0.05
     k /= k.sum(axis=0, keepdims=True)
     return k - np.eye(n)
+
+
+def loop_max_feasible_step(start, step):
+    """Entry-by-entry reference for max_feasible_step: the largest s >= 0
+    keeping start + s*step inside [0, 1]."""
+    step = np.asarray(step, dtype=float)
+    start = np.broadcast_to(np.asarray(start, dtype=float), step.shape)
+    bound = math.inf
+    for idx in np.ndindex(step.shape):
+        t, s0 = step[idx], start[idx]
+        if t > 0:
+            bound = min(bound, (1.0 - s0) / t)
+        elif t < 0:
+            bound = min(bound, s0 / (-t))
+    return bound

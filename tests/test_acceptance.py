@@ -128,8 +128,8 @@ def test_criterion_02_feature_normalization():
 
 def test_criterion_03_variance_bump_delta():
     ens = variance_bump(2, 2, 1.5)
-    rep = delta_report(ens, 100_000, seed=22)
-    lem = moment_symmetry_report(ens, 100_000, seed=32)
+    rep = delta_report(ens.sample(100_000, seed=22))
+    lem = moment_symmetry_report(ens.sample(100_000, seed=32))
     ok = (
         abs(rep.delta - 0.5) <= 0.05
         and abs(lem.max_moment_spread - 0.5) <= 0.05
@@ -152,10 +152,10 @@ def test_criterion_04_projection_bound_suite():
             q1, _ = np.linalg.qr(rng.normal(size=(n, n)))
             q2, _ = np.linalg.qr(rng.normal(size=(m, m)))
             ens = conjugated(ens, q1, q2)
-        d_hat = delta_report(ens, 20_000, seed=1000 + trial).delta
+        d_hat = delta_report(ens.sample(20_000, seed=1000 + trial)).delta
         g = rng.normal(size=(n, int(rng.integers(1, 4))))
         h = rng.normal(size=(m, int(rng.integers(1, 4))))
-        res = projection_bound_check(ens, g, h, d_hat, 20_000, seed=2000 + trial)
+        res = projection_bound_check(ens.sample(20_000, seed=2000 + trial), g, h, d_hat)
         passed += res.passed
     _report(4, passed == 100, f"{passed}/100 projection-bound checks passed")
 
@@ -175,7 +175,7 @@ def test_criterion_05_pushforward_suite():
         else:
             q, _ = np.linalg.qr(rng.normal(size=(n, n)))
             b = q @ np.diag(0.5 + rng.random(n))
-        res = propagation_check(ens, b, 20_000, seed=3000 + trial)
+        res = propagation_check(ens.sample(20_000, seed=3000 + trial), b)
         passed += res.passed
         if trial == 0:
             # B = I recovers gamma = delta within bars
@@ -300,7 +300,7 @@ def test_criterion_09_constant_free_ratio():
                                  epsilon=0.02, rho=0.25)
     mu_v = AttributeEnsembleSpec(base=joint.marginal_y(), attribute_size=2,
                                  epsilon=0.02, rho=0.25)
-    d_hat = delta_report(information_ensemble(mu_u), 100_000, seed=321).delta
+    d_hat = delta_report(information_ensemble(mu_u).sample(100_000, seed=321)).delta
     gaps = {}
     for k in (1, 2):
         f, g = select_features(joint, k)
@@ -340,8 +340,8 @@ def test_criterion_10_residual_robustness_trend():
     targets_and_s = [(0.05, 0.0), (0.10, 0.4), (0.20, 0.8)]
     qs, excesses, bars = [], [], []
     for q_target, s in targets_and_s:
-        d = delta_report(information_ensemble(mu(joint.marginal_x(), s)),
-                         60_000, seed=99).delta
+        d = delta_report(information_ensemble(mu(joint.marginal_x(), s)).sample(
+            60_000, seed=99)).delta
         eta = max(0.0, (q_target - d) / (1.0 + d))
         chx = make_channel(T4, eta, joint.x_labels)
         chy = make_channel(T4, eta, joint.y_labels)

@@ -140,6 +140,26 @@ class TestCliCommands:
         body = (tmp_path / "o" / "symmetry.txt").read_text()
         assert "delta_hat:" in body
 
+    def test_symmetry_draws_once(self, tmp_path, capsys, monkeypatch):
+        # delta_hat and the moment report are statistics of one drawn block
+        from maxcorr.symmetry import MatrixEnsemble
+
+        calls = []
+        original = MatrixEnsemble.sample
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(MatrixEnsemble, "sample", counting)
+        path = tiny_config(tmp_path)
+        rc = main([
+            "symmetry", "--config", str(path), "--samples", "4000",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 0
+        assert len(calls) == 1
+
     def test_simulate_deterministic_and_resumable(self, tmp_path, capsys):
         path = tiny_config(tmp_path)
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

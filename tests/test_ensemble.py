@@ -60,17 +60,17 @@ class TestSampling:
         # ensemble (|Z|=4, |W|=3, rho=1): 0.334 +- 0.002 at 1e5 samples,
         # frozen from the oracle run; the forced sqrt-base null direction
         # keeps it far from zero.
-        rep = delta_report(information_ensemble(spec4()), 100_000, seed=100)
+        rep = delta_report(information_ensemble(spec4()).sample(100_000, seed=100))
         assert rep.delta == pytest.approx(0.334, abs=0.02)
 
     def test_anisotropy_increases_delta(self):
-        d0 = delta_report(information_ensemble(spec4(0.0)), 40_000, seed=101).delta
-        d5 = delta_report(information_ensemble(spec4(0.5)), 40_000, seed=101).delta
+        d0 = delta_report(information_ensemble(spec4(0.0)).sample(40_000, seed=101)).delta
+        d5 = delta_report(information_ensemble(spec4(0.5)).sample(40_000, seed=101)).delta
         assert d5 > d0
 
     def test_rho_scaling_quadratic(self):
-        d1 = delta_report(information_ensemble(spec4(rho=1.0)), 20_000, seed=102).delta
-        d2 = delta_report(information_ensemble(spec4(rho=0.25)), 20_000, seed=102).delta
+        d1 = delta_report(information_ensemble(spec4(rho=1.0)).sample(20_000, seed=102)).delta
+        d2 = delta_report(information_ensemble(spec4(rho=0.25)).sample(20_000, seed=102)).delta
         assert d2 == pytest.approx(d1 / 16.0, rel=1e-6)
 
     def test_rejection_threshold(self):
@@ -98,7 +98,7 @@ class TestSampling:
                 for _ in range(c)
             ]),
         )
-        form = second_moment_form(ens, 60_000, seed=55)
+        form = second_moment_form(ens.sample(60_000, seed=55))
         root = np.sqrt(BASE4.probs)
         proj = np.eye(4) - np.outer(root, root)
         smat = np.diag([1.0 + s, 1.0, 1.0, 1.0])

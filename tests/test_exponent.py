@@ -243,7 +243,7 @@ class TestAverageExponents:
         mu_v = AttributeEnsembleSpec(
             base=joint.marginal_y(), attribute_size=3, epsilon=0.05, rho=0.3
         )
-        d_hat = delta_report(information_ensemble(mu_u), 40_000, seed=1).delta
+        d_hat = delta_report(information_ensemble(mu_u).sample(40_000, seed=1)).delta
         f, g = select_features(joint, 3)
         rep = average_exponents(
             mu_u, mu_v, joint, cx, cy, f, g, 400, 202, delta_hat=d_hat

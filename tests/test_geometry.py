@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_positive_pmf
+from conftest import loop_max_feasible_step, random_positive_pmf
 from maxcorr.errors import (
     AlphabetMismatchError,
     FeasibilityError,
@@ -146,6 +146,17 @@ class TestConfigFromInformationMatrix:
         assert max_feasible_epsilon(U2, phi.phi) == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(FeasibilityError, match="max feasible: 1"):
             config_from_information_matrix(U2, uniform_pmf(("w1", "w2")), phi, 1.5)
+
+    def test_max_feasible_epsilon_matches_loop(self, rng):
+        for _ in range(100):
+            n = int(rng.integers(2, 6))
+            base = Pmf(tuple(f"z{i}" for i in range(n)), random_positive_pmf(rng, n))
+            phi = rng.normal(size=(n, 3))
+            phi[rng.random((n, 3)) < 0.3] = 0.0
+            step = np.sqrt(base.probs)[:, None] * phi
+            want = loop_max_feasible_step(base.probs[:, None], step)
+            assert max_feasible_epsilon(base, phi) == want
+        assert max_feasible_epsilon(U2, np.zeros((2, 2))) == np.inf
 
 
 class TestNormalizeFeatures:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -116,10 +118,21 @@ class TestChannel:
             eta = 0.5 * max_feasible_eta(t)
             assert eta > 0
             c = make_channel(t, eta)
-            t2, eta2 = c.decompose()
-            assert eta2 == eta
-            assert np.max(np.abs(t2 - t)) < 1e-12
+            assert c.eta == eta
+            assert np.max(np.abs(c.T - t)) < 1e-12
             assert np.max(np.abs(np.eye(n) + eta * t - c.P)) <= 1e-12
+
+    def test_max_feasible_eta_matches_loop(self, rng):
+        from conftest import loop_max_feasible_step
+
+        for trial in range(200):
+            n = int(rng.integers(1, 7))
+            t = rng.normal(size=(n, n))
+            t[rng.random((n, n)) < 0.3] = 0.0
+            if trial % 4 == 0:
+                t = np.diag(np.diag(t))
+            assert max_feasible_eta(t) == loop_max_feasible_step(np.eye(n), t)
+        assert max_feasible_eta(np.zeros((3, 3))) == math.inf
 
     def test_rejects_bad_column_sum(self):
         with pytest.raises(ValidationError, match="sums to"):

@@ -7,7 +7,6 @@ from maxcorr.symmetry import (
     SecondMomentForm,
     conjugated,
     constant,
-    delta_estimate,
     delta_report,
     entry_variances,
     pushed_delta_bound,
@@ -15,7 +14,6 @@ from maxcorr.symmetry import (
     moment_symmetry_report,
     projection_bound_check,
     propagation_check,
-    pushed,
     rank_one_range,
     scaled,
     scaled_rank_one,
@@ -66,22 +64,22 @@ class TestSamplingContract:
 
 class TestSecondMomentForm:
     def test_deterministic_identity(self):
-        form = second_moment_form(constant(np.eye(2)), 10)
+        form = second_moment_form(constant(np.eye(2)).sample(10, seed=0))
         v = np.array([1.0, 0.0, 0.0, 1.0])
         assert np.max(np.abs(form.k - np.outer(v, v))) < 1e-14
         assert form.trace == pytest.approx(2.0)
 
     def test_iid_gaussian_isotropy(self):
-        form = second_moment_form(gaussian_iid(2, 2), 100_000, seed=11)
+        form = second_moment_form(gaussian_iid(2, 2).sample(100_000, seed=11))
         assert np.max(np.abs(form.k - np.eye(4))) < 0.05
 
     def test_variance_bump_diagonal(self):
-        form = second_moment_form(BUMP2X2, 100_000, seed=12)
+        form = second_moment_form(BUMP2X2.sample(100_000, seed=12))
         assert np.max(np.abs(form.k - np.diag([1.5, 1, 1, 1]))) < 0.05
 
     def test_requires_two_samples(self):
         with pytest.raises(ValidationError):
-            second_moment_form(gaussian_iid(2, 2), 1)
+            second_moment_form(gaussian_iid(2, 2).sample(1, seed=0))
 
 
 class TestRankOneRange:
@@ -114,49 +112,49 @@ class TestRankOneRange:
 
 class TestDeltaEstimate:
     def test_exactly_symmetric_small_delta(self):
-        d = delta_estimate(gaussian_iid(2, 2), 100_000, seed=21)
+        d = delta_report(gaussian_iid(2, 2).sample(100_000, seed=21)).delta
         assert d <= 0.05
 
     def test_variance_bump_recovers_half(self):
-        d = delta_estimate(BUMP2X2, 100_000, seed=22)
+        d = delta_report(BUMP2X2.sample(100_000, seed=22)).delta
         assert d == pytest.approx(0.5, abs=0.05)
 
     def test_quadratic_scaling_exact(self):
         base = variance_bump(2, 3, 2.0)
-        d1 = delta_estimate(base, 2000, seed=23)
-        d2 = delta_estimate(scaled(base, 3.0), 2000, seed=23)
+        d1 = delta_report(base.sample(2000, seed=23)).delta
+        d2 = delta_report(scaled(base, 3.0).sample(2000, seed=23)).delta
         assert d2 == pytest.approx(9.0 * d1, rel=1e-9)
 
     def test_conjugation_invariance_same_seed(self, rng):
         q1, _ = np.linalg.qr(rng.normal(size=(2, 2)))
         q2, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         base = entry_variances(np.array([[1.0, 2.0, 0.5], [1.5, 1.0, 1.0]]))
-        d1 = delta_estimate(base, 20_000, seed=24)
-        d2 = delta_estimate(conjugated(base, q1, q2), 20_000, seed=24)
+        d1 = delta_report(base.sample(20_000, seed=24)).delta
+        d2 = delta_report(conjugated(base, q1, q2).sample(20_000, seed=24)).delta
         assert d2 == pytest.approx(d1, abs=1e-6)
 
     def test_report_has_error_bar(self):
-        rep = delta_report(BUMP2X2, 50_000, seed=25)
+        rep = delta_report(BUMP2X2.sample(50_000, seed=25))
         assert 0 < rep.stderr < 0.05
         assert rep.delta == rep.max_val - rep.min_val
 
 
 class TestMomentSymmetryReport:
     def test_iid_zero_mean(self):
-        rep = moment_symmetry_report(gaussian_iid(2, 3), 50_000, seed=31)
+        rep = moment_symmetry_report(gaussian_iid(2, 3).sample(50_000, seed=31))
         assert rep.mean_norm <= rep.mean_norm_bar
         assert rep.max_moment_spread <= rep.max_moment_spread_bar
         assert rep.max_cross_covariance <= rep.max_cross_covariance_bar
 
     def test_variance_bump_moment_spread(self):
-        rep = moment_symmetry_report(BUMP2X2, 100_000, seed=32)
+        rep = moment_symmetry_report(BUMP2X2.sample(100_000, seed=32))
         assert rep.max_moment_spread == pytest.approx(0.5, abs=0.05)
         assert rep.mean_norm <= rep.mean_norm_bar
         assert rep.max_cross_covariance <= rep.max_cross_covariance_bar
 
     def test_rank_one_cross_covariances(self):
         u = np.array([1.0, 1.0]) / np.sqrt(2)
-        rep = moment_symmetry_report(scaled_rank_one(u, u), 50_000, seed=33)
+        rep = moment_symmetry_report(scaled_rank_one(u, u).sample(50_000, seed=33))
         # Cov(A_ij, A_kl) = u_i v_j u_k v_l = 0.25 for every pair
         assert rep.max_cross_covariance == pytest.approx(0.25, abs=0.02)
         assert rep.max_cross_covariance > rep.max_cross_covariance_bar
@@ -166,12 +164,12 @@ class TestProjectionBound:
     def test_symmetric_ensemble_zero_lhs(self, rng):
         g = rng.normal(size=(2, 2))
         h = rng.normal(size=(3, 2))
-        res = projection_bound_check(gaussian_iid(2, 3), g, h, 0.0, 50_000, seed=41)
+        res = projection_bound_check(gaussian_iid(2, 3).sample(50_000, seed=41), g, h, 0.0)
         assert res.passed
         assert res.lhs <= res.margin
 
     def test_bump_identity_projectors(self):
-        res = projection_bound_check(BUMP2X2, np.eye(2), np.eye(2), 0.5, 10_000, seed=42)
+        res = projection_bound_check(BUMP2X2.sample(10_000, seed=42), np.eye(2), np.eye(2), 0.5)
         # G = H = I makes both terms ||A||^2: lhs is exactly 0
         assert res.lhs == 0.0
         # bound = 2 ||G||_F^2 ||H||_F^2 delta = 2 * 2 * 2 * 0.5
@@ -179,7 +177,7 @@ class TestProjectionBound:
 
     def test_bump_e1_projectors(self):
         e1 = np.array([[1.0], [0.0]])
-        res = projection_bound_check(BUMP2X2, e1, e1, 0.5, 200_000, seed=43)
+        res = projection_bound_check(BUMP2X2.sample(200_000, seed=43), e1, e1, 0.5)
         # lhs -> |sigma^2 - (3 + sigma^2)/4| = 0.375; bound = 2 * 0.5 = 1
         assert res.lhs == pytest.approx(0.375, abs=0.03)
         assert res.bound == pytest.approx(1.0)
@@ -187,16 +185,16 @@ class TestProjectionBound:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
-            projection_bound_check(BUMP2X2, np.eye(3), np.eye(2), 0.1, 10)
+            projection_bound_check(BUMP2X2.sample(10, seed=0), np.eye(3), np.eye(2), 0.1)
 
     def test_self_consistency_with_estimated_delta(self, rng):
         for _ in range(5):
             v = 0.5 + rng.random((2, 3))
             ens = entry_variances(v)
-            d = delta_estimate(ens, 30_000, seed=44)
+            d = delta_report(ens.sample(30_000, seed=44)).delta
             g = rng.normal(size=(2, 2))
             h = rng.normal(size=(3, 1))
-            res = projection_bound_check(ens, g, h, d, 30_000, seed=45)
+            res = projection_bound_check(ens.sample(30_000, seed=45), g, h, d)
             assert res.passed
 
 
@@ -218,28 +216,37 @@ class TestPushedDeltaBound:
 
 class TestPropagationCheck:
     def test_identity_b(self):
-        res = propagation_check(BUMP2X2, np.eye(2), 20_000, seed=51)
+        res = propagation_check(BUMP2X2.sample(20_000, seed=51), np.eye(2))
         assert res.passed
         assert res.delta_out == pytest.approx(res.delta_in, abs=1e-9)
         assert res.delta_bound == pytest.approx(res.delta_in, abs=1e-12)
 
     def test_diagonal_b(self):
-        res = propagation_check(BUMP2X2, np.diag([1.5, 0.5]), 20_000, seed=52)
+        res = propagation_check(BUMP2X2.sample(20_000, seed=52), np.diag([1.5, 0.5]))
         assert res.passed
 
     def test_rotated_diagonal_b(self, rng):
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         ens = gaussian_iid(3, 2)
         b = q @ np.diag([1.2, 1.0, 0.7])
-        res = propagation_check(ens, b, 20_000, seed=53)
+        res = propagation_check(ens.sample(20_000, seed=53), b)
         assert res.passed
+
+    def test_one_block_feeds_both_deltas(self, rng):
+        # delta_in and delta_out are delta_report of the block and of the
+        # pushed block {B A_i}, bit for bit
+        block = entry_variances(0.5 + rng.random((3, 2))).sample(5000, seed=54)
+        b = rng.normal(size=(3, 3))
+        res = propagation_check(block, b)
+        assert res.delta_in == delta_report(block).delta
+        assert res.delta_out == delta_report(np.einsum("ab,sbm->sam", b, block)).delta
+
+    def test_b_shape_check(self):
+        with pytest.raises(ValidationError, match="B shape"):
+            propagation_check(gaussian_iid(3, 2).sample(10, seed=0), np.ones((2, 2)))
 
 
 class TestEnsembleAdapters:
-    def test_pushed_shape_check(self):
-        with pytest.raises(ValidationError):
-            pushed(gaussian_iid(3, 2), np.ones((2, 2)))
-
     def test_declared_delta_bookkeeping(self):
         assert BUMP2X2.declared_delta == pytest.approx(0.5)
         ens = entry_variances(np.array([[2.0, 1.0], [1.0, 0.5]]))

@@ -13,12 +13,22 @@ base), which is why even the s = 0 ensemble is only approximately
 spherically symmetric: the sqrt(base) direction carries no variance.
 Draws whose conditionals would go negative are rejected and redrawn,
 never clipped, so the measured symmetry structure stays unbiased.
+
+Every sampling path (`information_ensemble`, `configuration_stream`,
+`sample_configuration`, `rejection_rate`) draws through one array sampler,
+`raw_information_sample`, which builds a whole (count, n, m) stack from one
+normal draw.  Accepted matrices are collected CHUNK raw draws at a time.  A
+(B, n, m) normal draw consumes exactly the normals of B sequential (n, m)
+draws, so the accepted sequence is the one a draw-by-draw loop yields, bit
+for bit.  The rejection cap counts consecutive rejected draws across chunk
+boundaries and resets at each acceptance; cap + 1 in a row raise a
+FeasibilityError.  Draws past the last accepted matrix are discarded with
+the worker's generator, which nothing else draws from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -29,11 +39,15 @@ from .geometry import (
     InformationMatrix,
     config_from_information_matrix,
     information_matrix,
+    max_feasible_epsilon,
 )
 from .model import Channel, JointPmf, Pmf, uniform_pmf
 from .symmetry import MatrixEnsemble, split_count, worker_rngs
 
 PATH_AGREEMENT_TOL = 1e-12
+# Raw draws per sampler call: bounds the sampler's working memory at a few
+# chunk-sized arrays whatever the requested count.
+CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -71,109 +85,132 @@ class AttributeEnsembleSpec:
 
 
 def raw_information_sample(
-    rng: np.random.Generator, base: np.ndarray, prior: np.ndarray, anisotropy: float
+    rng: np.random.Generator,
+    base: np.ndarray,
+    prior: np.ndarray,
+    anisotropy: float,
+    count: int,
 ) -> np.ndarray:
-    """One unscaled information-matrix draw (steps 1-3, no norm policy)."""
+    """`count` unscaled information-matrix draws (steps 1-3, no norm policy).
+
+    One (count, n, m) normal draw consumes the same normals as `count`
+    sequential (n, m) draws, so draw i equals the i-th single draw.
+    """
     n, m = base.size, prior.size
-    phi = rng.standard_normal((n, m))
+    phi = rng.standard_normal((count, n, m))
     if anisotropy:
-        phi[0, :] *= 1.0 + anisotropy
+        phi[:, 0, :] *= 1.0 + anisotropy
     root = np.sqrt(base)
-    phi -= np.outer(root, root @ phi)
-    phi -= np.outer(phi @ prior, np.ones(m))
+    phi -= root[:, None] * (root @ phi)[:, None, :]
+    phi -= (phi @ prior)[:, :, None]
     return phi
 
 
-def _scaled_phi(raw: np.ndarray, rho: float) -> np.ndarray | None:
-    top = float(np.linalg.norm(raw, axis=0).max())
-    if top <= 0.0:
-        return None
-    return raw * (rho / top)
-
-
-def _feasible(phi: np.ndarray, base: np.ndarray, epsilon: float) -> bool:
-    cond = base[:, None] + epsilon * np.sqrt(base)[:, None] * phi
-    return bool(np.all(cond >= 0.0) and np.all(cond <= 1.0))
-
-
-def _phi_stream(spec: AttributeEnsembleSpec, rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """Accepted information matrices; raises once the rejection cap is hit."""
+def _accept(spec: AttributeEnsembleSpec, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rescale raw draws in place (step 4) and return them with the mask of
+    accepted draws: nonzero, with every conditional inside [0, 1]."""
     base = spec.base.probs
-    prior = spec.prior.probs
-    while True:
-        for attempt in range(spec.rejection_cap + 1):
-            phi = _scaled_phi(
-                raw_information_sample(rng, base, prior, spec.anisotropy), spec.rho
+    top = np.linalg.norm(phi, axis=1).max(axis=1)
+    nonzero = top > 0.0
+    phi *= np.divide(spec.rho, top, out=np.zeros_like(top), where=nonzero)[:, None, None]
+    cond = base[:, None] + spec.epsilon * np.sqrt(base)[:, None] * phi
+    return phi, nonzero & np.all((cond >= 0.0) & (cond <= 1.0), axis=(1, 2))
+
+
+def _rejection_cap_error(
+    spec: AttributeEnsembleSpec, run: np.ndarray, accepted: int, drawn: int
+) -> FeasibilityError:
+    """The error for a failing run of cap + 1 rejected draws.
+
+    `max_feasible` is the largest epsilon at which some draw of the run
+    would have been accepted.
+    """
+    best = max(
+        (max_feasible_epsilon(spec.base, phi) for phi in run if np.any(phi)), default=0.0
+    )
+    return FeasibilityError(
+        f"epsilon infeasible for spec: rejection cap exceeded, {len(run)} consecutive "
+        f"draws rejected (accepted {accepted} of {drawn} draws)",
+        max_feasible=best,
+    )
+
+
+def _accepted_block(
+    spec: AttributeEnsembleSpec, rng: np.random.Generator, count: int
+) -> np.ndarray:
+    """The first `count` accepted information matrices drawn from `rng`."""
+    base, prior, cap = spec.base.probs, spec.prior.probs, spec.rejection_cap
+    out = np.empty((count, base.size, prior.size))
+    steps = np.arange(CHUNK)
+    filled = drawn = 0
+    pending: list[np.ndarray] = []  # rejected draws since the last acceptance
+    while filled < count:
+        phi, ok = _accept(
+            spec, raw_information_sample(rng, base, prior, spec.anisotropy, CHUNK)
+        )
+        carried = sum(len(p) for p in pending)
+        # consecutive rejections ending at each draw (0 at an acceptance)
+        run = steps - np.maximum.accumulate(np.where(ok, steps, -1 - carried))
+        taken = np.flatnonzero(ok)[: count - filled]
+        used = taken[-1] if filled + taken.size == count else CHUNK
+        over = np.flatnonzero(run[:used] > cap)
+        if over.size:
+            stop = over[0] + 1
+            failing = np.concatenate(pending + [phi[:stop]])[-(cap + 1):]
+            raise _rejection_cap_error(
+                spec, failing, filled + int(np.count_nonzero(ok[:stop])), drawn + stop
             )
-            if phi is not None and _feasible(phi, base, spec.epsilon):
-                yield phi
-                break
-        else:
-            raise FeasibilityError(
-                "epsilon infeasible for spec: rejection cap exceeded",
-                max_feasible=0.0,
-            )
+        out[filled : filled + taken.size] = phi[taken]
+        filled += taken.size
+        drawn += CHUNK
+        if taken.size:
+            pending = []
+        pending.append(phi[CHUNK - run[-1]:])
+    return out
 
 
 def information_ensemble(spec: AttributeEnsembleSpec) -> MatrixEnsemble:
     """The attribute spec's information matrices as a plain matrix ensemble.
 
-    Shares the acceptance loop with configuration sampling, so a given
+    Shares the acceptance rule with configuration sampling, so a given
     seed produces exactly the Phi sequence of the configurations used in
     exponent runs.
     """
-
-    def block(rng: np.random.Generator, count: int) -> np.ndarray:
-        stream = _phi_stream(spec, rng)
-        return np.stack([next(stream) for _ in range(count)])
-
     return MatrixEnsemble(
         n=spec.base.size,
         m=spec.attribute_size,
-        sample_block=block,
+        sample_block=lambda rng, count: _accepted_block(spec, rng, count),
         name=f"information_ensemble(s={spec.anisotropy}, rho={spec.rho})",
     )
 
 
-def sample_configuration(
-    spec: AttributeEnsembleSpec, rng: np.random.Generator | None = None, seed: int = 0
-) -> Configuration:
-    """Draw one configuration from the ensemble."""
-    if rng is None:
-        rng = worker_rngs(seed, 1)[0]
-    phi = next(_phi_stream(spec, rng))
+def _configuration(spec: AttributeEnsembleSpec, phi: np.ndarray) -> Configuration:
     info = InformationMatrix(phi=phi, epsilon=spec.epsilon, base=spec.base)
     return config_from_information_matrix(spec.base, spec.prior, info, spec.epsilon)
+
+
+def sample_configuration(spec: AttributeEnsembleSpec, seed: int = 0) -> Configuration:
+    """Draw one configuration from the ensemble."""
+    return _configuration(spec, _accepted_block(spec, worker_rngs(seed, 1)[0], 1)[0])
 
 
 def configuration_stream(
     spec: AttributeEnsembleSpec, count: int, seed: int = 0, workers: int = 1
 ) -> list[Configuration]:
     """Draw `count` configurations under the seeded-parallel contract."""
-    configs: list[Configuration] = []
-    for rng, share in zip(worker_rngs(seed, workers), split_count(count, workers)):
-        stream = _phi_stream(spec, rng)
-        for _ in range(share):
-            phi = next(stream)
-            info = InformationMatrix(phi=phi, epsilon=spec.epsilon, base=spec.base)
-            configs.append(
-                config_from_information_matrix(spec.base, spec.prior, info, spec.epsilon)
-            )
-    return configs
+    return [
+        _configuration(spec, phi)
+        for rng, share in zip(worker_rngs(seed, workers), split_count(count, workers))
+        for phi in _accepted_block(spec, rng, share)
+    ]
 
 
 def rejection_rate(spec: AttributeEnsembleSpec, probes: int = 1000, seed: int = 0) -> float:
     """Fraction of raw draws rejected for negativity; should stay below 0.5."""
-    rng = worker_rngs(seed, 1)[0]
-    base, prior = spec.base.probs, spec.prior.probs
-    rejected = 0
-    for _ in range(probes):
-        phi = _scaled_phi(
-            raw_information_sample(rng, base, prior, spec.anisotropy), spec.rho
-        )
-        if phi is None or not _feasible(phi, base, spec.epsilon):
-            rejected += 1
-    return rejected / probes
+    raw = raw_information_sample(
+        worker_rngs(seed, 1)[0], spec.base.probs, spec.prior.probs, spec.anisotropy, probes
+    )
+    return int(np.count_nonzero(~_accept(spec, raw)[1])) / probes
 
 
 def push_through_channel(config: Configuration, chan: Channel) -> Configuration:

@@ -443,7 +443,11 @@ def pushed_delta_bound(b: np.ndarray, delta: float, alpha: float) -> float:
         raise ValidationError(f"B must be square, got {b.shape}")
     if delta < 0 or alpha < 0:
         raise ValidationError("delta and alpha must be >= 0")
-    s = jacobi_svd(b).s
+    return _gamma(jacobi_svd(b).s, delta, alpha)
+
+
+def _gamma(s: np.ndarray, delta: float, alpha: float) -> float:
+    """The pushed bound from the singular values of B, largest first."""
     s1, sn = float(s[0]), float(s[-1])
     return (alpha + delta) * (s1**2 - sn**2) + s1**2 * delta
 
@@ -469,6 +473,8 @@ def propagation_check(block: np.ndarray, b: np.ndarray) -> PropagationResult:
     b = np.asarray(b, dtype=float)
     if b.ndim != 2 or b.shape[1] != n:
         raise ValidationError(f"B shape {b.shape} does not match samples n={n}")
+    if b.shape[0] != n:
+        raise ValidationError(f"B must be square, got {b.shape}")
     rep_in = delta_report(block)
     norms = (block**2).sum(axis=(1, 2)) / (n * m)
     alpha = float(norms.mean())
@@ -478,7 +484,7 @@ def propagation_check(block: np.ndarray, b: np.ndarray) -> PropagationResult:
     s = jacobi_svd(b).s
     spread2 = float(s[0] ** 2 - s[-1] ** 2)
     dg_ddelta = spread2 + float(s[0] ** 2)
-    gamma = pushed_delta_bound(b, rep_in.delta, alpha)
+    gamma = _gamma(s, rep_in.delta, alpha)
     margin = 3.0 * float(
         np.sqrt(
             rep_out.stderr**2

@@ -45,3 +45,41 @@ def loop_max_feasible_step(start, step):
         elif t < 0:
             bound = min(bound, s0 / (-t))
     return bound
+
+
+def loop_information_draws(spec, rng):
+    """Draw-by-draw reference for the ensemble sampler: yields (phi, accepted)
+    for each raw draw in stream order, phi rescaled to the norm policy (None
+    for an all-zero draw)."""
+    base, prior = spec.base.probs, spec.prior.probs
+    n, m = base.size, prior.size
+    root = np.sqrt(base)
+    while True:
+        phi = rng.standard_normal((n, m))
+        if spec.anisotropy:
+            phi[0, :] *= 1.0 + spec.anisotropy
+        phi -= np.outer(root, root @ phi)
+        phi -= np.outer(phi @ prior, np.ones(m))
+        top = float(np.linalg.norm(phi, axis=0).max())
+        if top <= 0.0:
+            yield None, False
+            continue
+        phi = phi * (spec.rho / top)
+        cond = base[:, None] + spec.epsilon * np.sqrt(base)[:, None] * phi
+        yield phi, bool(np.all(cond >= 0.0) and np.all(cond <= 1.0))
+
+
+def loop_information_sample(spec, count, seed=0, workers=1):
+    """Reference (count, n, m) block of accepted draws under the
+    seeded-parallel contract; ignores the rejection cap."""
+    from maxcorr.symmetry import split_count, worker_rngs
+
+    phis = []
+    for rng, share in zip(worker_rngs(seed, workers), split_count(count, workers)):
+        draws = loop_information_draws(spec, rng)
+        while share:
+            phi, ok = next(draws)
+            if ok:
+                phis.append(phi)
+                share -= 1
+    return np.stack(phis)

@@ -160,6 +160,23 @@ class TestCliCommands:
         assert rc == 0
         assert len(calls) == 1
 
+    def test_verify_draws_seed_block_once(self, tmp_path, capsys, monkeypatch):
+        # delta_hat and the first projection-bound trial share the seed block
+        from maxcorr.symmetry import MatrixEnsemble
+
+        calls = []
+        original = MatrixEnsemble.sample
+
+        def counting(self, *args, **kwargs):
+            calls.append((self.name, args, tuple(sorted(kwargs.items()))))
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(MatrixEnsemble, "sample", counting)
+        path = tiny_config(tmp_path)
+        main(["verify", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert len(calls) == 14
+        assert len(set(calls)) == len(calls)
+
     def test_simulate_deterministic_and_resumable(self, tmp_path, capsys):
         path = tiny_config(tmp_path)
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

@@ -1,9 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import random_perturbation_t, random_positive_joint
+from conftest import (
+    loop_information_draws,
+    loop_information_sample,
+    random_perturbation_t,
+    random_positive_joint,
+)
 from maxcorr.dependence import uncentered_b
 from maxcorr.ensemble import (
+    CHUNK,
     AttributeEnsembleSpec,
     configuration_stream,
     information_ensemble,
@@ -14,7 +22,12 @@ from maxcorr.ensemble import (
     sample_configuration,
 )
 from maxcorr.errors import FeasibilityError, ValidationError
-from maxcorr.geometry import information_matrix
+from maxcorr.geometry import (
+    InformationMatrix,
+    config_from_information_matrix,
+    information_matrix,
+    max_feasible_epsilon,
+)
 from maxcorr.model import (
     JointPmf,
     Pmf,
@@ -23,7 +36,7 @@ from maxcorr.model import (
     make_channel,
     uniform_pmf,
 )
-from maxcorr.symmetry import MatrixEnsemble, delta_report, second_moment_form
+from maxcorr.symmetry import MatrixEnsemble, delta_report, second_moment_form, worker_rngs
 
 BASE4 = uniform_pmf(tuple("abcd"))
 
@@ -86,6 +99,18 @@ class TestSampling:
         with pytest.raises(FeasibilityError, match="infeasible"):
             sample_configuration(spec, seed=1)
 
+    def test_rejection_cap_error_reports_numbers(self):
+        spec = AttributeEnsembleSpec(
+            base=BASE4, attribute_size=3, epsilon=3.0, rho=1.0, rejection_cap=50
+        )
+        with pytest.raises(FeasibilityError) as exc:
+            sample_configuration(spec, seed=1)
+        assert 0.0 < exc.value.max_feasible < 3.0
+        assert "51 consecutive draws rejected (accepted 0 of 51 draws)" in str(exc.value)
+        draws = loop_information_draws(spec, worker_rngs(1, 1)[0])
+        run = [next(draws)[0] for _ in range(51)]
+        assert exc.value.max_feasible == max(max_feasible_epsilon(BASE4, p) for p in run)
+
     def test_raw_sample_closed_form_second_moment(self):
         # E[phi_w phi_w'^T] = (c_w . c_w') * P S^2 P with P the projector
         # off sqrt(base), S the row scaling, c_w = e_w - prior.
@@ -93,10 +118,7 @@ class TestSampling:
         prior = uniform_pmf(("w0", "w1", "w2"))
         ens = MatrixEnsemble(
             4, 3,
-            lambda rng, c: np.stack([
-                raw_information_sample(rng, BASE4.probs, prior.probs, s)
-                for _ in range(c)
-            ]),
+            lambda rng, c: raw_information_sample(rng, BASE4.probs, prior.probs, s, c),
         )
         form = second_moment_form(ens.sample(60_000, seed=55))
         root = np.sqrt(BASE4.probs)
@@ -106,6 +128,60 @@ class TestSampling:
         cmat = np.eye(3) - np.outer(prior.probs, np.ones(3))
         expected = np.kron(cmat.T @ cmat, block)
         assert np.max(np.abs(form.k - expected)) < 0.06
+
+
+# uniform 4-symbol base, rho 1: eps 0.6 rejects about 8% of draws, eps 1.0 about 95%
+REJECTING = spec4(eps=0.6)
+
+
+class TestArraySampler:
+    """The chunked sampler against the draw-by-draw reference loop."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("spec", [spec4(0.0), spec4(0.5), REJECTING],
+                             ids=["s0", "s0.5", "rejecting"])
+    @pytest.mark.parametrize("count", [1, CHUNK - 1, CHUNK, CHUNK + 1, 20_000])
+    def test_matches_loop(self, count, spec, workers):
+        want = loop_information_sample(spec, count, seed=31, workers=workers)
+        assert np.array_equal(information_ensemble(spec).sample(count, 31, workers), want)
+        if count > CHUNK + 1:
+            return  # ~3 s per 20k validated configurations; CHUNK + 1 spans two chunks
+        configs = configuration_stream(spec, count, seed=31, workers=workers)
+        assert np.array_equal(
+            np.stack([c.conditionals for c in configs]),
+            np.stack([
+                config_from_information_matrix(
+                    spec.base, spec.prior,
+                    InformationMatrix(phi=phi, epsilon=spec.epsilon, base=spec.base),
+                    spec.epsilon,
+                ).conditionals
+                for phi in want
+            ]),
+        )
+
+    def test_cap_counts_runs_across_chunks(self):
+        # at seed 9 the longest rejection run before the 23rd acceptance is
+        # draws 448..544, across the first chunk boundary
+        spec, count = spec4(eps=1.0), 23
+        draws = loop_information_draws(spec, worker_rngs(9, 1)[0])
+        flags = []
+        while sum(flags) < count:
+            flags.append(next(draws)[1])
+        runs, start = [], 0
+        for i, ok in enumerate(flags):
+            if ok:
+                runs.append((i - start, start))
+                start = i + 1
+        longest = max(r for r, _ in runs)
+        # the first longest run fails a cap of longest - 1 at its last draw
+        k, (_, first) = next((k, run) for k, run in enumerate(runs) if run[0] == longest)
+        assert first // CHUNK != (first + longest - 1) // CHUNK
+        ens = information_ensemble(replace(spec, rejection_cap=longest))
+        assert np.array_equal(ens.sample(count, 9), loop_information_sample(spec, count, 9))
+        with pytest.raises(FeasibilityError) as exc:
+            information_ensemble(replace(spec, rejection_cap=longest - 1)).sample(count, 9)
+        assert (f"{longest} consecutive draws rejected (accepted {k} of "
+                f"{first + longest} draws)") in str(exc.value)
 
 
 class TestPushThroughChannel:

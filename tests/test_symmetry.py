@@ -241,6 +241,22 @@ class TestPropagationCheck:
         assert res.delta_in == delta_report(block).delta
         assert res.delta_out == delta_report(np.einsum("ab,sbm->sam", b, block)).delta
 
+    def test_one_svd_per_call(self, rng, monkeypatch):
+        import maxcorr.symmetry as sym
+
+        block = entry_variances(0.5 + rng.random((3, 2))).sample(5000, seed=55)
+        b = rng.normal(size=(3, 3))
+        calls = []
+        original = sym.jacobi_svd
+        monkeypatch.setattr(sym, "jacobi_svd", lambda a: calls.append(a) or original(a))
+        res = propagation_check(block, b)
+        assert len(calls) == 1
+        assert res.delta_bound == pushed_delta_bound(b, res.delta_in, res.alpha)
+
+    def test_non_square_b_rejected(self):
+        with pytest.raises(ValidationError, match="square"):
+            propagation_check(gaussian_iid(3, 2).sample(10, seed=0), np.ones((2, 3)))
+
     def test_b_shape_check(self):
         with pytest.raises(ValidationError, match="B shape"):
             propagation_check(gaussian_iid(3, 2).sample(10, seed=0), np.ones((2, 2)))

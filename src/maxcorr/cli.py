@@ -432,7 +432,7 @@ def _verify_checks(cfg: ExperimentConfig) -> list[tuple[str, bool, str]]:
     for i in range(10):
         gmat = rng.normal(size=(ens.n, 2))
         hmat = rng.normal(size=(ens.m, 2))
-        # trial i draws with seed cfg.seed + i; trial 0's block is `first`
+        # trial 0 shares dhat's seed, so its block is `first`, not a second draw
         block = first if i == 0 else ens.sample(cfg.delta_samples, seed=cfg.seed + i)
         res = projection_bound_check(block, gmat, hmat, dhat)
         ok4 = ok4 and res.passed

@@ -45,8 +45,8 @@ from .model import Channel, JointPmf, Pmf, uniform_pmf
 from .symmetry import MatrixEnsemble, split_count, worker_rngs
 
 PATH_AGREEMENT_TOL = 1e-12
-# Raw draws per sampler call: bounds the sampler's working memory at a few
-# chunk-sized arrays whatever the requested count.
+# Raw draws per `_accepted_block` sampler call: its working memory is a few
+# chunk-sized arrays besides the output, whatever the requested count.
 CHUNK = 512
 
 
@@ -143,12 +143,12 @@ def _accepted_block(
     out = np.empty((count, base.size, prior.size))
     steps = np.arange(CHUNK)
     filled = drawn = 0
-    pending: list[np.ndarray] = []  # rejected draws since the last acceptance
+    carried = 0  # consecutive rejected draws since the last acceptance
+    pending: list[np.ndarray] = []  # those draws, for the rejection-cap error
     while filled < count:
         phi, ok = _accept(
             spec, raw_information_sample(rng, base, prior, spec.anisotropy, CHUNK)
         )
-        carried = sum(len(p) for p in pending)
         # consecutive rejections ending at each draw (0 at an acceptance)
         run = steps - np.maximum.accumulate(np.where(ok, steps, -1 - carried))
         taken = np.flatnonzero(ok)[: count - filled]
@@ -165,7 +165,8 @@ def _accepted_block(
         drawn += CHUNK
         if taken.size:
             pending = []
-        pending.append(phi[CHUNK - run[-1]:])
+        carried = int(run[-1])
+        pending.append(phi[max(CHUNK - carried, 0):])
     return out
 
 

@@ -159,14 +159,22 @@ class TestArraySampler:
             ]),
         )
 
-    def test_cap_counts_runs_across_chunks(self):
-        # at seed 9 the longest rejection run before the 23rd acceptance is
-        # draws 448..544, across the first chunk boundary
-        spec, count = spec4(eps=1.0), 23
-        draws = loop_information_draws(spec, worker_rngs(9, 1)[0])
-        flags = []
+    @pytest.mark.parametrize("eps, seed, count, whole_chunk", [
+        # the longest run before the 23rd acceptance is draws 448..544
+        (1.0, 9, 23, False),
+        # the longest run before the 16th acceptance is draws 1527..2139: it
+        # starts 9 draws before a chunk boundary and rejects all of the
+        # next chunk (about 1% acceptance)
+        (1.1, 7, 16, True),
+    ], ids=["one-boundary", "whole-chunk"])
+    def test_cap_counts_runs_across_chunks(self, eps, seed, count, whole_chunk):
+        spec = spec4(eps=eps)
+        draws = loop_information_draws(spec, worker_rngs(seed, 1)[0])
+        phis, flags = [], []
         while sum(flags) < count:
-            flags.append(next(draws)[1])
+            phi, ok = next(draws)
+            phis.append(phi)
+            flags.append(ok)
         runs, start = [], 0
         for i, ok in enumerate(flags):
             if ok:
@@ -175,13 +183,19 @@ class TestArraySampler:
         longest = max(r for r, _ in runs)
         # the first longest run fails a cap of longest - 1 at its last draw
         k, (_, first) = next((k, run) for k, run in enumerate(runs) if run[0] == longest)
-        assert first // CHUNK != (first + longest - 1) // CHUNK
+        last = first + longest - 1
+        assert first // CHUNK != last // CHUNK
+        assert (first % CHUNK != 0 and last // CHUNK - first // CHUNK >= 2) == whole_chunk
         ens = information_ensemble(replace(spec, rejection_cap=longest))
-        assert np.array_equal(ens.sample(count, 9), loop_information_sample(spec, count, 9))
+        want = loop_information_sample(spec, count, seed)
+        assert np.array_equal(ens.sample(count, seed), want)
         with pytest.raises(FeasibilityError) as exc:
-            information_ensemble(replace(spec, rejection_cap=longest - 1)).sample(count, 9)
+            information_ensemble(replace(spec, rejection_cap=longest - 1)).sample(count, seed)
         assert (f"{longest} consecutive draws rejected (accepted {k} of "
                 f"{first + longest} draws)") in str(exc.value)
+        assert exc.value.max_feasible == max(
+            max_feasible_epsilon(BASE4, p) for p in phis[first : last + 1] if p is not None
+        )
 
 
 class TestPushThroughChannel:

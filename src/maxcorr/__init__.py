@@ -31,7 +31,6 @@ from .exponent import (
     iprojection_exponent,
     mc_error_curve,
     exponent_bound,
-    bound_constants,
 )
 from .geometry import (
     Configuration,

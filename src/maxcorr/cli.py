@@ -8,12 +8,14 @@ rows on indented continuation lines.  Sections:
   [channel_x] t = <rows>, eta_grid = <floats>     (likewise [channel_y])
   [ensemble]  attribute_size, rho, rejection_cap
   [sweep]     epsilon = <floats>, k = <ints>, s = <floats>
-  [sampling]  n_configs, delta_samples, seed, workers
+  [sampling]  n_configs, delta_samples, seed, workers (only 1 is accepted)
 
 Every emitted file starts with `# config_hash:` and `# seed:` comment lines;
 floats are serialized with 17 significant digits and rows are sorted, so a
 rerun with identical (config, seed) is byte-identical.  `simulate` journals
-finished sweep points to simulate.partial.jsonl and resumes from it.
+each finished sweep point to simulate.partial.jsonl and resumes from it;
+journal rows carry their (config_hash, seed) and are never reused under
+another pair.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -83,7 +85,6 @@ class ExperimentConfig:
     n_configs: int
     delta_samples: int
     seed: int
-    workers: int
     config_hash: str
     raw_text: str
 
@@ -125,20 +126,42 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split())
 
 
+def _option(parser: configparser.ConfigParser, section: str, key: str, parse,
+            default: str | None = None):
+    """`parse` of `[section] key`, or of `default` when the key is absent.
+
+    A missing required key or a value `parse` rejects raises a
+    ValidationError that names the key and the value.
+    """
+    if parser.has_option(section, key):
+        text = parser.get(section, key)
+    elif default is None:
+        raise ValidationError(f"[{section}] {key} is missing")
+    else:
+        text = default
+    try:
+        return parse(text)
+    except (ValueError, OSError) as exc:
+        raise ValidationError(f"[{section}] {key} = {text!r}: {exc}") from None
+
+
 def load_config(path: str | Path, seed_override: int | None = None) -> ExperimentConfig:
     path = Path(path)
     raw = path.read_text()
     parser = configparser.ConfigParser()
-    parser.read_string(raw)
+    try:
+        parser.read_string(raw)
+    except configparser.Error as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
-    chain = parser["chain"]
-    if "joint" in chain:
-        joint = load_joint((path.parent / chain["joint"]).read_text())
-    elif chain.get("generator") == "seeded":
-        nx = chain.getint("x_size")
-        ny = chain.getint("y_size")
-        floor = chain.getfloat("floor", 0.15)
-        gen_seed = chain.getint("generator_seed", 314159)
+    if parser.has_option("chain", "joint"):
+        joint = _option(parser, "chain", "joint",
+                        lambda name: load_joint((path.parent / name).read_text()))
+    elif parser.get("chain", "generator", fallback=None) == "seeded":
+        nx = _option(parser, "chain", "x_size", int)
+        ny = _option(parser, "chain", "y_size", int)
+        floor = _option(parser, "chain", "floor", float, "0.15")
+        gen_seed = _option(parser, "chain", "generator_seed", int, "314159")
         rng = np.random.default_rng(gen_seed)
         probs = rng.random((ny, nx)) + floor
         joint = JointPmf(
@@ -149,31 +172,35 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
     else:
         raise ValidationError("[chain] needs `joint = <path>` or `generator = seeded`")
 
-    t_x = _parse_matrix(parser["channel_x"]["t"])
-    t_y = _parse_matrix(parser["channel_y"]["t"])
-    sampling = parser["sampling"] if parser.has_section("sampling") else {}
-    ens = parser["ensemble"] if parser.has_section("ensemble") else {}
-    sweep = parser["sweep"] if parser.has_section("sweep") else {}
-
-    seed = seed_override if seed_override is not None else int(sampling.get("seed", 0))
+    t_x = _option(parser, "channel_x", "t", _parse_matrix)
+    t_y = _option(parser, "channel_y", "t", _parse_matrix)
+    seed = (_option(parser, "sampling", "seed", int, "0") if seed_override is None
+            else seed_override)
+    # every draw comes from the one stream of its seed; an old multi-worker
+    # config would silently give other numbers, so it is refused
+    workers = _option(parser, "sampling", "workers", int, "1")
+    if workers != 1:
+        raise ValidationError(
+            f"[sampling] workers = {workers}: only 1 is accepted "
+            "(one seeded stream per seed)"
+        )
     digest = hashlib.sha256(raw.encode()).hexdigest()[:16]
 
     cfg = ExperimentConfig(
         joint=joint,
         t_x=t_x,
         t_y=t_y,
-        eta1_grid=_floats(parser["channel_x"].get("eta_grid", "0.0")),
-        eta2_grid=_floats(parser["channel_y"].get("eta_grid", "0.0")),
-        attribute_size=int(ens.get("attribute_size", 3)),
-        rho=float(ens.get("rho", 1.0)),
-        rejection_cap=int(ens.get("rejection_cap", 1000)),
-        epsilon_grid=_floats(sweep.get("epsilon", "0.05")),
-        k_grid=_ints(sweep.get("k", "1")),
-        s_grid=_floats(sweep.get("s", "0.0")),
-        n_configs=int(sampling.get("n_configs", 100)),
-        delta_samples=int(sampling.get("delta_samples", 20000)),
+        eta1_grid=_option(parser, "channel_x", "eta_grid", _floats, "0.0"),
+        eta2_grid=_option(parser, "channel_y", "eta_grid", _floats, "0.0"),
+        attribute_size=_option(parser, "ensemble", "attribute_size", int, "3"),
+        rho=_option(parser, "ensemble", "rho", float, "1.0"),
+        rejection_cap=_option(parser, "ensemble", "rejection_cap", int, "1000"),
+        epsilon_grid=_option(parser, "sweep", "epsilon", _floats, "0.05"),
+        k_grid=_option(parser, "sweep", "k", _ints, "1"),
+        s_grid=_option(parser, "sweep", "s", _floats, "0.0"),
+        n_configs=_option(parser, "sampling", "n_configs", int, "100"),
+        delta_samples=_option(parser, "sampling", "delta_samples", int, "20000"),
         seed=seed,
-        workers=int(sampling.get("workers", 1)),
         config_hash=digest,
         raw_text=raw,
     )
@@ -279,12 +306,12 @@ def cmd_symmetry(args) -> int:
     eps = cfg.epsilon_grid[0]
     s = args.anisotropy
     spec = cfg.ensemble_u(eps, s) if args.side == "x" else cfg.ensemble_v(eps, s)
-    block = information_ensemble(spec).sample(samples, seed=cfg.seed, workers=cfg.workers)
+    block = information_ensemble(spec).sample(samples, seed=cfg.seed)
     rep = delta_report(block)
     lem = moment_symmetry_report(block)
     body = (
         f"side: {args.side}\nanisotropy: {_f(s)}\nepsilon: {_f(eps)}\n"
-        f"samples: {samples}\nworkers: {cfg.workers}\n"
+        f"samples: {samples}\n"
         f"delta_hat: {_f(rep.delta)}\ndelta_stderr: {_f(rep.stderr)}\n"
         f"mean_norm: {_f(lem.mean_norm)}\nmean_norm_bar: {_f(lem.mean_norm_bar)}\n"
         f"max_moment_spread: {_f(lem.max_moment_spread)}\n"
@@ -321,18 +348,18 @@ def _simulate_point(cfg: ExperimentConfig, point_id: str, eps: float, k: int,
     mu_u = cfg.ensemble_u(eps, s)
     mu_v = cfg.ensemble_v(eps, s)
     d_u = delta_report(information_ensemble(mu_u).sample(
-        cfg.delta_samples, seed=(cfg.seed, 10), workers=cfg.workers)).delta
+        cfg.delta_samples, seed=(cfg.seed, 10))).delta
     d_v = delta_report(information_ensemble(mu_v).sample(
-        cfg.delta_samples, seed=(cfg.seed, 11), workers=cfg.workers)).delta
+        cfg.delta_samples, seed=(cfg.seed, 11))).delta
     delta_hat = max(d_u, d_v)
     noisy = apply_channels(cfg.joint, chan_x, chan_y)
     f, g = select_features(noisy, k)
     rep = average_exponents(
         mu_u, mu_v, cfg.joint, chan_x, chan_y, f, g,
-        cfg.n_configs, (cfg.seed, 12), delta_hat=delta_hat, workers=cfg.workers,
+        cfg.n_configs, (cfg.seed, 12), delta_hat=delta_hat,
     )
     return {
-        "sweep_id": point_id,
+        "sweep_id": point_id, "config_hash": cfg.config_hash, "seed": cfg.seed,
         "epsilon": eps, "k": k, "eta1": eta1, "eta2": eta2, "s": s,
         "delta_hat": delta_hat,
         "e_us": rep.e_u_s, "e_vs": rep.e_v_s, "e_ut": rep.e_u_t, "e_vt": rep.e_v_t,
@@ -357,17 +384,44 @@ def _row_to_csv(row: dict) -> str:
     return ",".join(cells)
 
 
+def _read_journal(journal: Path, cfg_hash: str, seed: int) -> dict[str, dict]:
+    """Rows of a journal of this (config_hash, seed), by sweep_id.
+
+    A torn last line (one cut before its newline) is cut from the file, so
+    its point is computed again.  Rows of another (config_hash, seed) raise.
+    """
+    data = journal.read_bytes()
+    complete = data.rfind(b"\n") + 1
+    done: dict[str, dict] = {}
+    for number, line in enumerate(data[:complete].decode().splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError:
+            raise ValidationError(
+                f"{journal} line {number} is not a journal row; rerun with --fresh"
+            ) from None
+        found = (row.get("config_hash"), row.get("seed"))
+        if found != (cfg_hash, seed):
+            raise ValidationError(
+                f"{journal} holds rows of (config_hash, seed) = {found}, not "
+                f"{(cfg_hash, seed)}; rerun with --fresh or another --out"
+            )
+        done[row["sweep_id"]] = row
+    if complete < len(data):
+        os.truncate(journal, complete)
+    return done
+
+
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config, args.seed)
     out = Path(args.out)
     _prepare_out(out, cfg)
     journal = out / "simulate.partial.jsonl"
-    done: dict[str, dict] = {}
+    done = {}
     if journal.exists() and not args.fresh:
-        for line in journal.read_text().splitlines():
-            if line.strip():
-                row = json.loads(line)
-                done[row["sweep_id"]] = row
+        done = _read_journal(journal, cfg.config_hash, cfg.seed)
 
     grid = list(product(cfg.epsilon_grid, cfg.k_grid, cfg.s_grid,
                         cfg.eta1_grid, cfg.eta2_grid))
@@ -376,16 +430,24 @@ def cmd_simulate(args) -> int:
         points.append((f"{idx:04d}", eps, k, e1, e2, s))
     todo = [p for p in points if p[0] not in done]
 
-    jobs = max(1, args.jobs)
-    if jobs == 1 or len(todo) <= 1:
-        results = [_simulate_point(cfg, *p) for p in todo]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda p: _simulate_point(cfg, *p), todo))
-    with journal.open("a") as fh:
-        for row in results:
+    with journal.open("w" if args.fresh else "a") as fh:
+
+        def record(row: dict) -> None:
+            # durable before the next point starts: an interrupt loses no finished point
             fh.write(json.dumps(row, sort_keys=True) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
             done[row["sweep_id"]] = row
+
+        jobs = max(1, args.jobs)
+        if jobs == 1 or len(todo) <= 1:
+            for p in todo:
+                record(_simulate_point(cfg, *p))
+        else:
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                futures = [pool.submit(_simulate_point, cfg, *p) for p in todo]
+                for future in as_completed(futures):
+                    record(future.result())
 
     rows = [done[p[0]] for p in points]
     body = SIM_COLUMNS + "\n" + "\n".join(_row_to_csv(r) for r in rows) + "\n"

@@ -77,14 +77,11 @@ class CdmMatrix:
         return tuple(groups)
 
 
-def canonical_dependence_matrix(joint: JointPmf, smoothing: float = 0.0) -> CdmMatrix:
+def canonical_dependence_matrix(joint: JointPmf) -> CdmMatrix:
     """Centered, sqrt-normalized dependence matrix of a joint.
 
-    Empirical joints may carry zero cells; `smoothing` adds that constant
-    to every cell (then renormalizes) before the construction.  The default
-    of 0 surfaces positivity violations instead of hiding them.
+    A zero marginal symbol raises a ValidationError.
     """
-    joint = joint.smoothed(smoothing)
     px = joint.marginal_x()
     py = joint.marginal_y()
     for pmf, name in ((px, "x"), (py, "y")):
@@ -188,9 +185,7 @@ def _feature_directions(
     return np.column_stack(cols), tuple(zero_idx)
 
 
-def select_features(
-    joint: JointPmf, k: int, smoothing: float = 0.0
-) -> tuple[FeatureSet, FeatureSet]:
+def select_features(joint: JointPmf, k: int) -> tuple[FeatureSet, FeatureSet]:
     """Top-k SVD features (f over X, g over Y) of the dependence matrix.
 
     f_i(x) = v_i(x) / sqrt(P_X(x)) and g_i(y) = u_i(y) / sqrt(P_Y(y)) for
@@ -201,7 +196,7 @@ def select_features(
     k_max = min(len(joint.x_labels), len(joint.y_labels)) - 1
     if not 1 <= k <= k_max:
         raise ValidationError(f"k={k} outside valid range 1..{k_max}")
-    cdm = canonical_dependence_matrix(joint, smoothing)
+    cdm = canonical_dependence_matrix(joint)
     groups = cdm.degenerate_groups(k)
     rx = np.sqrt(cdm.px.probs)
     ry = np.sqrt(cdm.py.probs)
@@ -218,6 +213,6 @@ def select_features(
     return f, g
 
 
-def hgr_profile(joint: JointPmf, smoothing: float = 0.0) -> np.ndarray:
+def hgr_profile(joint: JointPmf) -> np.ndarray:
     """Full singular-value spectrum of the canonical dependence matrix."""
-    return canonical_dependence_matrix(joint, smoothing).sigmas.copy()
+    return canonical_dependence_matrix(joint).sigmas.copy()

@@ -23,7 +23,7 @@ draws, so the accepted sequence is the one a draw-by-draw loop yields, bit
 for bit.  The rejection cap counts consecutive rejected draws across chunk
 boundaries and resets at each acceptance; cap + 1 in a row raise a
 FeasibilityError.  Draws past the last accepted matrix are discarded with
-the worker's generator, which nothing else draws from.
+the seed's generator, which nothing else draws from.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .geometry import (
     max_feasible_epsilon,
 )
 from .model import Channel, JointPmf, Pmf, uniform_pmf
-from .symmetry import MatrixEnsemble, split_count, worker_rngs
+from .symmetry import MatrixEnsemble, seed_rng
 
 PATH_AGREEMENT_TOL = 1e-12
 # Raw draws per `_accepted_block` sampler call: its working memory is a few
@@ -192,24 +192,20 @@ def _configuration(spec: AttributeEnsembleSpec, phi: np.ndarray) -> Configuratio
 
 def sample_configuration(spec: AttributeEnsembleSpec, seed: int = 0) -> Configuration:
     """Draw one configuration from the ensemble."""
-    return _configuration(spec, _accepted_block(spec, worker_rngs(seed, 1)[0], 1)[0])
+    return _configuration(spec, _accepted_block(spec, seed_rng(seed), 1)[0])
 
 
 def configuration_stream(
-    spec: AttributeEnsembleSpec, count: int, seed: int = 0, workers: int = 1
+    spec: AttributeEnsembleSpec, count: int, seed: int = 0
 ) -> list[Configuration]:
-    """Draw `count` configurations under the seeded-parallel contract."""
-    return [
-        _configuration(spec, phi)
-        for rng, share in zip(worker_rngs(seed, workers), split_count(count, workers))
-        for phi in _accepted_block(spec, rng, share)
-    ]
+    """Draw `count` configurations from the one stream of `seed`."""
+    return [_configuration(spec, phi) for phi in _accepted_block(spec, seed_rng(seed), count)]
 
 
 def rejection_rate(spec: AttributeEnsembleSpec, probes: int = 1000, seed: int = 0) -> float:
     """Fraction of raw draws rejected for negativity; should stay below 0.5."""
     raw = raw_information_sample(
-        worker_rngs(seed, 1)[0], spec.base.probs, spec.prior.probs, spec.anisotropy, probes
+        seed_rng(seed), spec.base.probs, spec.prior.probs, spec.anisotropy, probes
     )
     return int(np.count_nonzero(~_accept(spec, raw)[1])) / probes
 

@@ -272,6 +272,8 @@ class ExponentReport:
     residual_budget: float
     c_u: float
     c_v: float
+    stderr_c_u: float
+    stderr_c_v: float
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -331,7 +333,6 @@ def average_exponents(
     oracle: bool = False,
     delta_hat: float | None = None,
     slack_const: float = 1.0,
-    workers: int = 1,
 ) -> ExponentReport:
     """Monte Carlo estimate of the four averaged error exponents.
 
@@ -383,7 +384,7 @@ def average_exponents(
     u_t = np.empty(n_configs)
     u_frob = np.empty(n_configs)
     for c_idx, cfg in enumerate(
-        configuration_stream(mu_u, n_configs, seed=(seed, 0), workers=workers)
+        configuration_stream(mu_u, n_configs, seed=(seed, 0))
     ):
         cond_xh = to_xh_from_x @ cfg.conditionals
         cond_yh = to_yh_from_y @ (y_given_x @ cfg.conditionals)
@@ -396,7 +397,7 @@ def average_exponents(
     v_t = np.empty(n_configs)
     v_frob = np.empty(n_configs)
     for c_idx, cfg in enumerate(
-        configuration_stream(mu_v, n_configs, seed=(seed, 1), workers=workers)
+        configuration_stream(mu_v, n_configs, seed=(seed, 1))
     ):
         cond_yh = to_yh_from_y @ cfg.conditionals
         cond_xh = to_xh_from_x @ (x_given_y @ cfg.conditionals)
@@ -409,8 +410,12 @@ def average_exponents(
     e_u_t, se_u_t = _mean_se(u_t)
     e_v_s, se_v_s = _mean_se(v_s)
     e_v_t, se_v_t = _mean_se(v_t)
-    c_u = float(u_frob.mean()) / (4.0 * px.size * mu_u.attribute_size)
-    c_v = float(v_frob.mean()) / (4.0 * py.size * mu_v.attribute_size)
+    # C_U = E ||Phi^(Xh|U)||_F^2 / (4 |X| |U|), and likewise C_V on the Y side
+    du = 4.0 * px.size * mu_u.attribute_size
+    dv = 4.0 * py.size * mu_v.attribute_size
+    frob_u, se_frob_u = _mean_se(u_frob)
+    frob_v, se_frob_v = _mean_se(v_frob)
+    c_u, c_v = frob_u / du, frob_v / dv
 
     sigmas = hgr_profile(joint_hat)
     bound, residual = exponent_bound(
@@ -423,7 +428,7 @@ def average_exponents(
         stderr_u_s=se_u_s, stderr_v_s=se_v_s, stderr_u_t=se_u_t, stderr_v_t=se_v_t,
         bound=tuple(bound),
         residual_budget=residual,
-        c_u=c_u, c_v=c_v,
+        c_u=c_u, c_v=c_v, stderr_c_u=se_frob_u / du, stderr_c_v=se_frob_v / dv,
         metadata={
             "epsilon": epsilon,
             "k": k,
@@ -438,52 +443,4 @@ def average_exponents(
             "anisotropy_v": mu_v.anisotropy,
             "sigmas": tuple(float(s) for s in sigmas),
         },
-    )
-
-
-@dataclass(frozen=True)
-class ConstantsEstimate:
-    c_u: float
-    c_v: float
-    stderr_u: float
-    stderr_v: float
-
-
-def bound_constants(
-    mu_u: AttributeEnsembleSpec,
-    mu_v: AttributeEnsembleSpec,
-    joint: JointPmf,
-    chan_x: Channel,
-    chan_y: Channel,
-    n_configs: int,
-    seed: int,
-    *,
-    workers: int = 1,
-) -> ConstantsEstimate:
-    """Monte Carlo estimates of the bound constants.
-
-    C_U = E ||Phi^(Xh|U)||_F^2 / (4 |X| |U|) and symmetrically for C_V
-    with the pushed Y-side information matrices.
-    """
-    joint_hat = apply_channels(joint, chan_x, chan_y)
-    px, py = joint.marginal_x(), joint.marginal_y()
-    pxh, pyh = joint_hat.marginal_x(), joint_hat.marginal_y()
-    _check_base("mu_u", mu_u.base, px)
-    _check_base("mu_v", mu_v.base, py)
-    eps_u, eps_v = mu_u.epsilon, mu_v.epsilon
-
-    u_vals = np.array([
-        float((information_phi(chan_x.P @ cfg.conditionals, pxh.probs, eps_u) ** 2).sum())
-        for cfg in configuration_stream(mu_u, n_configs, seed=(seed, 0), workers=workers)
-    ])
-    v_vals = np.array([
-        float((information_phi(chan_y.P @ cfg.conditionals, pyh.probs, eps_v) ** 2).sum())
-        for cfg in configuration_stream(mu_v, n_configs, seed=(seed, 1), workers=workers)
-    ])
-    mu, se_u = _mean_se(u_vals)
-    mv, se_v = _mean_se(v_vals)
-    du = 4.0 * px.size * mu_u.attribute_size
-    dv = 4.0 * py.size * mu_v.attribute_size
-    return ConstantsEstimate(
-        c_u=mu / du, c_v=mv / dv, stderr_u=se_u / du, stderr_v=se_v / dv
     )

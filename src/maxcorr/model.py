@@ -132,15 +132,6 @@ class JointPmf:
         """The same joint with the roles of X and Y exchanged."""
         return JointPmf(self.y_labels, self.x_labels, self.probs.T)
 
-    def smoothed(self, alpha: float) -> "JointPmf":
-        """Additive smoothing; alpha = 0 returns self unchanged."""
-        if alpha == 0.0:
-            return self
-        if alpha < 0:
-            raise ValidationError("smoothing parameter must be >= 0")
-        p = self.probs + alpha
-        return JointPmf(self.x_labels, self.y_labels, p / p.sum())
-
 
 def product_joint(px: Pmf, py: Pmf) -> JointPmf:
     return JointPmf(px.labels, py.labels, np.outer(py.probs, px.probs))

@@ -11,7 +11,7 @@ alternating eigen-iteration with restarts, and report max - min.
 
 Every statistic here is a function of an already-drawn (count, n, m) block
 of samples; none of them draws.  Drawing happens only in
-:meth:`MatrixEnsemble.sample`, which holds the seeded-parallel contract, so
+:meth:`MatrixEnsemble.sample`, which draws one seeded stream per seed, so
 statistics that must see the same draws of A are handed the same block.
 
 Monte Carlo verdicts carry explicit 3-sigma margins (plug-in variance);
@@ -32,22 +32,13 @@ PSD_TOL = -1e-8
 SYM_TOL = 1e-10
 
 
-def worker_rngs(seed, workers: int) -> list[np.random.Generator]:
-    """Independent per-worker generators derived from one base seed.
+def seed_rng(seed) -> np.random.Generator:
+    """The one generator of a seed: ``default_rng(SeedSequence(entropy=seed,
+    spawn_key=(0,)))``.
 
     `seed` may be an int or a tuple of ints (a derived stream label).
     """
-    if workers < 1:
-        raise ValidationError("workers must be >= 1")
-    return [
-        np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(w,)))
-        for w in range(workers)
-    ]
-
-
-def split_count(total: int, workers: int) -> list[int]:
-    base, extra = divmod(total, workers)
-    return [base + (1 if w < extra else 0) for w in range(workers)]
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
 
 
 @dataclass(frozen=True)
@@ -64,29 +55,21 @@ class MatrixEnsemble:
     name: str = ""
     declared_delta: float | None = None
 
-    def sample(self, count: int, seed: int, workers: int = 1) -> np.ndarray:
-        """Draw a (count, n, m) block under the seeded-parallel contract.
+    def sample(self, count: int, seed: int) -> np.ndarray:
+        """Draw a (count, n, m) block from the one stream of `seed`.
 
-        Worker w of `workers` draws from
-        ``numpy.random.default_rng(SeedSequence(entropy=seed, spawn_key=(w,)))``
-        and worker blocks are concatenated in worker order, so the block is
-        reproducible for a fixed (seed, worker-count) pair.  Other modules
-        reuse this rule via :func:`worker_rngs`.
+        The block is drawn from :func:`seed_rng` of `seed`, so one seed
+        reproduces one block.
         """
         if count < 1:
             raise ValidationError("count must be >= 1")
-        blocks = []
-        for rng, share in zip(worker_rngs(seed, workers), split_count(count, workers)):
-            if share == 0:
-                continue
-            block = np.asarray(self.sample_block(rng, share), dtype=float)
-            if block.shape != (share, self.n, self.m):
-                raise ValidationError(
-                    f"sampler for {self.name!r} returned shape {block.shape}, "
-                    f"expected ({share}, {self.n}, {self.m})"
-                )
-            blocks.append(block)
-        return np.concatenate(blocks, axis=0)
+        block = np.asarray(self.sample_block(seed_rng(seed), count), dtype=float)
+        if block.shape != (count, self.n, self.m):
+            raise ValidationError(
+                f"sampler for {self.name!r} returned shape {block.shape}, "
+                f"expected ({count}, {self.n}, {self.m})"
+            )
+        return block
 
 
 def gaussian_iid(n: int, m: int, scale: float = 1.0) -> MatrixEnsemble:

@@ -69,17 +69,15 @@ def loop_information_draws(spec, rng):
         yield phi, bool(np.all(cond >= 0.0) and np.all(cond <= 1.0))
 
 
-def loop_information_sample(spec, count, seed=0, workers=1):
-    """Reference (count, n, m) block of accepted draws under the
-    seeded-parallel contract; ignores the rejection cap."""
-    from maxcorr.symmetry import split_count, worker_rngs
-
+def loop_information_sample(spec, count, seed=0):
+    """Reference (count, n, m) block of accepted draws from the one stream of
+    `seed`; ignores the rejection cap."""
+    draws = loop_information_draws(
+        spec, np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+    )
     phis = []
-    for rng, share in zip(worker_rngs(seed, workers), split_count(count, workers)):
-        draws = loop_information_draws(spec, rng)
-        while share:
-            phi, ok = next(draws)
-            if ok:
-                phis.append(phi)
-                share -= 1
+    while len(phis) < count:
+        phi, ok = next(draws)
+        if ok:
+            phis.append(phi)
     return np.stack(phis)

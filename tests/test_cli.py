@@ -73,6 +73,26 @@ class TestConfig:
         with pytest.raises(Exception):
             load_config(path)
 
+    @pytest.mark.parametrize("old, new, needles", [
+        ("n_configs = 20", "n_configs = sixty", ("[sampling] n_configs", "sixty")),
+        ("-0.75 0.25 0.25 0.25", "-0.75 0.25 abc 0.25", ("[channel_x] t", "abc")),
+        ("[channel_x]", "[channel_z]", ("[channel_x] t", "missing")),
+        ("seed = 3", "seed = 3\nworkers = 4", ("[sampling] workers = 4", "only 1")),
+        ("seed = 3", "seed = 3\nseed = 5", ("'seed'", "'sampling'")),
+        ("joint = joint.txt", "joint = absent.txt", ("[chain] joint", "absent.txt")),
+    ], ids=["non-numeric-int", "non-numeric-matrix", "missing-section", "workers",
+            "duplicate-key", "missing-joint-file"])
+    def test_malformed_value_named_in_error_record(self, tmp_path, capsys, old, new,
+                                                   needles):
+        path = tiny_config(tmp_path)
+        path.write_text(path.read_text().replace(old, new, 1))
+        rc = main(["features", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        record = json.loads((tmp_path / "o" / "error.json").read_text())
+        assert record["error"] == "ValidationError"
+        for needle in needles:
+            assert needle in record["message"]
+
 
 class TestCliCommands:
     def test_unknown_flag_exits_2(self, capsys):
@@ -191,6 +211,13 @@ class TestCliCommands:
         assert "(0 computed)" in captured
         assert (out1 / "simulate.csv").read_bytes() == csv1
 
+    def test_verify_demo_all_pass(self, tmp_path, capsys):
+        rc = main(["verify", "--config", str(DEMO), "--out", str(tmp_path / "o")])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert len(lines) == 8
+        assert all(line.startswith("PASS") for line in lines)
+
     def test_simulate_header_embeds_hash_and_seed(self, tmp_path, capsys):
         path = tiny_config(tmp_path)
         main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
@@ -198,3 +225,79 @@ class TestCliCommands:
         cfg = load_config(path)
         assert lines[0] == f"# config_hash: {cfg.config_hash}"
         assert lines[1] == "# seed: 3"
+
+
+def simulate(path, out, *extra):
+    return main(["simulate", "--config", str(path), "--out", str(out), *extra])
+
+
+class TestSimulateJournal:
+    def test_interrupted_sweep_keeps_finished_points(self, tmp_path, capsys, monkeypatch):
+        import maxcorr.cli as cli
+
+        path = tiny_config(tmp_path, k="1 2", eta_x="0.0 0.05")  # 4 points
+        assert simulate(path, tmp_path / "whole") == 0
+        original = cli._simulate_point
+        calls = []
+
+        def third_fails(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise RuntimeError("interrupted")
+            return original(*args)
+
+        monkeypatch.setattr(cli, "_simulate_point", third_fails)
+        out = tmp_path / "o"
+        with pytest.raises(RuntimeError, match="interrupted"):
+            simulate(path, out)
+        assert len((out / "simulate.partial.jsonl").read_text().splitlines()) == 2
+        monkeypatch.setattr(cli, "_simulate_point", original)
+        capsys.readouterr()
+        assert simulate(path, out) == 0
+        assert "(2 computed)" in capsys.readouterr().out
+        assert (out / "simulate.csv").read_bytes() == (tmp_path / "whole" / "simulate.csv").read_bytes()
+
+    def test_jobs_do_not_change_rows(self, tmp_path, capsys):
+        path = tiny_config(tmp_path, k="1 2", eta_x="0.0 0.05")  # 4 points
+        assert simulate(path, tmp_path / "j1") == 0
+        assert simulate(path, tmp_path / "j2", "--jobs", "2") == 0
+        csv = (tmp_path / "j1" / "simulate.csv").read_bytes()
+        assert (tmp_path / "j2" / "simulate.csv").read_bytes() == csv
+
+    def test_fresh_truncates_journal(self, tmp_path, capsys):
+        path = tiny_config(tmp_path)  # 1 point
+        out = tmp_path / "o"
+        assert simulate(path, out) == 0
+        assert simulate(path, out, "--fresh") == 0
+        assert len((out / "simulate.partial.jsonl").read_text().splitlines()) == 1
+
+    def test_journal_of_other_config_and_seed_refused(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        path = tiny_config(tmp_path)
+        old = load_config(path)
+        assert simulate(path, out) == 0
+        path = tiny_config(tmp_path, eta_x="0.0 0.05")
+        new = load_config(path, 9)
+        assert simulate(path, out, "--seed", "9") == 1
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "ValidationError"
+        for needle in (f"'{old.config_hash}', 3", f"'{new.config_hash}', 9", "--fresh"):
+            assert needle in record["message"]
+        assert simulate(path, out, "--seed", "9", "--fresh") == 0
+        lines = (out / "simulate.csv").read_text().splitlines()
+        assert lines[:2] == [f"# config_hash: {new.config_hash}", "# seed: 9"]
+        assert len(lines) == 3 + 2
+
+    def test_torn_last_line_recomputed(self, tmp_path, capsys):
+        path = tiny_config(tmp_path, k="1 2")  # 2 points
+        out = tmp_path / "o"
+        assert simulate(path, out) == 0
+        csv = (out / "simulate.csv").read_bytes()
+        journal = out / "simulate.partial.jsonl"
+        rows = journal.read_text().splitlines(keepends=True)
+        journal.write_text(rows[0] + rows[1][:40])
+        capsys.readouterr()
+        assert simulate(path, out) == 0
+        assert "(1 computed)" in capsys.readouterr().out
+        assert (out / "simulate.csv").read_bytes() == csv
+        assert journal.read_text() == "".join(rows)

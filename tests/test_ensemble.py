@@ -36,7 +36,7 @@ from maxcorr.model import (
     make_channel,
     uniform_pmf,
 )
-from maxcorr.symmetry import MatrixEnsemble, delta_report, second_moment_form, worker_rngs
+from maxcorr.symmetry import MatrixEnsemble, delta_report, second_moment_form, seed_rng
 
 BASE4 = uniform_pmf(tuple("abcd"))
 
@@ -107,7 +107,7 @@ class TestSampling:
             sample_configuration(spec, seed=1)
         assert 0.0 < exc.value.max_feasible < 3.0
         assert "51 consecutive draws rejected (accepted 0 of 51 draws)" in str(exc.value)
-        draws = loop_information_draws(spec, worker_rngs(1, 1)[0])
+        draws = loop_information_draws(spec, seed_rng(1))
         run = [next(draws)[0] for _ in range(51)]
         assert exc.value.max_feasible == max(max_feasible_epsilon(BASE4, p) for p in run)
 
@@ -137,16 +137,16 @@ REJECTING = spec4(eps=0.6)
 class TestArraySampler:
     """The chunked sampler against the draw-by-draw reference loop."""
 
-    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("seed", [1, 3])
     @pytest.mark.parametrize("spec", [spec4(0.0), spec4(0.5), REJECTING],
                              ids=["s0", "s0.5", "rejecting"])
     @pytest.mark.parametrize("count", [1, CHUNK - 1, CHUNK, CHUNK + 1, 20_000])
-    def test_matches_loop(self, count, spec, workers):
-        want = loop_information_sample(spec, count, seed=31, workers=workers)
-        assert np.array_equal(information_ensemble(spec).sample(count, 31, workers), want)
+    def test_matches_loop(self, count, spec, seed):
+        want = loop_information_sample(spec, count, seed=seed)
+        assert np.array_equal(information_ensemble(spec).sample(count, seed), want)
         if count > CHUNK + 1:
             return  # ~3 s per 20k validated configurations; CHUNK + 1 spans two chunks
-        configs = configuration_stream(spec, count, seed=31, workers=workers)
+        configs = configuration_stream(spec, count, seed=seed)
         assert np.array_equal(
             np.stack([c.conditionals for c in configs]),
             np.stack([
@@ -169,7 +169,7 @@ class TestArraySampler:
     ], ids=["one-boundary", "whole-chunk"])
     def test_cap_counts_runs_across_chunks(self, eps, seed, count, whole_chunk):
         spec = spec4(eps=eps)
-        draws = loop_information_draws(spec, worker_rngs(seed, 1)[0])
+        draws = loop_information_draws(spec, seed_rng(seed))
         phis, flags = [], []
         while sum(flags) < count:
             phi, ok = next(draws)

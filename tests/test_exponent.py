@@ -12,7 +12,6 @@ from maxcorr.exponent import (
     iprojection_exponent,
     mc_error_curve,
     exponent_bound,
-    bound_constants,
 )
 from maxcorr.geometry import (
     FeatureSet,
@@ -274,30 +273,35 @@ class TestAverageExponents:
             average_exponents(mu_u, mu_v, joint, cx, cy, f, g, 10, 1)
 
 
+def constants_report(mu_u, mu_v, joint, n_configs, seed):
+    """average_exponents on identity channels, for its C_U and C_V."""
+    cx, cy = identity_channel(joint.x_labels), identity_channel(joint.y_labels)
+    f, g = select_features(joint, 2)
+    return average_exponents(mu_u, mu_v, joint, cx, cy, f, g, n_configs, seed)
+
+
 class TestBoundConstants:
     def test_sphere_bound(self):
         # every column norm <= 1 forces E||Phi||^2 <= |U|, so C_U <= 1/(4|X|)
         joint = demo_joint()
-        cx, cy = identity_channel(joint.x_labels), identity_channel(joint.y_labels)
         mu_u = AttributeEnsembleSpec(base=joint.marginal_x(), attribute_size=3, epsilon=0.05)
         mu_v = AttributeEnsembleSpec(base=joint.marginal_y(), attribute_size=3, epsilon=0.05)
-        est = bound_constants(mu_u, mu_v, joint, cx, cy, 200, 31)
+        est = constants_report(mu_u, mu_v, joint, 200, 31)
         assert est.c_u <= 1.0 / 16.0
         assert est.c_v <= 1.0 / 16.0
 
     def test_rho_scaling_quarters_cu(self):
         joint = demo_joint()
-        cx, cy = identity_channel(joint.x_labels), identity_channel(joint.y_labels)
         kw = dict(attribute_size=3, epsilon=0.05)
-        est1 = bound_constants(
+        est1 = constants_report(
             AttributeEnsembleSpec(base=joint.marginal_x(), rho=1.0, **kw),
             AttributeEnsembleSpec(base=joint.marginal_y(), rho=1.0, **kw),
-            joint, cx, cy, 300, 32,
+            joint, 300, 32,
         )
-        est2 = bound_constants(
+        est2 = constants_report(
             AttributeEnsembleSpec(base=joint.marginal_x(), rho=0.5, **kw),
             AttributeEnsembleSpec(base=joint.marginal_y(), rho=0.5, **kw),
-            joint, cx, cy, 300, 32,
+            joint, 300, 32,
         )
         assert est2.c_u == pytest.approx(est1.c_u / 4.0, rel=1e-9)
         assert est2.c_v == pytest.approx(est1.c_v / 4.0, rel=1e-9)
@@ -319,11 +323,10 @@ class TestBoundConstants:
             vals.append((g0**2).sum())
         oracle = np.mean(vals) / (4 * 4 * 3)
         oracle_se = np.std(vals, ddof=1) / np.sqrt(len(vals)) / (4 * 4 * 3)
-        cx, cy = identity_channel(joint.x_labels), identity_channel(joint.y_labels)
         mu_u = AttributeEnsembleSpec(base=joint.marginal_x(), attribute_size=3, epsilon=0.05)
         mu_v = AttributeEnsembleSpec(base=joint.marginal_y(), attribute_size=3, epsilon=0.05)
-        est = bound_constants(mu_u, mu_v, joint, cx, cy, 4000, 33)
-        assert abs(est.c_u - oracle) <= 3.0 * (est.stderr_u + oracle_se)
+        est = constants_report(mu_u, mu_v, joint, 4000, 33)
+        assert abs(est.c_u - oracle) <= 3.0 * (est.stderr_c_u + oracle_se)
 
 
 class TestExponentReport:
@@ -333,4 +336,5 @@ class TestExponentReport:
                 e_u_s=-0.1, e_v_s=0, e_u_t=0, e_v_t=0,
                 stderr_u_s=0, stderr_v_s=0, stderr_u_t=0, stderr_v_t=0,
                 bound=(0, 0, 0, 0), residual_budget=0, c_u=0, c_v=0,
+                stderr_c_u=0, stderr_c_v=0,
             )

@@ -18,9 +18,7 @@ from maxcorr.symmetry import (
     scaled,
     scaled_rank_one,
     second_moment_form,
-    split_count,
     variance_bump,
-    worker_rngs,
 )
 
 BUMP2X2 = variance_bump(2, 2, 1.5)
@@ -49,17 +47,12 @@ class TestSamplingContract:
         c = ens.sample(50, seed=8)
         assert not np.array_equal(a, c)
 
-    def test_worker_split_reproducible(self):
-        ens = gaussian_iid(2, 2)
-        a = ens.sample(101, seed=3, workers=4)
-        b = ens.sample(101, seed=3, workers=4)
-        assert np.array_equal(a, b)
-        assert split_count(101, 4) == [26, 25, 25, 25]
-
-    def test_worker_streams_independent(self):
-        rngs = worker_rngs(5, 3)
-        draws = [r.standard_normal(4) for r in rngs]
-        assert not np.allclose(draws[0], draws[1])
+    @pytest.mark.parametrize("seed", [7, (7, 10)], ids=["int", "tuple"])
+    def test_block_is_spawn_key_zero_stream(self, seed):
+        # the stream every reported delta_hat and exponent is drawn from
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+        want = rng.standard_normal((101, 3, 2))
+        assert np.array_equal(gaussian_iid(3, 2).sample(101, seed=seed), want)
 
 
 class TestSecondMomentForm:

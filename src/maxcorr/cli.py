@@ -147,7 +147,10 @@ def _option(parser: configparser.ConfigParser, section: str, key: str, parse,
 
 def load_config(path: str | Path, seed_override: int | None = None) -> ExperimentConfig:
     path = Path(path)
-    raw = path.read_text()
+    try:
+        raw = path.read_text()
+    except OSError as exc:
+        raise ValidationError(f"cannot read config {path}: {exc.strerror or exc}") from None
     parser = configparser.ConfigParser()
     try:
         parser.read_string(raw)
@@ -444,10 +447,17 @@ def cmd_simulate(args) -> int:
             for p in todo:
                 record(_simulate_point(cfg, *p))
         else:
+            failure = None
             with ThreadPoolExecutor(max_workers=jobs) as pool:
                 futures = [pool.submit(_simulate_point, cfg, *p) for p in todo]
+                # a failed point must not cost the rows of points finishing after it
                 for future in as_completed(futures):
-                    record(future.result())
+                    if future.exception() is None:
+                        record(future.result())
+                    elif failure is None:
+                        failure = future.exception()
+            if failure is not None:
+                raise failure
 
     rows = [done[p[0]] for p in points]
     body = SIM_COLUMNS + "\n" + "\n".join(_row_to_csv(r) for r in rows) + "\n"

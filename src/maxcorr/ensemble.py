@@ -24,6 +24,12 @@ for bit.  The rejection cap counts consecutive rejected draws across chunk
 boundaries and resets at each acceptance; cap + 1 in a row raise a
 FeasibilityError.  Draws past the last accepted matrix are discarded with
 the seed's generator, which nothing else draws from.
+
+`configuration_stream` returns the conditionals of its configurations as
+one (count, |Z|, |W|) array.  They are converted and validated as stacks
+of CHUNK rows, one `config_from_information_matrix` call per stack, so no
+per-configuration object is built and working memory stays a few
+CHUNK-row arrays besides the output.
 """
 
 from __future__ import annotations
@@ -45,8 +51,9 @@ from .model import Channel, JointPmf, Pmf, uniform_pmf
 from .symmetry import MatrixEnsemble, seed_rng
 
 PATH_AGREEMENT_TOL = 1e-12
-# Raw draws per `_accepted_block` sampler call: its working memory is a few
-# chunk-sized arrays besides the output, whatever the requested count.
+# Raw draws per `_accepted_block` sampler call, and rows per validated stack
+# in `configuration_stream`: working memory is a few chunk-sized arrays
+# besides the output, whatever the requested count.
 CHUNK = 512
 
 
@@ -186,6 +193,7 @@ def information_ensemble(spec: AttributeEnsembleSpec) -> MatrixEnsemble:
 
 
 def _configuration(spec: AttributeEnsembleSpec, phi: np.ndarray) -> Configuration:
+    """The configuration of one information matrix, or of a stack of them."""
     info = InformationMatrix(phi=phi, epsilon=spec.epsilon, base=spec.base)
     return config_from_information_matrix(spec.base, spec.prior, info, spec.epsilon)
 
@@ -197,9 +205,15 @@ def sample_configuration(spec: AttributeEnsembleSpec, seed: int = 0) -> Configur
 
 def configuration_stream(
     spec: AttributeEnsembleSpec, count: int, seed: int = 0
-) -> list[Configuration]:
-    """Draw `count` configurations from the one stream of `seed`."""
-    return [_configuration(spec, phi) for phi in _accepted_block(spec, seed_rng(seed), count)]
+) -> np.ndarray:
+    """The (count, |Z|, |W|) conditionals of `count` configurations drawn
+    from the one stream of `seed`, validated CHUNK rows at a time."""
+    block = _accepted_block(spec, seed_rng(seed), count)
+    for start in range(0, count, CHUNK):
+        rows = slice(start, start + CHUNK)
+        # the conditionals overwrite the slice's draws, which validation copied
+        block[rows] = _configuration(spec, block[rows]).conditionals
+    return block
 
 
 def rejection_rate(spec: AttributeEnsembleSpec, probes: int = 1000, seed: int = 0) -> float:

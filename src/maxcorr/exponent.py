@@ -11,6 +11,9 @@ Three routes to the same exponent, in increasing cost and exactness:
 ``average_exponents`` runs the full pipeline: sample attribute
 configurations, push them through the channels and across the chain,
 score the least-distinguishable pair of each configuration, and average.
+Configurations are pushed and scored as stacked (C, |Z|, |W|) arrays of
+at most ``ensemble.CHUNK`` (512) rows, as `configuration_stream`
+validates them; only the oracle's I-projection runs per configuration.
 All decision rules are nearest-centroid on the empirical feature mean
 (midpoint hyperplane); exponents are in nats per sample.
 """
@@ -24,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .dependence import hgr_profile
-from .ensemble import AttributeEnsembleSpec, configuration_stream
+from .ensemble import CHUNK, AttributeEnsembleSpec, configuration_stream
 from .errors import AlphabetMismatchError, ValidationError
 from .geometry import FeatureSet, feature_vectors, information_phi
 from .model import Channel, JointPmf, Pmf, apply_channels
@@ -292,17 +295,15 @@ class ExponentReport:
         return (self.stderr_u_s, self.stderr_v_s, self.stderr_u_t, self.stderr_v_t)
 
 
-def _least_pair(proj: np.ndarray) -> tuple[float, int, int]:
-    """Minimal squared column distance, ties by lexicographic pair order."""
-    m = proj.shape[1]
-    best, bi, bj = None, -1, -1
-    for i in range(m - 1):
-        for j in range(i + 1, m):
-            d = proj[:, i] - proj[:, j]
-            val = float(d @ d)
-            if best is None or val < best:
-                best, bi, bj = val, i, j
-    return best, bi, bj
+def _least_pair(proj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minimal squared column distance of each (k, m) matrix of a (C, k, m)
+    stack, with its column pair (i, j); ties go to the lexicographically
+    first pair."""
+    rows, cols = np.triu_indices(proj.shape[-1], k=1)  # pairs in lexicographic order
+    d = proj[:, :, rows] - proj[:, :, cols]
+    dist = np.einsum("ckp,ckp->cp", d, d)
+    best = dist.argmin(axis=1)  # first minimum
+    return dist[np.arange(dist.shape[0]), best], rows[best], cols[best]
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -369,42 +370,43 @@ def average_exponents(
     to_yh_from_y = chan_y.P
 
     def score(psi: np.ndarray, cond_hat: np.ndarray, base_hat: np.ndarray,
-              fs: FeatureSet) -> float:
+              fs: FeatureSet) -> np.ndarray:
         phi = information_phi(cond_hat, base_hat, epsilon)
         val, i, j = _least_pair(psi.T @ phi)
         if oracle:
-            return iprojection_exponent(
-                Pmf(fs.base.labels, cond_hat[:, i]),
-                Pmf(fs.base.labels, cond_hat[:, j]),
-                fs,
-            )
+            labels = fs.base.labels
+            return np.array([
+                iprojection_exponent(Pmf(labels, c[:, a]), Pmf(labels, c[:, b]), fs)
+                for c, a, b in zip(cond_hat, i, j)
+            ])
         return epsilon**2 / 8.0 * val
+
+    def frob(cond_hat: np.ndarray, base_hat: np.ndarray) -> np.ndarray:
+        return (information_phi(cond_hat, base_hat, epsilon) ** 2).sum(axis=(1, 2))
 
     u_s = np.empty(n_configs)
     u_t = np.empty(n_configs)
     u_frob = np.empty(n_configs)
-    for c_idx, cfg in enumerate(
-        configuration_stream(mu_u, n_configs, seed=(seed, 0))
-    ):
-        cond_xh = to_xh_from_x @ cfg.conditionals
-        cond_yh = to_yh_from_y @ (y_given_x @ cfg.conditionals)
-        u_s[c_idx] = score(psi_f, cond_xh, pxh.probs, f)
-        u_t[c_idx] = score(psi_g, cond_yh, pyh.probs, g)
-        phi_xh = information_phi(cond_xh, pxh.probs, epsilon)
-        u_frob[c_idx] = float((phi_xh**2).sum())
+    conds = configuration_stream(mu_u, n_configs, seed=(seed, 0))
+    for start in range(0, n_configs, CHUNK):
+        rows = slice(start, start + CHUNK)
+        cond_xh = to_xh_from_x @ conds[rows]
+        cond_yh = to_yh_from_y @ (y_given_x @ conds[rows])
+        u_s[rows] = score(psi_f, cond_xh, pxh.probs, f)
+        u_t[rows] = score(psi_g, cond_yh, pyh.probs, g)
+        u_frob[rows] = frob(cond_xh, pxh.probs)
 
     v_s = np.empty(n_configs)
     v_t = np.empty(n_configs)
     v_frob = np.empty(n_configs)
-    for c_idx, cfg in enumerate(
-        configuration_stream(mu_v, n_configs, seed=(seed, 1))
-    ):
-        cond_yh = to_yh_from_y @ cfg.conditionals
-        cond_xh = to_xh_from_x @ (x_given_y @ cfg.conditionals)
-        v_t[c_idx] = score(psi_g, cond_yh, pyh.probs, g)
-        v_s[c_idx] = score(psi_f, cond_xh, pxh.probs, f)
-        phi_yh = information_phi(cond_yh, pyh.probs, epsilon)
-        v_frob[c_idx] = float((phi_yh**2).sum())
+    conds = configuration_stream(mu_v, n_configs, seed=(seed, 1))
+    for start in range(0, n_configs, CHUNK):
+        rows = slice(start, start + CHUNK)
+        cond_yh = to_yh_from_y @ conds[rows]
+        cond_xh = to_xh_from_x @ (x_given_y @ conds[rows])
+        v_t[rows] = score(psi_g, cond_yh, pyh.probs, g)
+        v_s[rows] = score(psi_f, cond_xh, pxh.probs, f)
+        v_frob[rows] = frob(cond_yh, pyh.probs)
 
     e_u_s, se_u_s = _mean_se(u_s)
     e_u_t, se_u_t = _mean_se(u_t)

@@ -11,6 +11,10 @@ Configurations additionally enforce marginal consistency
 (sum_w P(w) P(z|w) = P(z)) by default: a latent attribute of Z must
 reproduce the declared base.  Pass ``unconstrained=True`` to drop that
 check when exercising the matrix-level machinery in isolation.
+
+`Configuration` and `InformationMatrix` also take a stack of C draws of one
+attribute, shaped (C, |Z|, |W|), and run each check once over the whole
+stack, at the same tolerances as for a single (|Z|, |W|) matrix.
 """
 
 from __future__ import annotations
@@ -53,12 +57,15 @@ def in_epsilon_ball(p: Pmf, ref: Pmf, epsilon: float) -> bool:
 
 def _chi2_columns(cond: np.ndarray, base: np.ndarray) -> np.ndarray:
     d = cond - base[:, None]
-    return (d * d / base[:, None]).sum(axis=0)
+    return (d * d / base[:, None]).sum(axis=-2)
 
 
 @dataclass(frozen=True)
 class Configuration:
-    """An epsilon-attribute of Z: prior over W plus per-w conditionals."""
+    """An epsilon-attribute of Z: prior over W plus per-w conditionals.
+
+    `conditionals` may also be a (C, |Z|, |W|) stack of C attributes.
+    """
 
     base: Pmf
     w_labels: tuple[str, ...]
@@ -77,19 +84,19 @@ class Configuration:
             raise ValidationError("epsilon must be > 0")
         cond = _freeze(self.conditionals)
         nz, nw = self.base.size, len(self.w_labels)
-        if cond.shape != (nz, nw):
+        if cond.ndim not in (2, 3) or cond.shape[-2:] != (nz, nw):
             raise ValidationError(
-                f"conditionals shape {cond.shape}, expected ({nz}, {nw})"
+                f"conditionals shape {cond.shape}, expected ([C,] {nz}, {nw})"
             )
         if np.any(cond < 0):
             raise ValidationError("negative conditional probability")
-        col_err = np.max(np.abs(cond.sum(axis=0) - 1.0))
+        col_err = np.max(np.abs(cond.sum(axis=-2) - 1.0))
         if col_err > 1e-12:
             raise ValidationError(f"conditional columns off by {col_err:g}")
         chi2 = _chi2_columns(cond, self.base.probs)
         limit = self.epsilon**2 * (1.0 + BALL_SLACK) + 1e-15
         if np.any(chi2 > limit):
-            w = self.w_labels[int(np.argmax(chi2))]
+            w = self.w_labels[int(np.argmax(chi2)) % nw]
             raise ValidationError(
                 f"conditional for w={w!r} outside the epsilon-ball: "
                 f"chi2={chi2.max():.6g} > eps^2={self.epsilon**2:.6g}"
@@ -113,7 +120,10 @@ class Configuration:
 
 @dataclass(frozen=True)
 class InformationMatrix:
-    """Columns are information vectors of a configuration's conditionals."""
+    """Columns are information vectors of a configuration's conditionals.
+
+    `phi` may also be a (C, |Z|, |W|) stack of C information matrices.
+    """
 
     phi: np.ndarray  # |Z| x |W|
     epsilon: float
@@ -121,9 +131,9 @@ class InformationMatrix:
 
     def __post_init__(self):
         phi = _freeze(self.phi)
-        if phi.ndim != 2 or phi.shape[0] != self.base.size:
+        if phi.ndim not in (2, 3) or phi.shape[-2] != self.base.size:
             raise ValidationError(f"phi shape {phi.shape} does not match base")
-        norms = np.linalg.norm(phi, axis=0)
+        norms = np.linalg.norm(phi, axis=-2)
         if np.any(norms > 1.0 + NULL_TOL):
             raise ValidationError(
                 f"information column norm {norms.max():.12g} exceeds 1"
@@ -138,7 +148,7 @@ class InformationMatrix:
 
     @property
     def column_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.phi, axis=0)
+        return np.linalg.norm(self.phi, axis=-2)
 
 
 def information_phi(
@@ -146,7 +156,8 @@ def information_phi(
 ) -> np.ndarray:
     """phi[i, j] = (P(z_i | w_j) - P(z_i)) / (eps * sqrt(P(z_i))), unvalidated.
 
-    Raw formula for hot loops; :func:`information_matrix` validates it.
+    Raw formula for hot paths, on one (|Z|, |W|) matrix or a stack of them;
+    :func:`information_matrix` validates it.
     """
     return (conditionals - base[:, None]) / (epsilon * np.sqrt(base)[:, None])
 
@@ -158,7 +169,8 @@ def information_matrix(config: Configuration) -> InformationMatrix:
 
 
 def max_feasible_epsilon(base: Pmf, phi: np.ndarray) -> float:
-    """Largest eps keeping P(z) + eps*sqrt(P(z))*phi inside [0, 1] entrywise."""
+    """Largest eps keeping P(z) + eps*sqrt(P(z))*phi inside [0, 1] entrywise
+    (for every matrix of a stack)."""
     step = np.sqrt(base.probs)[:, None] * np.asarray(phi, dtype=float)
     return max_feasible_step(base.probs[:, None], step)
 
@@ -170,14 +182,16 @@ def config_from_information_matrix(
     epsilon: float,
     unconstrained: bool = False,
 ) -> Configuration:
-    """Invert the information-matrix map back to explicit conditionals."""
+    """Invert the information-matrix map back to explicit conditionals.
+
+    A stacked `phi` gives a stacked configuration, validated in one pass.
+    """
     if phi.base.labels != base.labels:
         raise AlphabetMismatchError("phi base does not match supplied base")
-    feasible = max_feasible_epsilon(base, phi.phi)
     cond = base.probs[:, None] + epsilon * np.sqrt(base.probs)[:, None] * phi.phi
     if np.any(cond < 0) or np.any(cond > 1):
         raise FeasibilityError(
-            "epsilon too large for this direction", feasible
+            "epsilon too large for this direction", max_feasible_epsilon(base, phi.phi)
         )
     return Configuration(
         base=base,

@@ -81,3 +81,89 @@ def loop_information_sample(spec, count, seed=0):
         if ok:
             phis.append(phi)
     return np.stack(phis)
+
+
+def loop_least_pair(proj):
+    """Per-configuration reference for exponent._least_pair on one (k, m)
+    matrix: minimal squared column distance, ties by lexicographic pair order."""
+    m = proj.shape[1]
+    best, bi, bj = None, -1, -1
+    for i in range(m - 1):
+        for j in range(i + 1, m):
+            d = proj[:, i] - proj[:, j]
+            val = float(d @ d)
+            if best is None or val < best:
+                best, bi, bj = val, i, j
+    return best, bi, bj
+
+
+def loop_average_exponents(mu_u, mu_v, joint, chan_x, chan_y, f, g, n_configs, seed,
+                           *, oracle=False, delta_hat=None, slack_const=1.0):
+    """Per-configuration reference for exponent.average_exponents: one 2-D
+    Configuration per draw of the loop sampler, scored one at a time."""
+    from maxcorr.dependence import hgr_profile
+    from maxcorr.exponent import ExponentReport, exponent_bound, iprojection_exponent
+    from maxcorr.geometry import (
+        InformationMatrix,
+        config_from_information_matrix,
+        feature_vectors,
+        information_phi,
+    )
+    from maxcorr.model import Pmf, apply_channels
+
+    epsilon = mu_u.epsilon
+    joint_hat = apply_channels(joint, chan_x, chan_y)
+    px, py = joint.marginal_x(), joint.marginal_y()
+    pxh, pyh = joint_hat.marginal_x(), joint_hat.marginal_y()
+    psi_f, psi_g = feature_vectors(f), feature_vectors(g)
+    y_given_x = joint.conditional_y_given_x()
+    x_given_y = joint.conditional_x_given_y()
+
+    def configs(spec, stream_seed):
+        for phi in loop_information_sample(spec, n_configs, seed=stream_seed):
+            info = InformationMatrix(phi=phi, epsilon=spec.epsilon, base=spec.base)
+            yield config_from_information_matrix(spec.base, spec.prior, info, spec.epsilon)
+
+    def score(psi, cond_hat, base_hat, fs):
+        phi = information_phi(cond_hat, base_hat, epsilon)
+        val, i, j = loop_least_pair(psi.T @ phi)
+        if oracle:
+            return iprojection_exponent(
+                Pmf(fs.base.labels, cond_hat[:, i]), Pmf(fs.base.labels, cond_hat[:, j]), fs
+            )
+        return epsilon**2 / 8.0 * val
+
+    u_s, u_t, u_frob = (np.empty(n_configs) for _ in range(3))
+    for c_idx, cfg in enumerate(configs(mu_u, (seed, 0))):
+        cond_xh = chan_x.P @ cfg.conditionals
+        cond_yh = chan_y.P @ (y_given_x @ cfg.conditionals)
+        u_s[c_idx] = score(psi_f, cond_xh, pxh.probs, f)
+        u_t[c_idx] = score(psi_g, cond_yh, pyh.probs, g)
+        u_frob[c_idx] = float((information_phi(cond_xh, pxh.probs, epsilon) ** 2).sum())
+    v_s, v_t, v_frob = (np.empty(n_configs) for _ in range(3))
+    for c_idx, cfg in enumerate(configs(mu_v, (seed, 1))):
+        cond_yh = chan_y.P @ cfg.conditionals
+        cond_xh = chan_x.P @ (x_given_y @ cfg.conditionals)
+        v_t[c_idx] = score(psi_g, cond_yh, pyh.probs, g)
+        v_s[c_idx] = score(psi_f, cond_xh, pxh.probs, f)
+        v_frob[c_idx] = float((information_phi(cond_yh, pyh.probs, epsilon) ** 2).sum())
+
+    def mean_se(values):
+        return float(values.mean()), float(values.std(ddof=1)) / np.sqrt(values.size)
+
+    (e_u_s, se_u_s), (e_u_t, se_u_t) = mean_se(u_s), mean_se(u_t)
+    (e_v_s, se_v_s), (e_v_t, se_v_t) = mean_se(v_s), mean_se(v_t)
+    du = 4.0 * px.size * mu_u.attribute_size
+    dv = 4.0 * py.size * mu_v.attribute_size
+    (frob_u, se_frob_u), (frob_v, se_frob_v) = mean_se(u_frob), mean_se(v_frob)
+    bound, residual = exponent_bound(
+        epsilon, f.k, hgr_profile(joint_hat), frob_u / du, frob_v / dv,
+        delta_hat if delta_hat is not None else 0.0, chan_x.eta, chan_y.eta, slack_const,
+    )
+    return ExponentReport(
+        e_u_s=e_u_s, e_v_s=e_v_s, e_u_t=e_u_t, e_v_t=e_v_t,
+        stderr_u_s=se_u_s, stderr_v_s=se_v_s, stderr_u_t=se_u_t, stderr_v_t=se_v_t,
+        bound=tuple(bound), residual_budget=residual,
+        c_u=frob_u / du, c_v=frob_v / dv,
+        stderr_c_u=se_frob_u / du, stderr_c_v=se_frob_v / dv,
+    )

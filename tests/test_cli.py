@@ -80,12 +80,16 @@ class TestConfig:
         ("seed = 3", "seed = 3\nworkers = 4", ("[sampling] workers = 4", "only 1")),
         ("seed = 3", "seed = 3\nseed = 5", ("'seed'", "'sampling'")),
         ("joint = joint.txt", "joint = absent.txt", ("[chain] joint", "absent.txt")),
+        (None, None, ("cannot read config", "exp.ini", "No such file")),
     ], ids=["non-numeric-int", "non-numeric-matrix", "missing-section", "workers",
-            "duplicate-key", "missing-joint-file"])
+            "duplicate-key", "missing-joint-file", "missing-config-file"])
     def test_malformed_value_named_in_error_record(self, tmp_path, capsys, old, new,
                                                    needles):
         path = tiny_config(tmp_path)
-        path.write_text(path.read_text().replace(old, new, 1))
+        if old is None:
+            path.unlink()  # the config file itself is missing
+        else:
+            path.write_text(path.read_text().replace(old, new, 1))
         rc = main(["features", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 1
         record = json.loads((tmp_path / "o" / "error.json").read_text())
@@ -255,6 +259,31 @@ class TestSimulateJournal:
         capsys.readouterr()
         assert simulate(path, out) == 0
         assert "(2 computed)" in capsys.readouterr().out
+        assert (out / "simulate.csv").read_bytes() == (tmp_path / "whole" / "simulate.csv").read_bytes()
+
+    def test_failed_point_under_jobs_keeps_other_points(self, tmp_path, capsys, monkeypatch):
+        import maxcorr.cli as cli
+
+        path = tiny_config(tmp_path, k="1 2", eta_x="0.0 0.05")  # 4 points
+        assert simulate(path, tmp_path / "whole") == 0
+        original = cli._simulate_point
+
+        def second_fails(cfg, point_id, *args):
+            if point_id == "0001":
+                raise RuntimeError("point 0001 failed")
+            return original(cfg, point_id, *args)
+
+        monkeypatch.setattr(cli, "_simulate_point", second_fails)
+        out = tmp_path / "o"
+        with pytest.raises(RuntimeError, match="point 0001 failed"):
+            simulate(path, out, "--jobs", "2")
+        journal = (out / "simulate.partial.jsonl").read_text().splitlines()
+        assert sorted(json.loads(line)["sweep_id"] for line in journal) == [
+            "0000", "0002", "0003"]
+        monkeypatch.setattr(cli, "_simulate_point", original)
+        capsys.readouterr()
+        assert simulate(path, out, "--jobs", "2") == 0
+        assert "(1 computed)" in capsys.readouterr().out
         assert (out / "simulate.csv").read_bytes() == (tmp_path / "whole" / "simulate.csv").read_bytes()
 
     def test_jobs_do_not_change_rows(self, tmp_path, capsys):

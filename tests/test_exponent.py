@@ -1,12 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import random_positive_joint
+from conftest import (
+    loop_average_exponents,
+    loop_least_pair,
+    random_perturbation_t,
+    random_positive_joint,
+)
 from maxcorr.dependence import hgr_profile, select_features
-from maxcorr.ensemble import AttributeEnsembleSpec
+from maxcorr.ensemble import CHUNK, AttributeEnsembleSpec
 from maxcorr.errors import AlphabetMismatchError, ValidationError
 from maxcorr.exponent import (
     ExponentReport,
+    _least_pair,
     analytic_pairwise_exponent,
     average_exponents,
     iprojection_exponent,
@@ -20,7 +28,7 @@ from maxcorr.geometry import (
     feature_vectors,
     normalize_features,
 )
-from maxcorr.model import JointPmf, Pmf, identity_channel, uniform_pmf
+from maxcorr.model import JointPmf, Pmf, apply_channels, identity_channel, make_channel, uniform_pmf
 
 U2 = uniform_pmf(("z1", "z2"))
 FS2 = FeatureSet(h=np.array([[1.0], [-1.0]]), base=U2)
@@ -262,6 +270,48 @@ class TestAverageExponents:
         rep_o = average_exponents(mu_u, mu_v, joint, cx, cy, f, g, 40, 888, oracle=True)
         for a, o in zip(rep_a.exponents, rep_o.exponents):
             assert a == pytest.approx(o, rel=0.02)
+
+    # oracle scoring runs one I-projection per configuration, so it gets fewer
+    @pytest.mark.parametrize("oracle, n_configs", [(False, CHUNK + 7), (True, 30)],
+                             ids=["analytic", "oracle"])
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_matches_per_configuration_loop(self, rng, oracle, n_configs, seed):
+        # noisy channels, |X| != |Y| and s > 0, so every push and side is exercised
+        joint = JointPmf(tuple("abcd"), tuple("vwxyz"), random_positive_joint(rng, 4, 5))
+        cx = make_channel(random_perturbation_t(rng, 4), 0.05, joint.x_labels)
+        cy = make_channel(random_perturbation_t(rng, 5), 0.03, joint.y_labels)
+        mu_u = AttributeEnsembleSpec(base=joint.marginal_x(), attribute_size=4,
+                                     epsilon=0.05, anisotropy=0.3, rho=0.6)
+        mu_v = AttributeEnsembleSpec(base=joint.marginal_y(), attribute_size=4,
+                                     epsilon=0.05, anisotropy=0.3, rho=0.6)
+        f, g = select_features(apply_channels(joint, cx, cy), 2)
+        args = (mu_u, mu_v, joint, cx, cy, f, g, n_configs, seed)
+        rep = average_exponents(*args, oracle=oracle, delta_hat=0.2)
+        want = loop_average_exponents(*args, oracle=oracle, delta_hat=0.2)
+        for fld in dataclasses.fields(ExponentReport):
+            if fld.name != "metadata":
+                assert getattr(rep, fld.name) == pytest.approx(
+                    getattr(want, fld.name), rel=1e-12, abs=0.0), fld.name
+
+    def test_least_pair_ties_go_to_first_pair(self):
+        # columns 0, 1, 2 on a line: (0, 1) and (1, 2) tie at 1, (0, 2) is 4;
+        # columns 0, 3, 1.5: (0, 2) and (1, 2) tie at 2.25, (0, 1) is 9
+        proj = np.array([
+            [[0.0, 1.0, 2.0], [5.0, 5.0, 5.0]],
+            [[0.0, 3.0, 1.5], [0.0, 0.0, 0.0]],
+        ])
+        val, i, j = _least_pair(proj)
+        assert val.tolist() == [1.0, 2.25]
+        assert list(zip(i.tolist(), j.tolist())) == [(0, 1), (0, 2)]
+        assert [loop_least_pair(p) for p in proj] == [(1.0, 0, 1), (2.25, 0, 2)]
+
+    def test_least_pair_matches_loop(self, rng):
+        proj = rng.normal(size=(200, 3, 5))
+        val, i, j = _least_pair(proj)
+        for c, p in enumerate(proj):
+            want_val, want_i, want_j = loop_least_pair(p)
+            assert (i[c], j[c]) == (want_i, want_j)
+            assert val[c] == pytest.approx(want_val, rel=1e-14)
 
     def test_epsilon_mismatch_rejected(self):
         joint = demo_joint()

@@ -159,6 +159,115 @@ class TestConfigFromInformationMatrix:
         assert max_feasible_epsilon(U2, np.zeros((2, 2))) == np.inf
 
 
+STACK_BASE = Pmf(("z0", "z1", "z2", "z3"), np.array([0.15, 0.2, 0.3, 0.35]))
+STACK_PRIOR = Pmf(("w0", "w1", "w2"), np.array([0.2, 0.3, 0.5]))
+STACK_EPS = 0.1
+
+
+def stack_draws(count=5):
+    """`count` valid information matrices (column norms up to 0.5) and their
+    conditionals, as (count, 4, 3) stacks."""
+    from maxcorr.ensemble import AttributeEnsembleSpec, information_ensemble
+
+    spec = AttributeEnsembleSpec(STACK_BASE, 3, STACK_EPS, prior=STACK_PRIOR, rho=0.5)
+    phi = information_ensemble(spec).sample(count, seed=4)
+    root = np.sqrt(STACK_BASE.probs)[:, None]
+    return phi, STACK_BASE.probs[:, None] + STACK_EPS * root * phi
+
+
+def stacked_config(cond):
+    return Configuration(STACK_BASE, STACK_PRIOR.labels, STACK_PRIOR, cond, STACK_EPS)
+
+
+def stacked_phi(phi):
+    return InformationMatrix(phi=phi, epsilon=STACK_EPS, base=STACK_BASE)
+
+
+def _negative_entry(phi, cond):
+    cond[0, 1] += cond[0, 0] + 0.01  # the column still sums to one
+    cond[0, 0] = -0.01
+
+
+def _column_sum(phi, cond):
+    cond[:, 2] *= 1.01
+
+
+def _outside_ball(phi, cond):
+    # deviation column norm 1.2 > 1: sums and mixture unchanged, entries positive
+    cond[:] = STACK_BASE.probs[:, None] + (cond - STACK_BASE.probs[:, None]) * 2.4
+
+
+def _mixture_miss(phi, cond):
+    cond[:, 0] = cond[:, 1]  # a valid conditional, but the mixture moves
+
+
+def _norm_above_one(phi, cond):
+    phi *= 2.4
+
+
+def _not_orthogonal(phi, cond):
+    phi += 0.01 * np.sqrt(STACK_BASE.probs)[:, None]
+
+
+class TestStackedValidation:
+    """A stack runs every check of a single matrix, at the same tolerances."""
+
+    def test_valid_stack_matches_per_draw(self):
+        phi, cond = stack_draws()
+        cfg = stacked_config(cond)
+        assert np.array_equal(cfg.conditionals, cond)
+        assert np.array_equal(stacked_phi(phi).column_norms,
+                              np.stack([stacked_phi(p).column_norms for p in phi]))
+        back = config_from_information_matrix(STACK_BASE, STACK_PRIOR, stacked_phi(phi), STACK_EPS)
+        assert np.array_equal(back.conditionals, np.stack([
+            config_from_information_matrix(
+                STACK_BASE, STACK_PRIOR, stacked_phi(p), STACK_EPS).conditionals
+            for p in phi
+        ]))
+
+    @pytest.mark.parametrize("spoil, build, needle", [
+        (_negative_entry, stacked_config, "negative"),
+        (_column_sum, stacked_config, "columns off"),
+        (_outside_ball, stacked_config, "outside the epsilon-ball"),
+        (_mixture_miss, stacked_config, "miss the base"),
+        (_norm_above_one, stacked_phi, "exceeds 1"),
+        (_not_orthogonal, stacked_phi, "not orthogonal"),
+    ], ids=["negative-entry", "column-sum", "outside-ball", "mixture-miss",
+            "norm-above-one", "not-orthogonal"])
+    def test_one_bad_draw_raises_as_2d(self, spoil, build, needle):
+        phi, cond = stack_draws()
+        spoil(phi[3], cond[3])
+        arg = phi if build is stacked_phi else cond
+        for good in range(len(arg)):
+            if good != 3:
+                build(arg[good])  # only draw 3 is spoiled
+        with pytest.raises(ValidationError) as single:
+            build(arg[3])
+        with pytest.raises(ValidationError) as stacked:
+            build(arg)
+        assert type(stacked.value) is type(single.value)
+        assert needle in str(single.value)
+        assert str(stacked.value) == str(single.value)
+
+    def test_infeasible_draw_reports_its_max_epsilon(self):
+        phi, _ = stack_draws()
+        feasible = [max_feasible_epsilon(STACK_BASE, p) for p in phi]
+        bad, second = np.argsort(feasible)[:2]
+        eps = (feasible[bad] + feasible[second]) / 2  # only draw `bad` is infeasible
+        with pytest.raises(FeasibilityError) as single:
+            config_from_information_matrix(STACK_BASE, STACK_PRIOR, stacked_phi(phi[bad]), eps)
+        with pytest.raises(FeasibilityError) as stacked:
+            config_from_information_matrix(STACK_BASE, STACK_PRIOR, stacked_phi(phi), eps)
+        assert stacked.value.max_feasible == single.value.max_feasible == feasible[bad]
+
+    def test_stack_shape_checked(self):
+        _, cond = stack_draws()
+        with pytest.raises(ValidationError, match="shape"):
+            stacked_config(cond[:, :, :2])
+        with pytest.raises(ValidationError, match="shape"):
+            stacked_config(cond[None])
+
+
 class TestNormalizeFeatures:
     def test_already_normalized_unchanged(self):
         h = np.array([[1.0], [-1.0]])

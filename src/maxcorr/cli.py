@@ -152,61 +152,65 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
     except OSError as exc:
         raise ValidationError(f"cannot read config {path}: {exc.strerror or exc}") from None
     parser = configparser.ConfigParser()
+    # the parser and its section proxies form reference cycles that only the
+    # cyclic GC frees, so the section text is dropped on every exit path
     try:
         parser.read_string(raw)
-    except configparser.Error as exc:
+        if parser.has_option("chain", "joint"):
+            joint = _option(parser, "chain", "joint",
+                            lambda name: load_joint((path.parent / name).read_text()))
+        elif parser.get("chain", "generator", fallback=None) == "seeded":
+            nx = _option(parser, "chain", "x_size", int)
+            ny = _option(parser, "chain", "y_size", int)
+            floor = _option(parser, "chain", "floor", float, "0.15")
+            gen_seed = _option(parser, "chain", "generator_seed", int, "314159")
+            rng = np.random.default_rng(gen_seed)
+            probs = rng.random((ny, nx)) + floor
+            joint = JointPmf(
+                tuple(f"x{i}" for i in range(nx)),
+                tuple(f"y{j}" for j in range(ny)),
+                probs / probs.sum(),
+            )
+        else:
+            raise ValidationError("[chain] needs `joint = <path>` or `generator = seeded`")
+
+        t_x = _option(parser, "channel_x", "t", _parse_matrix)
+        t_y = _option(parser, "channel_y", "t", _parse_matrix)
+        seed = (_option(parser, "sampling", "seed", int, "0") if seed_override is None
+                else seed_override)
+        # every draw comes from the one stream of its seed; an old multi-worker
+        # config would silently give other numbers, so it is refused
+        workers = _option(parser, "sampling", "workers", int, "1")
+        if workers != 1:
+            raise ValidationError(
+                f"[sampling] workers = {workers}: only 1 is accepted "
+                "(one seeded stream per seed)"
+            )
+        digest = hashlib.sha256(raw.encode()).hexdigest()[:16]
+
+        cfg = ExperimentConfig(
+            joint=joint,
+            t_x=t_x,
+            t_y=t_y,
+            eta1_grid=_option(parser, "channel_x", "eta_grid", _floats, "0.0"),
+            eta2_grid=_option(parser, "channel_y", "eta_grid", _floats, "0.0"),
+            attribute_size=_option(parser, "ensemble", "attribute_size", int, "3"),
+            rho=_option(parser, "ensemble", "rho", float, "1.0"),
+            rejection_cap=_option(parser, "ensemble", "rejection_cap", int, "1000"),
+            epsilon_grid=_option(parser, "sweep", "epsilon", _floats, "0.05"),
+            k_grid=_option(parser, "sweep", "k", _ints, "1"),
+            s_grid=_option(parser, "sweep", "s", _floats, "0.0"),
+            n_configs=_option(parser, "sampling", "n_configs", int, "100"),
+            delta_samples=_option(parser, "sampling", "delta_samples", int, "20000"),
+            seed=seed,
+            config_hash=digest,
+            raw_text=raw,
+        )
+    except configparser.Error as exc:  # a syntax or an interpolation error
         raise ValidationError(f"{path}: {exc}") from None
-
-    if parser.has_option("chain", "joint"):
-        joint = _option(parser, "chain", "joint",
-                        lambda name: load_joint((path.parent / name).read_text()))
-    elif parser.get("chain", "generator", fallback=None) == "seeded":
-        nx = _option(parser, "chain", "x_size", int)
-        ny = _option(parser, "chain", "y_size", int)
-        floor = _option(parser, "chain", "floor", float, "0.15")
-        gen_seed = _option(parser, "chain", "generator_seed", int, "314159")
-        rng = np.random.default_rng(gen_seed)
-        probs = rng.random((ny, nx)) + floor
-        joint = JointPmf(
-            tuple(f"x{i}" for i in range(nx)),
-            tuple(f"y{j}" for j in range(ny)),
-            probs / probs.sum(),
-        )
-    else:
-        raise ValidationError("[chain] needs `joint = <path>` or `generator = seeded`")
-
-    t_x = _option(parser, "channel_x", "t", _parse_matrix)
-    t_y = _option(parser, "channel_y", "t", _parse_matrix)
-    seed = (_option(parser, "sampling", "seed", int, "0") if seed_override is None
-            else seed_override)
-    # every draw comes from the one stream of its seed; an old multi-worker
-    # config would silently give other numbers, so it is refused
-    workers = _option(parser, "sampling", "workers", int, "1")
-    if workers != 1:
-        raise ValidationError(
-            f"[sampling] workers = {workers}: only 1 is accepted "
-            "(one seeded stream per seed)"
-        )
-    digest = hashlib.sha256(raw.encode()).hexdigest()[:16]
-
-    cfg = ExperimentConfig(
-        joint=joint,
-        t_x=t_x,
-        t_y=t_y,
-        eta1_grid=_option(parser, "channel_x", "eta_grid", _floats, "0.0"),
-        eta2_grid=_option(parser, "channel_y", "eta_grid", _floats, "0.0"),
-        attribute_size=_option(parser, "ensemble", "attribute_size", int, "3"),
-        rho=_option(parser, "ensemble", "rho", float, "1.0"),
-        rejection_cap=_option(parser, "ensemble", "rejection_cap", int, "1000"),
-        epsilon_grid=_option(parser, "sweep", "epsilon", _floats, "0.05"),
-        k_grid=_option(parser, "sweep", "k", _ints, "1"),
-        s_grid=_option(parser, "sweep", "s", _floats, "0.0"),
-        n_configs=_option(parser, "sampling", "n_configs", int, "100"),
-        delta_samples=_option(parser, "sampling", "delta_samples", int, "20000"),
-        seed=seed,
-        config_hash=digest,
-        raw_text=raw,
-    )
+    finally:
+        parser.clear()
+        parser.defaults().clear()
     k_max = min(len(joint.x_labels), len(joint.y_labels)) - 1
     for k in cfg.k_grid:
         if not 1 <= k <= k_max:

@@ -1,10 +1,12 @@
-"""Deterministic one-sided Jacobi SVD for small dense matrices.
+"""Canonicalised dense SVD: LAPACK ``gesdd`` through numpy.
 
-Alphabets in this package are at most a few hundred symbols, so a cyclic
-one-sided Jacobi sweep is fast enough and, unlike LAPACK drivers, gives
-bit-identical output across platforms.  Convergence is declared when the
-relative off-diagonal mass of the implicit Gram matrix drops below
-``OFF_DIAG_TOL``.
+``jacobi_svd`` makes one ``np.linalg.svd`` call, then fixes the signs of
+the singular vectors and completes the zero-sigma columns of U from
+canonical basis vectors, neither of which LAPACK pins down.  Reruns are
+byte-identical on one numpy/BLAS build; across builds the results agree
+to last-place float noise, since LAPACK's kernels differ between them.
+The name is that of the one-sided Jacobi routine this replaced, kept
+because the benchmark traces ``svd.jacobi_svd``.
 
 Sign convention: each right singular vector is scaled so that its
 largest-magnitude entry is positive (ties broken by lowest index); the
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-OFF_DIAG_TOL = 1e-14
-MAX_SWEEPS = 64
+from .errors import ValidationError
+
 ZERO_SIGMA_TOL = 1e-13
 
 
@@ -51,90 +53,51 @@ def _complete_orthonormal(cols: np.ndarray, count: int) -> np.ndarray:
     """Append `count` orthonormal columns, built from canonical basis vectors.
 
     Each new column is the residual of the canonical basis vector with the
-    largest out-of-span component (ties broken by lowest index), which is
-    deterministic and always well-conditioned.
+    largest out-of-span component (ties within 1e-12 broken by lowest
+    index), which is deterministic and always well-conditioned.
     """
-    n = cols.shape[0]
-    out = [cols[:, j] for j in range(cols.shape[1])]
+    n, k = cols.shape
+    q = cols
     for _ in range(count):
-        best, best_norm = None, -1.0
-        for e in range(n):
-            cand = np.zeros(n)
-            cand[e] = 1.0
-            for q in out:
-                cand -= (q @ cand) * q
-            norm = float(np.linalg.norm(cand))
+        resid = np.eye(n) - q @ q.T  # column e: residual of basis vector e
+        best, best_norm = 0, -1.0
+        for e, norm in enumerate(np.linalg.norm(resid, axis=0).tolist()):
             if norm > best_norm + 1e-12:
-                best, best_norm = cand, norm
-        if best is None or best_norm < 1e-8:
+                best, best_norm = e, norm
+        if best_norm < 1e-8:
             raise RuntimeError("orthonormal completion failed")
-        out.append(best / best_norm)
-    return np.column_stack(out[cols.shape[1]:]) if count else np.zeros((n, 0))
+        q = np.column_stack([q, resid[:, best] / best_norm])
+    return q[:, k:]
 
 
 def jacobi_svd(a: np.ndarray) -> SvdResult:
-    """One-sided Jacobi SVD of a real dense matrix."""
+    """Economy SVD of a finite real matrix, with canonical signs and null basis.
+
+    A non-finite entry raises a ValidationError naming the shape and the
+    index of the first such entry.
+    """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {a.shape}")
+    finite = np.isfinite(a)
+    if not finite.all():
+        idx = tuple(int(i) for i in np.argwhere(~finite)[0])
+        raise ValidationError(
+            f"matrix of shape {a.shape} has non-finite entry {float(a[idx])} at {idx}"
+        )
     n, m = a.shape
     if n < m:
         flipped = jacobi_svd(a.T)
         return SvdResult(u=flipped.v, s=flipped.s, v=flipped.u)
 
-    w = a.copy()
-    v = np.eye(m)
-    scale = float(np.linalg.norm(w))
-    if scale == 0.0:
-        u = _complete_orthonormal(np.zeros((n, 0)), m)
-        return SvdResult(u=u, s=np.zeros(m), v=v)
-
-    for _ in range(MAX_SWEEPS):
-        off = 0.0
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                alpha = float(w[:, p] @ w[:, p])
-                beta = float(w[:, q] @ w[:, q])
-                gamma = float(w[:, p] @ w[:, q])
-                denom = np.sqrt(alpha * beta)
-                if denom > 0:
-                    off = max(off, abs(gamma) / denom)
-                if denom == 0.0 or abs(gamma) <= OFF_DIAG_TOL * denom:
-                    continue
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                if zeta == 0.0:
-                    t = 1.0
-                cs = 1.0 / np.sqrt(1.0 + t * t)
-                sn = cs * t
-                wp = w[:, p].copy()
-                w[:, p] = cs * wp - sn * w[:, q]
-                w[:, q] = sn * wp + cs * w[:, q]
-                vp = v[:, p].copy()
-                v[:, p] = cs * vp - sn * v[:, q]
-                v[:, q] = sn * vp + cs * v[:, q]
-        if off <= OFF_DIAG_TOL:
-            break
-
-    sigma = np.linalg.norm(w, axis=0)
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    w = w[:, order]
-    v = v[:, order]
-
-    floor = ZERO_SIGMA_TOL * scale
-    u = np.zeros((n, m))
-    nonzero = sigma > floor
-    u[:, nonzero] = w[:, nonzero] / sigma[nonzero]
+    u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+    v = vt.T
+    nonzero = sigma > ZERO_SIGMA_TOL * float(np.linalg.norm(a))
     k = int(nonzero.sum())
-    if k < m:
-        u[:, k:] = _complete_orthonormal(u[:, :k], m - k)
+    u[:, k:] = _complete_orthonormal(u[:, :k], m - k)
 
     for j in range(m):
         sign = canonical_sign(v[:, j])
         v[:, j] *= sign
-        if nonzero[j]:
-            u[:, j] *= sign
-        else:
-            u[:, j] *= canonical_sign(u[:, j])
+        u[:, j] *= sign if nonzero[j] else canonical_sign(u[:, j])
     return SvdResult(u=u, s=sigma, v=v)

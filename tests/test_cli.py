@@ -1,3 +1,5 @@
+import configparser
+import gc
 import json
 from pathlib import Path
 
@@ -73,6 +75,23 @@ class TestConfig:
         with pytest.raises(Exception):
             load_config(path)
 
+    def test_parser_text_released(self):
+        # parser <-> SectionProxy cycles are freed only by the cyclic GC, so
+        # with it off every parser load_config made is still reachable
+        def parsers():
+            return [o for o in gc.get_objects() if isinstance(o, configparser.RawConfigParser)]
+
+        gc.disable()
+        try:
+            before = parsers()
+            load_config(DEMO)
+            new = [p for p in parsers() if not any(p is b for b in before)]
+        finally:
+            gc.enable()
+        assert new
+        for parser in new:
+            assert parser.sections() == [] and parser.defaults() == {}
+
     @pytest.mark.parametrize("old, new, needles", [
         ("n_configs = 20", "n_configs = sixty", ("[sampling] n_configs", "sixty")),
         ("-0.75 0.25 0.25 0.25", "-0.75 0.25 abc 0.25", ("[channel_x] t", "abc")),
@@ -80,9 +99,10 @@ class TestConfig:
         ("seed = 3", "seed = 3\nworkers = 4", ("[sampling] workers = 4", "only 1")),
         ("seed = 3", "seed = 3\nseed = 5", ("'seed'", "'sampling'")),
         ("joint = joint.txt", "joint = absent.txt", ("[chain] joint", "absent.txt")),
+        ("seed = 3", "seed = 3%", ("exp.ini", "'%' must be followed")),
         (None, None, ("cannot read config", "exp.ini", "No such file")),
     ], ids=["non-numeric-int", "non-numeric-matrix", "missing-section", "workers",
-            "duplicate-key", "missing-joint-file", "missing-config-file"])
+            "duplicate-key", "missing-joint-file", "interpolation", "missing-config-file"])
     def test_malformed_value_named_in_error_record(self, tmp_path, capsys, old, new,
                                                    needles):
         path = tiny_config(tmp_path)

@@ -7,6 +7,7 @@ from conftest import (
     random_positive_pmf,
 )
 from maxcorr.dependence import (
+    CdmMatrix,
     canonical_dependence_matrix,
     hgr_profile,
     select_features,
@@ -24,6 +25,7 @@ from maxcorr.model import (
     product_joint,
     uniform_pmf,
 )
+from maxcorr.svd import canonical_sign
 
 T_BINARY = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
@@ -60,6 +62,23 @@ class TestCanonicalDependenceMatrix:
             assert np.all(cdm.sigmas <= 1 + 1e-10)
             assert np.max(np.abs(cdm.b @ np.sqrt(cdm.px.probs))) < 1e-10
             assert np.max(np.abs(cdm.b.T @ np.sqrt(cdm.py.probs))) < 1e-10
+
+    def test_null_directions_are_sqrt_marginals(self, rng):
+        # a full-support CDM annihilates sqrt(P_X) and sqrt(P_Y); on a square
+        # joint its one zero-sigma pair is exactly those directions
+        for n in (2, 3, 5, 8):
+            labels = tuple(f"s{i}" for i in range(n))
+            cdm = canonical_dependence_matrix(
+                JointPmf(labels, labels, random_positive_joint(rng, n, n)))
+            assert cdm.sigmas[-1] < 1e-12 < cdm.sigmas[-2]
+            for vec, pmf in ((cdm.svd.v[:, -1], cdm.px), (cdm.svd.u[:, -1], cdm.py)):
+                root = np.sqrt(pmf.probs)
+                assert np.max(np.abs(vec - canonical_sign(root) * root)) < 1e-12
+
+    def test_non_finite_b_rejected(self):
+        half = Pmf(("a", "b"), np.array([0.5, 0.5]))
+        with pytest.raises(ValidationError, match="non-finite"):
+            CdmMatrix(b=np.full((2, 2), np.nan), px=half, py=half)
 
     def test_zero_marginal_named(self):
         j = JointPmf(("a", "b"), ("0", "1"), np.array([[0.5, 0.0], [0.5, 0.0]]))

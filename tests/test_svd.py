@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from maxcorr.svd import canonical_sign, jacobi_svd
+from maxcorr.errors import ValidationError
+from maxcorr.svd import _complete_orthonormal, canonical_sign, jacobi_svd
 
 
 def assert_valid_svd(a, res, tol=1e-10):
@@ -45,6 +46,20 @@ class TestJacobiSvd:
         assert np.max(res.s[1:]) < 1e-12
         assert_valid_svd(a, res)
 
+    def test_wide_rank_deficient(self, rng):
+        # n < m goes through the transpose flip; 1 of 3 sigmas is nonzero
+        a = np.outer(rng.normal(size=3), rng.normal(size=6))
+        res = jacobi_svd(a)
+        assert np.max(res.s[1:]) < 1e-12
+        assert_valid_svd(a, res)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        a = np.ones((2, 3))
+        a[1, 2] = bad
+        with pytest.raises(ValidationError, match=r"shape \(2, 3\).* at \(1, 2\)"):
+            jacobi_svd(a)
+
     def test_zero_matrix(self):
         res = jacobi_svd(np.zeros((3, 2)))
         assert np.array_equal(res.s, np.zeros(2))
@@ -84,3 +99,9 @@ class TestJacobiSvd:
 def test_canonical_sign_tie_lowest_index():
     assert canonical_sign(np.array([-0.5, 0.5])) == -1.0
     assert canonical_sign(np.array([0.5, -0.5])) == 1.0
+
+
+def test_completion_tie_lowest_index():
+    # e1 and e2 have equal out-of-span norms: the lower index comes first
+    out = _complete_orthonormal(np.eye(3)[:, :1], 2)
+    assert np.array_equal(out, np.eye(3)[:, 1:])

@@ -110,12 +110,15 @@ class ExperimentConfig:
 
 
 def _parse_matrix(text: str) -> np.ndarray:
-    rows = [
-        [float(v) for v in line.split()]
-        for line in text.splitlines()
-        if line.strip()
-    ]
-    return np.array(rows)
+    """Whitespace-separated rows, one per non-blank line, parsed in one call."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
+        raise ValueError("no rows")
+    widths = [len(line.split()) for line in lines]
+    for row, width in enumerate(widths[1:], start=2):
+        if width != widths[0]:
+            raise ValueError(f"row {row} has {width} entries, row 1 has {widths[0]}")
+    return np.loadtxt(lines, ndmin=2, comments=None)
 
 
 def _floats(text: str) -> tuple[float, ...]:

@@ -21,6 +21,7 @@ All decision rules are nearest-centroid on the empirical feature mean
 from __future__ import annotations
 
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -33,6 +34,9 @@ from .geometry import FeatureSet, feature_vectors, information_phi
 from .model import Channel, JointPmf, Pmf, apply_channels
 
 DEGENERATE_MEAN_GAP = 1e-12
+# most trials one multinomial call draws: consecutive calls on one generator
+# give the same draws as a single call, and the count array stays ~2 MB
+MC_CHUNK = 1 << 16
 
 
 def analytic_pairwise_exponent(
@@ -129,10 +133,15 @@ def _simulate_errors(
     rng: np.random.Generator, p: np.ndarray, c: np.ndarray, b: float,
     n: int, trials: int, err_below: bool,
 ) -> float:
-    counts = rng.multinomial(n, p, size=trials)
-    s = counts @ c / n - b
-    errs = float((s < 0).sum() if err_below else (s > 0).sum())
-    return errs + 0.5 * float((s == 0).sum())
+    # error totals are sums of integers and halves, exact in float for any
+    # chunking
+    errs = 0.0
+    for start in range(0, trials, MC_CHUNK):
+        counts = rng.multinomial(n, p, size=min(MC_CHUNK, trials - start))
+        s = counts @ c / n - b
+        errs += float((s < 0).sum() if err_below else (s > 0).sum())
+        errs += 0.5 * float((s == 0).sum())
+    return errs
 
 
 def mc_error_curve(
@@ -153,9 +162,21 @@ def mc_error_curve(
     weighting each point by its error count.  Sample sizes whose error
     counts stay under `min_errors` after auto-extending the trial budget
     are dropped from the top of the grid.
+
+    At each (N, attempt) the two hypotheses draw from independent seeded
+    streams, and hypothesis 1's runs on a helper thread while hypothesis
+    2's runs on the calling thread; the curve does not depend on it and is
+    bit-identical to running them one after the other.  Each stream draws
+    at most `MC_CHUNK` trials at a time, which bounds memory whatever the
+    trial budget.
     """
     if p1.labels != p2.labels or p1.labels != fs.base.labels:
         raise AlphabetMismatchError("distributions and features must share an alphabet")
+    bad_n = [int(v) for v in n_grid if int(v) < 1]
+    if bad_n:
+        raise ValidationError(f"n_grid entries must be >= 1, got {bad_n}")
+    if trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
     m1 = fs.mean_under(p1.probs)
     m2 = fs.mean_under(p2.probs)
     a = m1 - m2
@@ -178,29 +199,32 @@ def mc_error_curve(
     p_hats: list[float] = []
     err_counts: list[float] = []
     used_trials: list[int] = []
-    for idx, n in enumerate(sorted(int(v) for v in n_grid)):
-        t = trials
-        attempt = 0
-        while True:
-            rng1 = np.random.default_rng(
-                np.random.SeedSequence(entropy=(seed, idx, attempt), spawn_key=(1,))
-            )
-            rng2 = np.random.default_rng(
-                np.random.SeedSequence(entropy=(seed, idx, attempt), spawn_key=(2,))
-            )
-            e1 = _simulate_errors(rng1, p1.probs, c, b, n, t, err_below=True)
-            e2 = _simulate_errors(rng2, p2.probs, c, b, n, t, err_below=False)
-            total = e1 + e2
-            if total >= min_errors or t >= max_trials:
-                break
-            t *= 4
-            attempt += 1
-        if total < min_errors:
-            break  # truncate the grid from this N upward
-        used_n.append(n)
-        used_trials.append(t)
-        err_counts.append(total)
-        p_hats.append(total / (2.0 * t))
+    # numpy's multinomial releases the GIL, so the two streams overlap
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for idx, n in enumerate(sorted(int(v) for v in n_grid)):
+            t = trials
+            attempt = 0
+            while True:
+                rng1 = np.random.default_rng(
+                    np.random.SeedSequence(entropy=(seed, idx, attempt), spawn_key=(1,))
+                )
+                rng2 = np.random.default_rng(
+                    np.random.SeedSequence(entropy=(seed, idx, attempt), spawn_key=(2,))
+                )
+                f1 = helper.submit(_simulate_errors, rng1, p1.probs, c, b, n, t,
+                                   err_below=True)
+                e2 = _simulate_errors(rng2, p2.probs, c, b, n, t, err_below=False)
+                total = f1.result() + e2
+                if total >= min_errors or t >= max_trials:
+                    break
+                t *= 4
+                attempt += 1
+            if total < min_errors:
+                break  # truncate the grid from this N upward
+            used_n.append(n)
+            used_trials.append(t)
+            err_counts.append(total)
+            p_hats.append(total / (2.0 * t))
 
     if len(used_n) < 2:
         raise ValidationError("exponent too large for budget: too few usable N")

@@ -95,14 +95,16 @@ class TestConfig:
     @pytest.mark.parametrize("old, new, needles", [
         ("n_configs = 20", "n_configs = sixty", ("[sampling] n_configs", "sixty")),
         ("-0.75 0.25 0.25 0.25", "-0.75 0.25 abc 0.25", ("[channel_x] t", "abc")),
+        ("-0.75 0.25 0.25 0.25", "-0.75 0.25 0.25", ("[channel_x] t", "row 1 has 3")),
         ("[channel_x]", "[channel_z]", ("[channel_x] t", "missing")),
         ("seed = 3", "seed = 3\nworkers = 4", ("[sampling] workers = 4", "only 1")),
         ("seed = 3", "seed = 3\nseed = 5", ("'seed'", "'sampling'")),
         ("joint = joint.txt", "joint = absent.txt", ("[chain] joint", "absent.txt")),
         ("seed = 3", "seed = 3%", ("exp.ini", "'%' must be followed")),
         (None, None, ("cannot read config", "exp.ini", "No such file")),
-    ], ids=["non-numeric-int", "non-numeric-matrix", "missing-section", "workers",
-            "duplicate-key", "missing-joint-file", "interpolation", "missing-config-file"])
+    ], ids=["non-numeric-int", "non-numeric-matrix", "ragged-matrix", "missing-section",
+            "workers", "duplicate-key", "missing-joint-file", "interpolation",
+            "missing-config-file"])
     def test_malformed_value_named_in_error_record(self, tmp_path, capsys, old, new,
                                                    needles):
         path = tiny_config(tmp_path)

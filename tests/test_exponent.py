@@ -1,4 +1,5 @@
 import dataclasses
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from conftest import (
     random_perturbation_t,
     random_positive_joint,
 )
+from maxcorr import exponent
 from maxcorr.dependence import hgr_profile, select_features
 from maxcorr.ensemble import CHUNK, AttributeEnsembleSpec
 from maxcorr.errors import AlphabetMismatchError, ValidationError
 from maxcorr.exponent import (
+    MC_CHUNK,
     ExponentReport,
     _least_pair,
     analytic_pairwise_exponent,
@@ -124,6 +127,36 @@ class TestIProjection:
             assert ipe == pytest.approx(ana, rel=0.05)
 
 
+def single_draw_simulate_errors(rng, p, c, b, n, trials, err_below):
+    """Reference for `exponent._simulate_errors`: one multinomial call."""
+    counts = rng.multinomial(n, p, size=trials)
+    s = counts @ c / n - b
+    errs = float((s < 0).sum() if err_below else (s > 0).sum())
+    return errs + 0.5 * float((s == 0).sum())
+
+
+class SerialExecutor:
+    """Stands in for ThreadPoolExecutor: runs each call at once, in order."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args, **kwargs):
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
+U4 = uniform_pmf(tuple("abcd"))
+FS4 = normalize_features(np.random.default_rng(5).normal(size=(4, 2)), U4)
+
+
 class TestMcErrorCurve:
     def test_identical_distributions_zero_slope(self):
         with pytest.warns(UserWarning, match="constant"):
@@ -149,6 +182,32 @@ class TestMcErrorCurve:
         far2 = Pmf(U2.labels, np.array([0.01, 0.99]))
         with pytest.raises(ValidationError, match="budget"):
             mc_error_curve(far1, far2, FS2, [400, 800], 100, seed=4, max_trials=100)
+
+    @pytest.mark.parametrize("n_grid, trials, needle", [
+        ([100, -5], 1000, r"n_grid .*\[-5\]"),
+        ([0, 100], 1000, r"n_grid .*\[0\]"),
+        ([100, 200], -3, "trials .*-3"),
+        ([100, 200], 0, "trials .*0"),
+    ], ids=["negative-n", "zero-n", "negative-trials", "zero-trials"])
+    def test_bad_input_named(self, n_grid, trials, needle):
+        with pytest.raises(ValidationError, match=needle):
+            mc_error_curve(P06, P04, FS2, n_grid, trials, seed=1)
+
+    @pytest.mark.parametrize("p1, p2, fs, n_grid, trials, max_trials, trials_out", [
+        (P06, P04, FS2, [100, 200, 300], 20_000, None, (20_000, 20_000, 320_000)),
+        (P06, P04, FS2, [100, 200, 400, 800], 20_000, 80_000, (20_000, 20_000)),
+        (Pmf(U4.labels, np.array([0.3, 0.2, 0.25, 0.25])),
+         Pmf(U4.labels, np.array([0.2, 0.3, 0.22, 0.28])),
+         FS4, [50, 100, 200], MC_CHUNK + 4465, None, (MC_CHUNK + 4465,) * 3),
+    ], ids=["extended", "truncated", "trials-off-chunk"])
+    def test_matches_single_draw_serial_oracle(self, monkeypatch, p1, p2, fs, n_grid,
+                                               trials, max_trials, trials_out):
+        curve = mc_error_curve(p1, p2, fs, n_grid, trials, seed=7, max_trials=max_trials)
+        assert curve.trials == trials_out
+        monkeypatch.setattr(exponent, "_simulate_errors", single_draw_simulate_errors)
+        monkeypatch.setattr(exponent, "ThreadPoolExecutor", SerialExecutor)
+        oracle = mc_error_curve(p1, p2, fs, n_grid, trials, seed=7, max_trials=max_trials)
+        assert curve == oracle
 
 
 class TestExponentBound:

@@ -33,18 +33,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .dependence import canonical_dependence_matrix, select_features, uncentered_b
-from .ensemble import (
-    AttributeEnsembleSpec,
-    information_ensemble,
-    markov_push,
-    push_through_channel,
-    sample_configuration,
-)
+from . import __version__, checks
+from .dependence import canonical_dependence_matrix, select_features
+from .ensemble import AttributeEnsembleSpec, information_ensemble, sample_configuration
 from .errors import MaxcorrError, ValidationError
-from .exponent import average_exponents, iprojection_exponent
-from .geometry import dump_features, feature_vectors, normalize_features
+from .exponent import average_exponents
+from .geometry import dump_features, normalize_features
 from .model import (
     FLOAT_FMT,
     Channel,
@@ -56,13 +50,7 @@ from .model import (
     load_joint,
     make_channel,
 )
-from .symmetry import (
-    delta_report,
-    moment_symmetry_report,
-    projection_bound_check,
-    propagation_check,
-    variance_bump,
-)
+from .symmetry import delta_report, moment_symmetry_report
 
 OUT_ROOT_ENV = "MAXCORR_OUT_ROOT"
 
@@ -473,123 +461,54 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _verify_checks(cfg: ExperimentConfig) -> list[tuple[str, bool, str]]:
-    checks: list[tuple[str, bool, str]] = []
+def _verify_checks(cfg: ExperimentConfig) -> list[checks.Check]:
+    """The registry's checks on the config's joint, X channel and U-ensemble."""
     rng = np.random.default_rng(cfg.seed)
     joint = cfg.joint
-
-    cdm = canonical_dependence_matrix(joint)
-    null_err = max(
-        float(np.abs(cdm.b @ np.sqrt(cdm.px.probs)).max()),
-        float(np.abs(cdm.b.T @ np.sqrt(cdm.py.probs)).max()),
-    )
-    sig_ok = bool(np.all(cdm.sigmas <= 1 + 1e-10) and np.all(cdm.sigmas >= -1e-10))
-    checks.append((
-        "cdm_null_directions", null_err < 1e-10 and sig_ok,
-        f"max null overlap {null_err:.2e}",
-    ))
-
-    k_max = min(len(joint.x_labels), len(joint.y_labels)) - 1
-    f, g = select_features(joint, k_max)
-    p = f.base.probs
-    gram_err = float(np.abs((f.h * p[:, None]).T @ f.h - np.eye(k_max)).max())
-    mean_err = float(np.abs(p @ f.h).max())
-    checks.append((
-        "feature_normalization", gram_err < 1e-8 and mean_err < 1e-10,
-        f"gram {gram_err:.2e}, mean {mean_err:.2e}",
-    ))
-
-    d = delta_report(variance_bump(2, 2, 1.5).sample(100_000, seed=cfg.seed)).delta
-    checks.append((
-        "variance_bump_delta", abs(d - 0.5) <= 0.05, f"delta_hat {d:.4f} vs 0.5",
-    ))
-
-    ens = information_ensemble(cfg.ensemble_u(cfg.epsilon_grid[0], 0.0))
+    spec = cfg.ensemble_u(cfg.epsilon_grid[0], 0.0)
+    ens = information_ensemble(spec)
+    bump = checks.BUMP.sample(100_000, seed=cfg.seed)  # for delta and moments alike
     first = ens.sample(cfg.delta_samples, seed=cfg.seed)
     dhat = delta_report(first).delta
-    ok4 = True
-    for i in range(10):
-        gmat = rng.normal(size=(ens.n, 2))
-        hmat = rng.normal(size=(ens.m, 2))
-        # trial 0 shares dhat's seed, so its block is `first`, not a second draw
-        block = first if i == 0 else ens.sample(cfg.delta_samples, seed=cfg.seed + i)
-        res = projection_bound_check(block, gmat, hmat, dhat)
-        ok4 = ok4 and res.passed
-    checks.append(("projection_bound", ok4, f"10 random (G,H) at delta {dhat:.3f}"))
-
-    ok5 = True
-    for i, b in enumerate((np.eye(ens.n), np.diag(np.linspace(0.5, 1.5, ens.n)))):
-        res = propagation_check(ens.sample(cfg.delta_samples, seed=cfg.seed + 50 + i), b)
-        ok5 = ok5 and res.passed
-    checks.append(("push_forward_bound", ok5, "identity and diagonal B"))
-
-    etas = [0.01, 0.02, 0.04, 0.08]
-    spreads = [
-        uncentered_b(cfg.channel_x(e), joint.marginal_x()).spectral_spread()
-        for e in etas
+    # trial 0 shares dhat's seed, so its block is `first`, not a second draw
+    projections = (
+        (first if i == 0 else ens.sample(cfg.delta_samples, seed=cfg.seed + i),
+         rng.normal(size=(ens.n, 2)), rng.normal(size=(ens.m, 2)), dhat)
+        for i in range(10)
+    )
+    pushes = (
+        (ens.sample(cfg.delta_samples, seed=cfg.seed + 50 + i), b)
+        for i, b in enumerate((np.eye(ens.n), np.diag(np.linspace(0.5, 1.5, ens.n))))
+    )
+    # in this order: the projections draw G and H from `rng` before the features do
+    results = [
+        checks.cdm_null_directions([joint]),
+        checks.feature_normalization([joint]),
+        checks.variance_bump_delta(bump, bump),
+        checks.projection_bound(projections),
+        checks.push_forward_bound(pushes),
+        checks.channel_spectrum_slope([(cfg.channel_x, joint.marginal_x())]),
+        checks.markov_residual(sample_configuration(spec, seed=cfg.seed), joint,
+                               cfg.channel_x, cfg.channel_y(0.0)),
     ]
-    slope = float(np.polyfit(np.log(etas), np.log(spreads), 1)[0])
-    checks.append((
-        "channel_spectrum_slope", abs(slope - 1.0) <= 0.2, f"slope {slope:.3f}",
-    ))
-
-    spec = cfg.ensemble_u(cfg.epsilon_grid[0], 0.0)
-    clean_cfg = sample_configuration(spec, seed=cfg.seed)
-    res0 = markov_push(clean_cfg, joint)
-    norms = []
-    for eta in [0.02, 0.04, 0.08]:
-        cx = cfg.channel_x(eta)
-        noisy = apply_channels(joint, cx, cfg.channel_y(0.0))
-        pushed_cfg = push_through_channel(clean_cfg, cx)
-        r = markov_push(
-            pushed_cfg, noisy, clean_config=clean_cfg, clean_joint=joint,
-            chan_y=cfg.channel_y(0.0),
-        )
-        norms.append(r.residual_norm)
-    mslope = float(np.polyfit(np.log([0.02, 0.04, 0.08]), np.log(norms), 1)[0])
-    checks.append((
-        "markov_residual", res0.residual_norm < 1e-12 and abs(mslope - 1.0) <= 0.2,
-        f"eta=0 residual {res0.residual_norm:.1e}, slope {mslope:.3f}",
-    ))
-
-    from .geometry import InformationMatrix, config_from_information_matrix
-    from .model import Pmf
-
-    base = joint.marginal_x()
-    prior = spec.prior
-    phi = information_ensemble(spec).sample(1, seed=cfg.seed + 3)[0]
-    fs = normalize_features(rng.normal(size=(base.size, 2)), base)
-    psi = feature_vectors(fs)
-    gaps = {}
-    for eps in (0.02, 0.08):
-        info = InformationMatrix(phi=phi, epsilon=eps, base=base)
-        c = config_from_information_matrix(base, prior, info, eps)
-        p1 = Pmf(base.labels, c.conditionals[:, 0])
-        p2 = Pmf(base.labels, c.conditionals[:, 1])
-        from .exponent import analytic_pairwise_exponent
-
-        ana = analytic_pairwise_exponent(psi, phi[:, 0], phi[:, 1], eps)
-        gaps[eps] = abs(iprojection_exponent(p1, p2, fs) - ana) / ana
-    checks.append((
-        "exponent_consistency", gaps[0.02] <= 0.05,
-        f"relative gap {gaps[0.02]:.4f} at eps=0.02",
-    ))
-    return checks
+    phi = ens.sample(1, seed=cfg.seed + 3)[0]
+    fs = normalize_features(rng.normal(size=(spec.base.size, 2)), spec.base)
+    results.append(checks.exponent_consistency(spec.base, spec.prior, [(phi, fs)]))
+    return results
 
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config, args.seed)
     out = Path(args.out)
     _prepare_out(out, cfg)
-    checks = _verify_checks(cfg)
+    results = _verify_checks(cfg)
     lines = []
-    for name, ok, detail in checks:
-        status = "PASS" if ok else "FAIL"
-        line = f"{status}  {name:<26} {detail}"
+    for check in results:
+        line = f"{'PASS' if check.ok else 'FAIL'}  {check.name:<26} {check.detail}"
         print(line)
         lines.append(line)
     _write_text(out / "verify.txt", "\n".join(lines) + "\n", cfg.config_hash, cfg.seed)
-    return 0 if all(ok for _, ok, _ in checks) else 1
+    return 0 if all(check.ok for check in results) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -602,12 +521,10 @@ def build_parser() -> argparse.ArgumentParser:
     default_out = os.environ.get(OUT_ROOT_ENV, "out")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="experiment config (INI)")
+    def common(p):
+        p.add_argument("--config", required=True, help="experiment config (INI)")
         p.add_argument("--seed", type=int, default=None, help="override [sampling] seed")
         p.add_argument("--out", default=default_out, help="output directory")
-        p.add_argument("--jobs", type=int, default=1, help="sweep-level worker pool size")
 
     p = sub.add_parser("ingest", help="two-column samples -> joint file")
     p.add_argument("samples", help="delimiter-separated x,y sample file")
@@ -622,6 +539,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("features", help="joint -> SVD feature sets + sigma profile")
     common(p)
     p.add_argument("--k", type=int, default=None, help="feature count (default: last sweep k)")
+    # features reads no --jobs; the flag stays until the benchmark stops passing
+    # `--jobs 1` to it (perfbench/workloads.py)
+    p.add_argument("--jobs", type=int, default=1, help="ignored: features runs no pool")
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("symmetry", help="ensemble -> delta_hat + moment reports")
@@ -633,6 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="full exponent sweep -> CSV")
     common(p)
+    p.add_argument("--jobs", type=int, default=1, help="sweep-level worker pool size")
     p.add_argument("--fresh", action="store_true", help="ignore an existing journal")
     p.set_defaults(func=cmd_simulate)
 

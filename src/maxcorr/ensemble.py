@@ -15,7 +15,7 @@ Draws whose conditionals would go negative are rejected and redrawn,
 never clipped, so the measured symmetry structure stays unbiased.
 
 Every sampling path (`information_ensemble`, `configuration_stream`,
-`sample_configuration`, `rejection_rate`) draws through one array sampler,
+`sample_configuration`) draws through one array sampler,
 `raw_information_sample`, which builds a whole (count, n, m) stack from one
 normal draw.  Accepted matrices are collected CHUNK raw draws at a time.  A
 (B, n, m) normal draw consumes exactly the normals of B sequential (n, m)
@@ -214,14 +214,6 @@ def configuration_stream(
         # the conditionals overwrite the slice's draws, which validation copied
         block[rows] = _configuration(spec, block[rows]).conditionals
     return block
-
-
-def rejection_rate(spec: AttributeEnsembleSpec, probes: int = 1000, seed: int = 0) -> float:
-    """Fraction of raw draws rejected for negativity; should stay below 0.5."""
-    raw = raw_information_sample(
-        seed_rng(seed), spec.base.probs, spec.prior.probs, spec.anisotropy, probes
-    )
-    return int(np.count_nonzero(~_accept(spec, raw)[1])) / probes
 
 
 def push_through_channel(config: Configuration, chan: Channel) -> Configuration:

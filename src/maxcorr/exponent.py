@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -37,6 +37,10 @@ DEGENERATE_MEAN_GAP = 1e-12
 # most trials one multinomial call draws: consecutive calls on one generator
 # give the same draws as a single call, and the count array stays ~2 MB
 MC_CHUNK = 1 << 16
+# fewest errors (over both hypotheses) for a sample size to enter the fit
+MC_MIN_ERRORS = 50
+# the residual's big-O constant: budget = RESIDUAL_SLACK * eps^2 * q
+RESIDUAL_SLACK = 1.0
 
 
 def analytic_pairwise_exponent(
@@ -152,7 +156,6 @@ def mc_error_curve(
     trials: int,
     seed: int,
     *,
-    min_errors: int = 50,
     max_trials: int | None = None,
 ) -> McCurve:
     """Simulate the nearest-centroid test and fit the decay exponent.
@@ -160,7 +163,7 @@ def mc_error_curve(
     Fits log p_e(N) + (1/2) log N against N by weighted least squares
     (the sqrt(N) Bahadur-Rao prefactor would otherwise bias the slope),
     weighting each point by its error count.  Sample sizes whose error
-    counts stay under `min_errors` after auto-extending the trial budget
+    counts stay under `MC_MIN_ERRORS` after auto-extending the trial budget
     are dropped from the top of the grid.
 
     At each (N, attempt) the two hypotheses draw from independent seeded
@@ -215,11 +218,11 @@ def mc_error_curve(
                                    err_below=True)
                 e2 = _simulate_errors(rng2, p2.probs, c, b, n, t, err_below=False)
                 total = f1.result() + e2
-                if total >= min_errors or t >= max_trials:
+                if total >= MC_MIN_ERRORS or t >= max_trials:
                     break
                 t *= 4
                 attempt += 1
-            if total < min_errors:
+            if total < MC_MIN_ERRORS:
                 break  # truncate the grid from this N upward
             used_n.append(n)
             used_trials.append(t)
@@ -261,14 +264,13 @@ def exponent_bound(
     delta: float,
     eta1: float,
     eta2: float,
-    slack_const: float = 1.0,
 ) -> tuple[np.ndarray, float]:
     """The four-component exponent bound and the residual budget.
 
     Component order matches the average exponents: (U|S, V|S, U|T, V|T) ->
     (C_U e^2 k, C_V e^2 sum s_i^2, C_U e^2 sum s_i^2, C_V e^2 k).  The
-    residual budget is slack_const * eps^2 * max(delta + eta_i + delta*eta_i);
-    the big-O constant is exposed, never hidden.
+    residual budget is RESIDUAL_SLACK * eps^2 * max(delta + eta_i + delta*eta_i);
+    the big-O constant is the exposed module constant, never hidden.
     """
     if k < 1 or k > len(sigmas):
         raise ValidationError(f"k={k} incompatible with {len(sigmas)} singular values")
@@ -277,7 +279,7 @@ def exponent_bound(
     ssq = float(np.sum(np.asarray(sigmas, dtype=float)[:k] ** 2))
     e2 = epsilon**2
     bound = np.array([c_u * e2 * k, c_v * e2 * ssq, c_u * e2 * ssq, c_v * e2 * k])
-    residual = slack_const * e2 * max(
+    residual = RESIDUAL_SLACK * e2 * max(
         delta + eta1 + delta * eta1, delta + eta2 + delta * eta2
     )
     return bound, float(residual)
@@ -301,7 +303,6 @@ class ExponentReport:
     c_v: float
     stderr_c_u: float
     stderr_c_v: float
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         values = (self.e_u_s, self.e_v_s, self.e_u_t, self.e_v_t)
@@ -357,7 +358,6 @@ def average_exponents(
     *,
     oracle: bool = False,
     delta_hat: float | None = None,
-    slack_const: float = 1.0,
 ) -> ExponentReport:
     """Monte Carlo estimate of the four averaged error exponents.
 
@@ -447,7 +447,7 @@ def average_exponents(
     bound, residual = exponent_bound(
         epsilon, k, sigmas, c_u, c_v,
         delta_hat if delta_hat is not None else 0.0,
-        chan_x.eta, chan_y.eta, slack_const,
+        chan_x.eta, chan_y.eta,
     )
     return ExponentReport(
         e_u_s=e_u_s, e_v_s=e_v_s, e_u_t=e_u_t, e_v_t=e_v_t,
@@ -455,18 +455,4 @@ def average_exponents(
         bound=tuple(bound),
         residual_budget=residual,
         c_u=c_u, c_v=c_v, stderr_c_u=se_frob_u / du, stderr_c_v=se_frob_v / dv,
-        metadata={
-            "epsilon": epsilon,
-            "k": k,
-            "eta1": chan_x.eta,
-            "eta2": chan_y.eta,
-            "delta_hat": delta_hat,
-            "seed": seed,
-            "n_configs": n_configs,
-            "oracle": oracle,
-            "slack_const": slack_const,
-            "anisotropy_u": mu_u.anisotropy,
-            "anisotropy_v": mu_v.anisotropy,
-            "sigmas": tuple(float(s) for s in sigmas),
-        },
     )

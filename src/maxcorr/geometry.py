@@ -51,10 +51,6 @@ def chi2_divergence(p: Pmf, ref: Pmf) -> float:
     return float(np.sum(d * d / ref.probs))
 
 
-def in_epsilon_ball(p: Pmf, ref: Pmf, epsilon: float) -> bool:
-    return chi2_divergence(p, ref) <= epsilon * epsilon
-
-
 def _chi2_columns(cond: np.ndarray, base: np.ndarray) -> np.ndarray:
     d = cond - base[:, None]
     return (d * d / base[:, None]).sum(axis=-2)
@@ -109,10 +105,6 @@ class Configuration:
                     f"prior-weighted conditionals miss the base by {err:g}"
                 )
         object.__setattr__(self, "conditionals", cond)
-
-    @property
-    def n_attributes(self) -> int:
-        return len(self.w_labels)
 
     def conditional(self, w: str) -> Pmf:
         return Pmf(self.base.labels, self.conditionals[:, self.w_labels.index(w)])

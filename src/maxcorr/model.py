@@ -286,13 +286,13 @@ def reverse_channel(chan: Channel, input_pmf: Pmf) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Structured-text serialization (17 significant digits, line-oriented).
 #
-# Joint file:        Channel file:
-#   # <comments>       # <comments>
-#   joint v1           channel v1
-#   x_labels: a b      labels: a b
-#   y_labels: u v      eta: <float>
-#   probs:             t:
-#   <|Y| rows of |X|>  <n rows of n>
+# Joint file:
+#   # <comments>
+#   joint v1
+#   x_labels: a b
+#   y_labels: u v
+#   probs:
+#   <|Y| rows of |X|>
 # ---------------------------------------------------------------------------
 
 FLOAT_FMT = "%.17g"
@@ -320,7 +320,7 @@ def _read_sections(text: str) -> tuple[str, dict[str, str], list[list[float]]]:
         key, _, value = line.partition(":")
         key = key.strip()
         value = value.strip()
-        if value == "" and key in ("probs", "t"):
+        if value == "" and key == "probs":
             in_matrix = True
         else:
             fields[key] = value
@@ -348,28 +348,6 @@ def load_joint(text: str) -> JointPmf:
         tuple(fields["x_labels"].split()),
         tuple(fields["y_labels"].split()),
         np.array(matrix),
-    )
-
-
-def dump_channel(chan: Channel, header: Sequence[str] = ()) -> str:
-    buf = io.StringIO()
-    for line in header:
-        buf.write(f"# {line}\n")
-    buf.write("channel v1\n")
-    buf.write("labels: " + " ".join(chan.labels) + "\n")
-    buf.write(("eta: " + FLOAT_FMT + "\n") % chan.eta)
-    buf.write("t:\n")
-    for row in chan.T:
-        buf.write(_fmt_row(row) + "\n")
-    return buf.getvalue()
-
-
-def load_channel(text: str) -> Channel:
-    kind, fields, matrix = _read_sections(text)
-    if kind != "channel v1":
-        raise ValidationError(f"not a channel file (kind {kind!r})")
-    return make_channel(
-        np.array(matrix), float(fields["eta"]), tuple(fields["labels"].split())
     )
 
 

@@ -30,6 +30,12 @@ from .svd import jacobi_svd
 
 PSD_TOL = -1e-8
 SYM_TOL = 1e-10
+# rank_one_range's random starts (besides its two canonical ones, and drawn
+# from one fixed seed, so one block gives one delta_hat), iteration cap and
+# relative convergence tolerance
+RANK_ONE_RESTARTS = 16
+RANK_ONE_MAX_ITER = 200
+RANK_ONE_TOL = 1e-12
 
 
 def seed_rng(seed) -> np.random.Generator:
@@ -191,11 +197,6 @@ class SecondMomentForm:
         """Estimate of E ||A||_F^2."""
         return float(np.trace(self.k))
 
-    def evaluate(self, u: np.ndarray, v: np.ndarray) -> float:
-        """Rank-one second moment m(u, v) = (v (x) u)^T K (v (x) u)."""
-        w = np.kron(np.asarray(v, float), np.asarray(u, float))
-        return float(w @ self.k @ w)
-
 
 def second_moment_form(block: np.ndarray) -> SecondMomentForm:
     """K of a drawn (count, n, m) block."""
@@ -221,13 +222,12 @@ class RankOneRange:
 
 
 def _extremize(
-    k4: np.ndarray, u0: np.ndarray, v0: np.ndarray,
-    largest: bool, max_iter: int, tol: float,
+    k4: np.ndarray, u0: np.ndarray, v0: np.ndarray, largest: bool,
 ) -> tuple[float, np.ndarray, np.ndarray, bool]:
     u, v = u0.copy(), v0.copy()
     pick = -1 if largest else 0
     obj = None
-    for _ in range(max_iter):
+    for _ in range(RANK_ONE_MAX_ITER):
         mu = np.einsum("j,l,ijkl->ik", v, v, k4)
         mu = (mu + mu.T) / 2.0
         w, q = np.linalg.eigh(mu)
@@ -237,20 +237,13 @@ def _extremize(
         w, q = np.linalg.eigh(nv)
         v = q[:, pick]
         new_obj = float(w[pick])
-        if obj is not None and abs(new_obj - obj) <= tol * max(1.0, abs(new_obj)):
+        if obj is not None and abs(new_obj - obj) <= RANK_ONE_TOL * max(1.0, abs(new_obj)):
             return new_obj, u, v, True
         obj = new_obj
     return obj, u, v, False
 
 
-def rank_one_range(
-    form: SecondMomentForm,
-    *,
-    restarts: int = 16,
-    max_iter: int = 200,
-    tol: float = 1e-12,
-    seed: int = 0,
-) -> RankOneRange:
+def rank_one_range(form: SecondMomentForm) -> RankOneRange:
     """Extrema of the rank-one second moment over unit vector pairs.
 
     Alternating eigen-iteration is monotone for each fixed side but the
@@ -265,8 +258,8 @@ def rank_one_range(
     for pos in (int(np.argmax(diag)), int(np.argmin(diag))):
         i, j = pos % n, pos // n
         starts.append((np.eye(n)[:, i], np.eye(m)[:, j]))
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(97,)))
-    for _ in range(restarts):
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=0, spawn_key=(97,)))
+    for _ in range(RANK_ONE_RESTARTS):
         u = rng.standard_normal(n)
         v = rng.standard_normal(m)
         starts.append((u / np.linalg.norm(u), v / np.linalg.norm(v)))
@@ -274,7 +267,7 @@ def rank_one_range(
     best = {True: (-np.inf, None, None, True), False: (np.inf, None, None, True)}
     for largest in (True, False):
         for u0, v0 in starts:
-            val, u, v, ok = _extremize(k4, u0, v0, largest, max_iter, tol)
+            val, u, v, ok = _extremize(k4, u0, v0, largest)
             cur = best[largest]
             if (largest and val > cur[0]) or (not largest and val < cur[0]):
                 best[largest] = (val, u, v, ok)
@@ -299,7 +292,7 @@ class DeltaReport:
     sample_count: int
 
 
-def delta_report(block: np.ndarray, *, restarts: int = 16) -> DeltaReport:
+def delta_report(block: np.ndarray) -> DeltaReport:
     """Estimate the symmetry deviation delta of a drawn block with an error bar.
 
     The stderr combines plug-in standard errors of the rank-one moments at
@@ -310,7 +303,7 @@ def delta_report(block: np.ndarray, *, restarts: int = 16) -> DeltaReport:
     count = block.shape[0]
     form = second_moment_form(block)
     vec = _vec_blocks(block)
-    rng_range = rank_one_range(form, restarts=restarts)
+    rng_range = rank_one_range(form)
     ses = []
     for u, v in (rng_range.argmin, rng_range.argmax):
         w = np.kron(v, u)

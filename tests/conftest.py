@@ -98,7 +98,7 @@ def loop_least_pair(proj):
 
 
 def loop_average_exponents(mu_u, mu_v, joint, chan_x, chan_y, f, g, n_configs, seed,
-                           *, oracle=False, delta_hat=None, slack_const=1.0):
+                           *, oracle=False, delta_hat=None):
     """Per-configuration reference for exponent.average_exponents: one 2-D
     Configuration per draw of the loop sampler, scored one at a time."""
     from maxcorr.dependence import hgr_profile
@@ -158,7 +158,7 @@ def loop_average_exponents(mu_u, mu_v, joint, chan_x, chan_y, f, g, n_configs, s
     (frob_u, se_frob_u), (frob_v, se_frob_v) = mean_se(u_frob), mean_se(v_frob)
     bound, residual = exponent_bound(
         epsilon, f.k, hgr_profile(joint_hat), frob_u / du, frob_v / dv,
-        delta_hat if delta_hat is not None else 0.0, chan_x.eta, chan_y.eta, slack_const,
+        delta_hat if delta_hat is not None else 0.0, chan_x.eta, chan_y.eta,
     )
     return ExponentReport(
         e_u_s=e_u_s, e_v_s=e_v_s, e_u_t=e_u_t, e_v_t=e_v_t,

@@ -1,32 +1,24 @@
 """Acceptance suite: one test per shipped guarantee, at its stated tolerance.
 
-Every test prints a PASS/FAIL line (visible with `pytest -s`; the test
-verdict itself carries the same information), and all randomness is
-seed-frozen so the suite is deterministic.
+Criteria 1-7 build seeded inputs and judge them with the property checks of
+`maxcorr.checks`, the ones `maxcorr verify` applies to a config.  Every test
+prints a PASS/FAIL line (visible with `pytest -s`; the test verdict itself
+carries the same information), and all randomness is seed-frozen so the
+suite is deterministic.
 """
 
+from functools import partial
+
 import numpy as np
-import pytest
 
 from conftest import random_perturbation_t, random_positive_joint
-from maxcorr.dependence import canonical_dependence_matrix, hgr_profile, select_features, uncentered_b
-from maxcorr.ensemble import (
-    AttributeEnsembleSpec,
-    information_ensemble,
-    markov_push,
-    push_through_channel,
-    sample_configuration,
-)
-from maxcorr.exponent import (
-    analytic_pairwise_exponent,
-    average_exponents,
-    iprojection_exponent,
-    mc_error_curve,
-)
+from maxcorr import checks
+from maxcorr.dependence import hgr_profile, select_features
+from maxcorr.ensemble import AttributeEnsembleSpec, information_ensemble, sample_configuration
+from maxcorr.exponent import average_exponents, iprojection_exponent, mc_error_curve
 from maxcorr.geometry import (
     InformationMatrix,
     config_from_information_matrix,
-    feature_vectors,
     normalize_features,
 )
 from maxcorr.model import (
@@ -38,16 +30,7 @@ from maxcorr.model import (
     product_joint,
     uniform_pmf,
 )
-from maxcorr.symmetry import (
-    conjugated,
-    delta_report,
-    entry_variances,
-    pushed_delta_bound,
-    moment_symmetry_report,
-    projection_bound_check,
-    propagation_check,
-    variance_bump,
-)
+from maxcorr.symmetry import conjugated, delta_report, entry_variances
 
 T4 = np.array([
     [-0.75, 0.25, 0.25, 0.25],
@@ -61,6 +44,11 @@ T2 = np.array([[-1.0, 1.0], [1.0, -1.0]])
 def _report(criterion, ok, detail):
     print(f"{'PASS' if ok else 'FAIL'}  criterion {criterion}: {detail}")
     assert ok, f"criterion {criterion}: {detail}"
+
+
+def _report_checks(criterion, *results):
+    _report(criterion, all(c.ok for c in results),
+            "; ".join(f"{c.name}: {c.detail}" for c in results))
 
 
 def demo_joint():
@@ -84,114 +72,65 @@ def seeded_joints(count=50, max_side=8, seed=20260808):
 
 
 def test_criterion_01_canonical_matrix_identities():
-    worst_null, worst_svd = 0.0, 0.0
-    for joint in seeded_joints():
-        cdm = canonical_dependence_matrix(joint)
-        worst_null = max(
-            worst_null,
-            float(np.abs(cdm.b @ np.sqrt(cdm.px.probs)).max()),
-            float(np.abs(cdm.b.T @ np.sqrt(cdm.py.probs)).max()),
-        )
-        assert np.all(cdm.sigmas >= -1e-15)
-        assert np.all(cdm.sigmas <= 1.0 + 1e-10)
-        oracle = np.linalg.svd(cdm.b, compute_uv=False)
-        worst_svd = max(worst_svd, float(np.abs(cdm.sigmas - oracle).max()))
-        recon = cdm.svd.reconstruct()
-        worst_svd = max(worst_svd, float(np.abs(recon - cdm.b).max()))
     # dyadic product joints: the centered numerator cancels exactly
     px = Pmf(("a", "b", "c", "d"), np.array([0.5, 0.25, 0.125, 0.125]))
     py = Pmf(("u", "v"), np.array([0.75, 0.25]))
-    for pj in (product_joint(px, py), product_joint(py, px)):
-        cdm = canonical_dependence_matrix(pj)
-        assert np.array_equal(cdm.b, np.zeros_like(cdm.b))
-        assert float(np.max(cdm.sigmas)) == 0.0
-    ok = worst_null < 1e-10 and worst_svd < 1e-10
-    _report(1, ok, f"null overlap {worst_null:.2e}, svd-vs-oracle {worst_svd:.2e}")
+    _report_checks(1, checks.cdm_null_directions(
+        seeded_joints(), [product_joint(px, py), product_joint(py, px)]))
 
 
 def test_criterion_02_feature_normalization():
-    worst_mean, worst_gram = 0.0, 0.0
-    for joint in seeded_joints():
-        k_max = min(len(joint.x_labels), len(joint.y_labels)) - 1
-        for k in range(1, k_max + 1):
-            f, g = select_features(joint, k)
-            for fs in (f, g):
-                p = fs.base.probs
-                worst_mean = max(worst_mean, float(np.abs(p @ fs.h).max()))
-                gram = (fs.h * p[:, None]).T @ fs.h
-                worst_gram = max(
-                    worst_gram, float(np.abs(gram - np.eye(k)).max())
-                )
-    ok = worst_mean <= 1e-10 and worst_gram <= 1e-8
-    _report(2, ok, f"max |E f| {worst_mean:.2e}, max |E ff^T - I| {worst_gram:.2e}")
+    _report_checks(2, checks.feature_normalization(seeded_joints()))
 
 
 def test_criterion_03_variance_bump_delta():
-    ens = variance_bump(2, 2, 1.5)
-    rep = delta_report(ens.sample(100_000, seed=22))
-    lem = moment_symmetry_report(ens.sample(100_000, seed=32))
-    ok = (
-        abs(rep.delta - 0.5) <= 0.05
-        and abs(lem.max_moment_spread - 0.5) <= 0.05
-        and lem.mean_norm <= lem.mean_norm_bar
-        and lem.max_cross_covariance <= lem.max_cross_covariance_bar
-    )
-    _report(3, ok, f"delta_hat {rep.delta:.4f} (target 0.5 +- 0.05), "
-                   f"moment spread {lem.max_moment_spread:.4f}")
+    _report_checks(3, checks.variance_bump_delta(
+        checks.BUMP.sample(100_000, seed=22), checks.BUMP.sample(100_000, seed=32)))
 
 
 def test_criterion_04_projection_bound_suite():
     rng = np.random.default_rng(44)
-    passed = 0
-    for trial in range(100):
-        n = int(rng.integers(2, 5))
-        m = int(rng.integers(2, 5))
-        variances = 0.5 + 1.5 * rng.random((n, m))
-        ens = entry_variances(variances)
-        if trial % 3 == 0:
-            q1, _ = np.linalg.qr(rng.normal(size=(n, n)))
-            q2, _ = np.linalg.qr(rng.normal(size=(m, m)))
-            ens = conjugated(ens, q1, q2)
-        d_hat = delta_report(ens.sample(20_000, seed=1000 + trial)).delta
-        g = rng.normal(size=(n, int(rng.integers(1, 4))))
-        h = rng.normal(size=(m, int(rng.integers(1, 4))))
-        res = projection_bound_check(ens.sample(20_000, seed=2000 + trial), g, h, d_hat)
-        passed += res.passed
-    _report(4, passed == 100, f"{passed}/100 projection-bound checks passed")
+
+    def cases():
+        for trial in range(100):
+            n = int(rng.integers(2, 5))
+            m = int(rng.integers(2, 5))
+            variances = 0.5 + 1.5 * rng.random((n, m))
+            ens = entry_variances(variances)
+            if trial % 3 == 0:
+                q1, _ = np.linalg.qr(rng.normal(size=(n, n)))
+                q2, _ = np.linalg.qr(rng.normal(size=(m, m)))
+                ens = conjugated(ens, q1, q2)
+            d_hat = delta_report(ens.sample(20_000, seed=1000 + trial)).delta
+            g = rng.normal(size=(n, int(rng.integers(1, 4))))
+            h = rng.normal(size=(m, int(rng.integers(1, 4))))
+            yield ens.sample(20_000, seed=2000 + trial), g, h, d_hat
+
+    _report_checks(4, checks.projection_bound(cases()))
 
 
 def test_criterion_05_pushforward_suite():
     rng = np.random.default_rng(55)
-    passed = 0
-    identity_gap_ok = True
-    for trial in range(50):
-        n = int(rng.integers(2, 5))
-        m = int(rng.integers(2, 5))
-        ens = entry_variances(0.5 + 1.5 * rng.random((n, m)))
-        if trial == 0:
-            b = np.eye(n)
-        elif trial % 3 == 1:
-            b = np.diag(0.5 + rng.random(n))
-        else:
-            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-            b = q @ np.diag(0.5 + rng.random(n))
-        res = propagation_check(ens.sample(20_000, seed=3000 + trial), b)
-        passed += res.passed
-        if trial == 0:
-            # B = I recovers gamma = delta within bars
-            identity_gap_ok = (
-                abs(res.delta_bound - res.delta_in) <= 1e-12
-                and abs(res.delta_out - res.delta_in) <= res.margin
-            )
-    ok = passed == 50 and identity_gap_ok
-    _report(5, ok, f"{passed}/50 propagation checks passed, "
-                   f"identity case gamma=delta {identity_gap_ok}")
+
+    def cases():
+        for trial in range(50):
+            n = int(rng.integers(2, 5))
+            m = int(rng.integers(2, 5))
+            ens = entry_variances(0.5 + 1.5 * rng.random((n, m)))
+            if trial == 0:
+                b = np.eye(n)
+            elif trial % 3 == 1:
+                b = np.diag(0.5 + rng.random(n))
+            else:
+                q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+                b = q @ np.diag(0.5 + rng.random(n))
+            yield ens.sample(20_000, seed=3000 + trial), b
+
+    _report_checks(5, checks.push_forward_bound(cases()))
 
 
 def test_criterion_06_channel_spectrum_scaling():
-    etas = np.array([0.01, 0.02, 0.04, 0.08])
     rng = np.random.default_rng(66)
-    slopes = []
     # binary and 4-ary channels, symmetric and generic, non-uniform inputs
     cases = [
         (T2, Pmf(("a", "b"), np.array([0.3, 0.7]))),
@@ -199,32 +138,18 @@ def test_criterion_06_channel_spectrum_scaling():
         (random_perturbation_t(rng, 2), Pmf(("a", "b"), np.array([0.45, 0.55]))),
         (random_perturbation_t(rng, 4), Pmf(tuple("abcd"), np.array([0.4, 0.3, 0.2, 0.1]))),
     ]
-    for t, p in cases:
-        spreads = [
-            uncentered_b(make_channel(t, e, p.labels), p).spectral_spread()
-            for e in etas
-        ]
-        slopes.append(float(np.polyfit(np.log(etas), np.log(spreads), 1)[0]))
-    spectrum_ok = all(abs(s - 1.0) <= 0.2 for s in slopes)
+    spectrum = checks.channel_spectrum_slope(
+        [(partial(make_channel, t, labels=p.labels), p) for t, p in cases])
 
     # markov-push residual: zero at eta = 0, O(eta) slope across the grid
     joint = demo_joint()
     spec = AttributeEnsembleSpec(base=joint.marginal_x(), attribute_size=3, epsilon=0.05)
-    clean_cfg = sample_configuration(spec, seed=6)
-    chan_y = make_channel(T4, 0.05, joint.y_labels)
-    res0 = markov_push(clean_cfg, joint)
-    norms = []
-    for eta in etas:
-        cx = make_channel(T4, float(eta), joint.x_labels)
-        noisy = apply_channels(joint, cx, chan_y)
-        cfg_hat = push_through_channel(clean_cfg, cx)
-        r = markov_push(cfg_hat, noisy, clean_config=clean_cfg, clean_joint=joint,
-                        chan_y=chan_y)
-        norms.append(r.residual_norm)
-    mslope = float(np.polyfit(np.log(etas), np.log(norms), 1)[0])
-    ok = spectrum_ok and res0.residual_norm <= 1e-12 and abs(mslope - 1.0) <= 0.2
-    _report(6, ok, f"spectrum slopes {np.round(slopes, 3)}, residual(0) "
-                   f"{res0.residual_norm:.1e}, residual slope {mslope:.3f}")
+    residual = checks.markov_residual(
+        sample_configuration(spec, seed=6), joint,
+        partial(make_channel, T4, labels=joint.x_labels),
+        make_channel(T4, 0.05, joint.y_labels),
+    )
+    _report_checks(6, spectrum, residual)
 
 
 def _consistency_pairs():
@@ -239,18 +164,7 @@ def _consistency_pairs():
 
 def test_criterion_07_exponent_consistency():
     base, prior, phis, fss = _consistency_pairs()
-    trend_ok = 0
-    for phi, fs in zip(phis, fss):
-        psi = feature_vectors(fs)
-        gap = {}
-        for eps in (0.02, 0.08):
-            info = InformationMatrix(phi=phi, epsilon=eps, base=base)
-            cfg = config_from_information_matrix(base, prior, info, eps)
-            p1 = Pmf(base.labels, cfg.conditionals[:, 0])
-            p2 = Pmf(base.labels, cfg.conditionals[:, 1])
-            ana = analytic_pairwise_exponent(psi, phi[:, 0], phi[:, 1], eps)
-            gap[eps] = abs(iprojection_exponent(p1, p2, fs) - ana) / ana
-        trend_ok += gap[0.02] <= 0.5 * gap[0.08]
+    consistency = checks.exponent_consistency(base, prior, zip(phis, fss))
 
     mc_ok = 0
     zs = []
@@ -266,9 +180,8 @@ def test_criterion_07_exponent_consistency():
         z = abs(curve.exponent - ipe) / curve.stderr
         zs.append(z)
         mc_ok += z <= 2.0
-    ok = trend_ok == 50 and mc_ok == 10
-    _report(7, ok, f"o(eps^2) trend {trend_ok}/50, MC within 2 stderr {mc_ok}/10 "
-                   f"(max z {max(zs):.2f})")
+    _report(7, consistency.ok and mc_ok == 10,
+            f"{consistency.detail}, MC within 2 stderr {mc_ok}/10 (max z {max(zs):.2f})")
 
 
 def test_criterion_08_svd_optimality_ordering():

@@ -126,6 +126,12 @@ class TestCliCommands:
             main(["features", "--config", str(DEMO), "--no-such-flag"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["symmetry", "verify"])
+    def test_jobs_rejected_where_unread(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(DEMO), "--jobs", "2"])
+        assert exc.value.code == 2
+
     def test_error_record_on_bad_config(self, tmp_path, capsys):
         path = tiny_config(tmp_path, k="9")
         rc = main(["features", "--config", str(path), "--out", str(tmp_path / "o")])

@@ -18,7 +18,6 @@ from maxcorr.ensemble import (
     markov_push,
     push_through_channel,
     raw_information_sample,
-    rejection_rate,
     sample_configuration,
 )
 from maxcorr.errors import FeasibilityError, ValidationError
@@ -89,12 +88,6 @@ class TestSampling:
         d1 = delta_report(information_ensemble(spec4(rho=1.0)).sample(20_000, seed=102)).delta
         d2 = delta_report(information_ensemble(spec4(rho=0.25)).sample(20_000, seed=102)).delta
         assert d2 == pytest.approx(d1 / 16.0, rel=1e-6)
-
-    def test_rejection_threshold(self):
-        # uniform(4), rho=1: negativity needs a phi entry below -0.5/eps,
-        # impossible for eps <= 0.5 since column norms are capped at 1.
-        assert rejection_rate(spec4(eps=0.45), probes=10_000, seed=7) == 0.0
-        assert rejection_rate(spec4(eps=0.6), probes=10_000, seed=7) > 0.0
 
     def test_rejection_cap_exceeded(self):
         spec = AttributeEnsembleSpec(

@@ -16,6 +16,7 @@ from maxcorr.ensemble import CHUNK, AttributeEnsembleSpec
 from maxcorr.errors import AlphabetMismatchError, ValidationError
 from maxcorr.exponent import (
     MC_CHUNK,
+    RESIDUAL_SLACK,
     ExponentReport,
     _least_pair,
     analytic_pairwise_exponent,
@@ -229,8 +230,9 @@ class TestExponentBound:
             prev = bound
 
     def test_residual_form(self):
-        _, r = exponent_bound(0.1, 1, np.array([0.5]), 1, 1, 0.2, 0.05, 0.3, 2.0)
-        assert r == pytest.approx(2.0 * 0.01 * max(0.2 + 0.05 + 0.01, 0.2 + 0.3 + 0.06))
+        _, r = exponent_bound(0.1, 1, np.array([0.5]), 1, 1, 0.2, 0.05, 0.3)
+        assert r == pytest.approx(
+            RESIDUAL_SLACK * 0.01 * max(0.2 + 0.05 + 0.01, 0.2 + 0.3 + 0.06))
 
     def test_ratio_prediction_is_constant_free(self):
         sig = np.array([0.6, 0.3, 0.1])
@@ -348,9 +350,8 @@ class TestAverageExponents:
         rep = average_exponents(*args, oracle=oracle, delta_hat=0.2)
         want = loop_average_exponents(*args, oracle=oracle, delta_hat=0.2)
         for fld in dataclasses.fields(ExponentReport):
-            if fld.name != "metadata":
-                assert getattr(rep, fld.name) == pytest.approx(
-                    getattr(want, fld.name), rel=1e-12, abs=0.0), fld.name
+            assert getattr(rep, fld.name) == pytest.approx(
+                getattr(want, fld.name), rel=1e-12, abs=0.0), fld.name
 
     def test_least_pair_ties_go_to_first_pair(self):
         # columns 0, 1, 2 on a line: (0, 1) and (1, 2) tie at 1, (0, 2) is 4;

@@ -16,7 +16,6 @@ from maxcorr.geometry import (
     config_from_information_matrix,
     dump_features,
     feature_vectors,
-    in_epsilon_ball,
     information_matrix,
     load_features,
     max_feasible_epsilon,
@@ -50,10 +49,8 @@ class TestChi2:
 
     def test_membership_threshold(self):
         p = Pmf(("z1", "z2"), np.array([0.55, 0.45]))
-        # statistic 0.01 <= eps^2 = 0.04 -> inside
+        # ((0.55-0.5)^2 + (0.45-0.5)^2) / 0.5 = 0.005 / 0.5 = 0.01
         assert chi2_divergence(p, U2) == pytest.approx(0.01, abs=1e-15)
-        assert in_epsilon_ball(p, U2, 0.2)
-        assert not in_epsilon_ball(p, U2, 0.05)
 
     def test_alphabet_mismatch(self):
         with pytest.raises(AlphabetMismatchError):

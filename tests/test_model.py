@@ -13,12 +13,10 @@ from maxcorr.model import (
     JointPmf,
     Pmf,
     apply_channels,
-    dump_channel,
     dump_joint,
     identity_channel,
     iter_sample_pairs,
     joint_from_samples,
-    load_channel,
     load_joint,
     make_channel,
     max_feasible_eta,
@@ -244,17 +242,6 @@ class TestSerialization:
         assert back.x_labels == j.x_labels
         assert back.y_labels == j.y_labels
         assert np.array_equal(back.probs, j.probs)
-
-    def test_channel_round_trip(self):
-        c = make_channel(T_BINARY, 0.125, ("a", "b"))
-        back = load_channel(dump_channel(c))
-        assert back.labels == c.labels
-        assert back.eta == c.eta
-        assert np.array_equal(back.T, c.T)
-
-    def test_dump_is_deterministic(self):
-        c = make_channel(T_BINARY, 1 / 3, ("a", "b"))
-        assert dump_channel(c) == dump_channel(c)
 
     def test_sample_pair_reader(self):
         lines = ["x,y", "a,0", "b,1", "", "a,1"]

@@ -5,7 +5,6 @@ from .dependence import (
     CdmMatrix,
     UncenteredB,
     canonical_dependence_matrix,
-    hgr_profile,
     select_features,
     uncentered_b,
 )

@@ -75,8 +75,9 @@ def feature_normalization(joints: Iterable[JointPmf]) -> Check:
     identity Gram matrix under their base."""
     mean = gram = 0.0
     for joint in joints:
+        cdm = canonical_dependence_matrix(joint)
         for k in range(1, min(len(joint.x_labels), len(joint.y_labels))):
-            for fs in select_features(joint, k):
+            for fs in select_features(cdm, k):
                 p = fs.base.probs
                 mean = max(mean, float(np.abs(p @ fs.h).max()))
                 gram_k = (fs.h * p[:, None]).T @ fs.h

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import json
 import os
@@ -37,7 +38,7 @@ from . import __version__, checks
 from .dependence import canonical_dependence_matrix, select_features
 from .ensemble import AttributeEnsembleSpec, information_ensemble, sample_configuration
 from .errors import MaxcorrError, ValidationError
-from .exponent import average_exponents
+from .exponent import average_exponents, exponent_bound
 from .geometry import dump_features, normalize_features
 from .model import (
     FLOAT_FMT,
@@ -267,8 +268,8 @@ def cmd_features(args) -> int:
     _prepare_out(out, cfg)
     k = args.k if args.k is not None else cfg.k_grid[-1]
     joint = cfg.joint
-    f, g = select_features(joint, k)
     cdm = canonical_dependence_matrix(joint)
+    f, g = select_features(cdm, k)
     _write_text(out / "features_f.txt", dump_features(f), cfg.config_hash, cfg.seed)
     _write_text(out / "features_g.txt", dump_features(g), cfg.config_hash, cfg.seed)
     sigma_body = "".join(
@@ -350,20 +351,21 @@ def _simulate_point(cfg: ExperimentConfig, point_id: str, eps: float, k: int,
     d_v = delta_report(information_ensemble(mu_v).sample(
         cfg.delta_samples, seed=(cfg.seed, 11))).delta
     delta_hat = max(d_u, d_v)
-    noisy = apply_channels(cfg.joint, chan_x, chan_y)
-    f, g = select_features(noisy, k)
+    cdm = canonical_dependence_matrix(apply_channels(cfg.joint, chan_x, chan_y))
+    f, g = select_features(cdm, k)
     rep = average_exponents(
-        mu_u, mu_v, cfg.joint, chan_x, chan_y, f, g,
-        cfg.n_configs, (cfg.seed, 12), delta_hat=delta_hat,
+        mu_u, mu_v, cfg.joint, chan_x, chan_y, f, g, cfg.n_configs, (cfg.seed, 12),
     )
+    bound, residual = exponent_bound(eps, k, cdm.sigmas, rep.c_u, rep.c_v, delta_hat,
+                                     chan_x.eta, chan_y.eta)
     return {
         "sweep_id": point_id, "config_hash": cfg.config_hash, "seed": cfg.seed,
         "epsilon": eps, "k": k, "eta1": eta1, "eta2": eta2, "s": s,
         "delta_hat": delta_hat,
         "e_us": rep.e_u_s, "e_vs": rep.e_v_s, "e_ut": rep.e_u_t, "e_vt": rep.e_v_t,
-        "bound_us": rep.bound[0], "bound_vs": rep.bound[1],
-        "bound_ut": rep.bound[2], "bound_vt": rep.bound[3],
-        "residual_budget": rep.residual_budget,
+        "bound_us": bound[0], "bound_vs": bound[1],
+        "bound_ut": bound[2], "bound_vt": bound[3],
+        "residual_budget": residual,
         "stderr_us": rep.stderr_u_s, "stderr_vs": rep.stderr_v_s,
         "stderr_ut": rep.stderr_u_t, "stderr_vt": rep.stderr_v_t,
     }
@@ -511,20 +513,24 @@ def cmd_verify(args) -> int:
     return 0 if all(check.ok for check in results) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and then reused by `main`.
+
+    `--out` defaults to None; `main` reads MAXCORR_OUT_ROOT when it runs.
+    """
     parser = argparse.ArgumentParser(
         prog="maxcorr",
         description="SVD feature extraction, symmetry measurement, and "
         "error-exponent verification for discrete joints",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    default_out = os.environ.get(OUT_ROOT_ENV, "out")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("--config", required=True, help="experiment config (INI)")
         p.add_argument("--seed", type=int, default=None, help="override [sampling] seed")
-        p.add_argument("--out", default=default_out, help="output directory")
+        p.add_argument("--out", help="output directory")
 
     p = sub.add_parser("ingest", help="two-column samples -> joint file")
     p.add_argument("samples", help="delimiter-separated x,y sample file")
@@ -533,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-alphabet", default="", help="comma list; inferred if omitted")
     p.add_argument("--y-alphabet", default="", help="comma list; inferred if omitted")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=default_out)
+    p.add_argument("--out")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("features", help="joint -> SVD feature sets + sigma profile")
@@ -564,13 +570,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if args.out is None:
+        args.out = os.environ.get(OUT_ROOT_ENV, "out")
     try:
         return args.func(args)
     except MaxcorrError as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
-        out = Path(getattr(args, "out", "out"))
+        out = Path(args.out)
         try:
             out.mkdir(parents=True, exist_ok=True)
             (out / "error.json").write_text(json.dumps(record, sort_keys=True) + "\n")

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ValidationError
 from .geometry import FeatureSet
 from .model import Channel, JointPmf, Pmf
-from .svd import SvdResult, jacobi_svd
+from .svd import SvdResult, complete_orthonormal, jacobi_svd
 
 NULL_TOL = 1e-10
 ZERO_SIGMA = 1e-10
@@ -146,73 +146,46 @@ def _deflate_root(vec: np.ndarray, root: np.ndarray) -> np.ndarray:
 
 
 def _feature_directions(
-    res: SvdResult, vectors: np.ndarray, k: int, root: np.ndarray
-) -> tuple[np.ndarray, tuple[int, ...]]:
+    vectors: np.ndarray, live: int, k: int, root: np.ndarray
+) -> np.ndarray:
     """Top-k singular vectors, kept orthogonal to the sqrt-marginal.
 
-    Vectors paired with zero singular values live in a null space that
-    also contains the sqrt-marginal; those are re-orthogonalized against
-    it (and each other) deterministically, scanning the remaining null
-    vectors and canonical basis vectors as fallback candidates.
+    The first `live` vectors pair with nonzero singular values.  The rest
+    live in a null space that also contains the sqrt-marginal; they are
+    replaced by the orthonormal completion of the sqrt-marginal and the
+    kept vectors, so they do not depend on the SVD's choice of null basis.
     """
-    n = vectors.shape[0]
-    zero = res.s <= ZERO_SIGMA
-    cols: list[np.ndarray] = []
-    zero_idx: list[int] = []
-    for j in range(k):
-        if not zero[j]:
-            cols.append(_deflate_root(vectors[:, j], root))
-        else:
-            cols.append(None)
-            zero_idx.append(j)
-    if zero_idx:
-        fixed = [root] + [c for c in cols if c is not None]
-        candidates = [vectors[:, j] for j in range(vectors.shape[1]) if zero[j]]
-        candidates += [np.eye(n)[:, e] for e in range(n)]
-        for j in zero_idx:
-            for cand in candidates:
-                v = cand.copy()
-                for q in fixed:
-                    v -= float(q @ v) * q
-                norm = float(np.linalg.norm(v))
-                if norm > 1e-6:
-                    v /= norm
-                    cols[j] = v
-                    fixed.append(v)
-                    break
-            else:
-                raise ValidationError("cannot complete zero-sigma feature basis")
-    return np.column_stack(cols), tuple(zero_idx)
+    kept = np.column_stack(
+        [root] + [_deflate_root(vectors[:, j], root) for j in range(live)]
+    )
+    return np.column_stack([kept[:, 1:], complete_orthonormal(kept, k - live)])
 
 
-def select_features(joint: JointPmf, k: int) -> tuple[FeatureSet, FeatureSet]:
+def select_features(cdm: CdmMatrix, k: int) -> tuple[FeatureSet, FeatureSet]:
     """Top-k SVD features (f over X, g over Y) of the dependence matrix.
+
+    The caller builds `cdm` once per joint and reads its spectrum
+    (`cdm.sigmas`) from the same object.
 
     f_i(x) = v_i(x) / sqrt(P_X(x)) and g_i(y) = u_i(y) / sqrt(P_Y(y)) for
     the i-th right/left singular vector pair.  Requests that reach into a
     degenerate or zero part of the spectrum succeed but are flagged on the
     returned feature sets.
     """
-    k_max = min(len(joint.x_labels), len(joint.y_labels)) - 1
+    k_max = min(cdm.px.size, cdm.py.size) - 1
     if not 1 <= k <= k_max:
         raise ValidationError(f"k={k} outside valid range 1..{k_max}")
-    cdm = canonical_dependence_matrix(joint)
+    live = int(np.sum(cdm.sigmas[:k] > ZERO_SIGMA))
     groups = cdm.degenerate_groups(k)
+    zero_idx = tuple(range(live, k))
     rx = np.sqrt(cdm.px.probs)
     ry = np.sqrt(cdm.py.probs)
-    v_cols, zero_idx = _feature_directions(cdm.svd, cdm.svd.v, k, rx)
-    u_cols, _ = _feature_directions(cdm.svd, cdm.svd.u, k, ry)
     f = FeatureSet(
-        h=v_cols / rx[:, None], base=cdm.px,
+        h=_feature_directions(cdm.svd.v, live, k, rx) / rx[:, None], base=cdm.px,
         degenerate_groups=groups, zero_indices=zero_idx,
     )
     g = FeatureSet(
-        h=u_cols / ry[:, None], base=cdm.py,
+        h=_feature_directions(cdm.svd.u, live, k, ry) / ry[:, None], base=cdm.py,
         degenerate_groups=groups, zero_indices=zero_idx,
     )
     return f, g
-
-
-def hgr_profile(joint: JointPmf) -> np.ndarray:
-    """Full singular-value spectrum of the canonical dependence matrix."""
-    return canonical_dependence_matrix(joint).sigmas.copy()

@@ -1,7 +1,7 @@
 """Canonicalised dense SVD: LAPACK ``gesdd`` through numpy.
 
 ``jacobi_svd`` makes one ``np.linalg.svd`` call, then fixes the signs of
-the singular vectors and completes the zero-sigma columns of U from
+the singular vectors and completes the zero-sigma columns of U and V from
 canonical basis vectors, neither of which LAPACK pins down.  Reruns are
 byte-identical on one numpy/BLAS build; across builds the results agree
 to last-place float noise, since LAPACK's kernels differ between them.
@@ -37,8 +37,8 @@ class SvdResult:
     """Economy SVD A = U @ diag(s) @ V.T with s sorted descending.
 
     U is (n, r), V is (m, r) with r = min(n, m); both have orthonormal
-    columns.  Columns of U paired with numerically zero singular values are
-    completed deterministically from canonical basis vectors.
+    columns.  Columns of U and V paired with numerically zero singular values
+    are completed deterministically from canonical basis vectors.
     """
 
     u: np.ndarray
@@ -49,7 +49,7 @@ class SvdResult:
         return self.u @ (self.s[:, None] * self.v.T)
 
 
-def _complete_orthonormal(cols: np.ndarray, count: int) -> np.ndarray:
+def complete_orthonormal(cols: np.ndarray, count: int) -> np.ndarray:
     """Append `count` orthonormal columns, built from canonical basis vectors.
 
     Each new column is the residual of the canonical basis vector with the
@@ -94,7 +94,8 @@ def jacobi_svd(a: np.ndarray) -> SvdResult:
     v = vt.T
     nonzero = sigma > ZERO_SIGMA_TOL * float(np.linalg.norm(a))
     k = int(nonzero.sum())
-    u[:, k:] = _complete_orthonormal(u[:, :k], m - k)
+    u[:, k:] = complete_orthonormal(u[:, :k], m - k)
+    v[:, k:] = complete_orthonormal(v[:, :k], m - k)
 
     for j in range(m):
         sign = canonical_sign(v[:, j])

@@ -13,9 +13,14 @@ import numpy as np
 
 from conftest import random_perturbation_t, random_positive_joint
 from maxcorr import checks
-from maxcorr.dependence import hgr_profile, select_features
+from maxcorr.dependence import canonical_dependence_matrix, select_features
 from maxcorr.ensemble import AttributeEnsembleSpec, information_ensemble, sample_configuration
-from maxcorr.exponent import average_exponents, iprojection_exponent, mc_error_curve
+from maxcorr.exponent import (
+    average_exponents,
+    exponent_bound,
+    iprojection_exponent,
+    mc_error_curve,
+)
 from maxcorr.geometry import (
     InformationMatrix,
     config_from_information_matrix,
@@ -189,9 +194,10 @@ def test_criterion_08_svd_optimality_ordering():
     cx, cy = identity_channel(joint.x_labels), identity_channel(joint.y_labels)
     mu_u = AttributeEnsembleSpec(base=joint.marginal_x(), attribute_size=3, epsilon=0.05)
     mu_v = AttributeEnsembleSpec(base=joint.marginal_y(), attribute_size=3, epsilon=0.05)
+    cdm = canonical_dependence_matrix(joint)
     counts = {}
     for k in (1, 2):
-        f_svd, g_svd = select_features(joint, k)
+        f_svd, g_svd = select_features(cdm, k)
         wins = 0
         for seed in range(100):
             rep_svd = average_exponents(mu_u, mu_v, joint, cx, cy, f_svd, g_svd, 40, seed)
@@ -208,7 +214,7 @@ def test_criterion_08_svd_optimality_ordering():
 def test_criterion_09_constant_free_ratio():
     joint = demo_joint()
     cx, cy = identity_channel(joint.x_labels), identity_channel(joint.y_labels)
-    prof = hgr_profile(joint)
+    cdm = canonical_dependence_matrix(joint)
     mu_u = AttributeEnsembleSpec(base=joint.marginal_x(), attribute_size=2,
                                  epsilon=0.02, rho=0.25)
     mu_v = AttributeEnsembleSpec(base=joint.marginal_y(), attribute_size=2,
@@ -216,10 +222,10 @@ def test_criterion_09_constant_free_ratio():
     d_hat = delta_report(information_ensemble(mu_u).sample(100_000, seed=321)).delta
     gaps = {}
     for k in (1, 2):
-        f, g = select_features(joint, k)
+        f, g = select_features(cdm, k)
         rep = average_exponents(mu_u, mu_v, joint, cx, cy, f, g, 400, 12345)
         ratio = rep.e_u_t / rep.e_u_s
-        target = float(np.sum(prof[:k] ** 2)) / k
+        target = float(np.sum(cdm.sigmas[:k] ** 2)) / k
         gaps[k] = abs(ratio - target) / target
     ok = d_hat <= 0.05 and all(v <= 0.10 for v in gaps.values())
     _report(9, ok, f"delta_hat {d_hat:.4f} <= 0.05, ratio gaps "
@@ -245,10 +251,12 @@ def test_criterion_10_residual_robustness_trend():
 
     cx0 = identity_channel(joint.x_labels)
     cy0 = identity_channel(joint.y_labels)
-    f0, g0 = select_features(joint, k)
+    cdm0 = canonical_dependence_matrix(joint)
+    f0, g0 = select_features(cdm0, k)
     rep0 = average_exponents(mu(joint.marginal_x(), 0), mu(joint.marginal_y(), 0),
                              joint, cx0, cy0, f0, g0, 300, 777)
-    bound0 = np.array(rep0.bound)
+    bound0, _ = exponent_bound(eps, k, cdm0.sigmas, rep0.c_u, rep0.c_v,
+                               0.0, cx0.eta, cy0.eta)
 
     targets_and_s = [(0.05, 0.0), (0.10, 0.4), (0.20, 0.8)]
     qs, excesses, bars = [], [], []
@@ -259,9 +267,9 @@ def test_criterion_10_residual_robustness_trend():
         chx = make_channel(T4, eta, joint.x_labels)
         chy = make_channel(T4, eta, joint.y_labels)
         noisy = apply_channels(joint, chx, chy)
-        f, g = select_features(noisy, k)
+        f, g = select_features(canonical_dependence_matrix(noisy), k)
         rep = average_exponents(mu(joint.marginal_x(), s), mu(joint.marginal_y(), s),
-                                joint, chx, chy, f, g, 300, 777, delta_hat=d)
+                                joint, chx, chy, f, g, 300, 777)
         qs.append(d + eta + d * eta)
         excesses.append(float(np.max(np.array(rep.exponents) - bound0)))
         bars.append(3.0 * float(np.max(rep.stderrs)))

@@ -1,3 +1,4 @@
+import argparse
 import configparser
 import gc
 import json
@@ -6,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maxcorr.cli import load_config, main
+from maxcorr import cli, dependence
+from maxcorr.cli import OUT_ROOT_ENV, build_parser, load_config, main
 from maxcorr.errors import ValidationError
 
 REPO = Path(__file__).resolve().parent.parent
@@ -249,6 +251,42 @@ class TestCliCommands:
         assert rc == 0
         assert len(lines) == 8
         assert all(line.startswith("PASS") for line in lines)
+
+    @pytest.mark.parametrize("command, k, points", [("features", "2", 1),
+                                                    ("simulate", "1 2", 2)])
+    def test_one_cdm_per_joint(self, tmp_path, capsys, monkeypatch, command, k, points):
+        # features reads one joint; each simulate point reads one noisy joint
+        calls = []
+
+        def counting(joint):
+            calls.append(joint)
+            return build(joint)
+
+        build = dependence.canonical_dependence_matrix
+        for module in (cli, dependence):  # dependence's global serves its own callers
+            monkeypatch.setattr(module, "canonical_dependence_matrix", counting)
+        path = tiny_config(tmp_path, n_configs=10, delta_samples=500, k=k)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == points
+
+    def test_out_root_read_when_main_runs(self, tmp_path, capsys, monkeypatch):
+        build_parser()  # the parser exists before the variable is set
+        monkeypatch.setenv(OUT_ROOT_ENV, str(tmp_path / "root"))
+        assert main(["features", "--config", str(DEMO)]) == 0
+        assert (tmp_path / "root" / "features.csv").exists()
+
+    def test_main_builds_no_parser(self, tmp_path, capsys, monkeypatch):
+        build_parser()
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert main(["features", "--config", str(DEMO), "--out", str(tmp_path / "o")]) == 0
+        assert built == []
 
     def test_simulate_header_embeds_hash_and_seed(self, tmp_path, capsys):
         path = tiny_config(tmp_path)

@@ -5,11 +5,11 @@ from conftest import (
     random_perturbation_t,
     random_positive_joint,
     random_positive_pmf,
+    rotated_null_svd,
 )
 from maxcorr.dependence import (
     CdmMatrix,
     canonical_dependence_matrix,
-    hgr_profile,
     select_features,
     uncentered_b,
 )
@@ -140,7 +140,7 @@ class TestSelectFeatures:
         j = JointPmf(
             tuple("abcd"), tuple("wxyz"), random_positive_joint(rng, 4, 4)
         )
-        f, g = select_features(j, 3)
+        f, g = select_features(canonical_dependence_matrix(j), 3)
         pf = f.base.probs
         gram = (f.h * pf[:, None]).T @ f.h
         assert np.max(np.abs(gram - np.eye(3))) < 1e-8
@@ -148,32 +148,47 @@ class TestSelectFeatures:
 
     def test_perfectly_correlated_binary(self):
         j = JointPmf(("a", "b"), ("0", "1"), np.diag([0.5, 0.5]))
-        f, g = select_features(j, 1)
+        f, g = select_features(canonical_dependence_matrix(j), 1)
         assert np.max(np.abs(f.h[:, 0] - np.array([1.0, -1.0]))) < 1e-12
         assert np.max(np.abs(g.h[:, 0] - np.array([1.0, -1.0]))) < 1e-12
 
     def test_independent_joint_flagged(self):
         px = Pmf(("a", "b"), np.array([0.25, 0.75]))
         py = Pmf(("0", "1"), np.array([0.5, 0.5]))
-        f, g = select_features(product_joint(px, py), 1)
+        f, g = select_features(canonical_dependence_matrix(product_joint(px, py)), 1)
         assert f.zero_indices == (0,)
         assert g.zero_indices == (0,)
         # flagged features are still valid normalized features
         assert abs(float(px.probs @ f.h[:, 0])) < 1e-12
 
+    def test_zero_sigma_features_independent_of_lapack(self, monkeypatch):
+        # rank-one dependence: features 2 and 3 pair with zero sigmas, so they
+        # must not follow the null basis LAPACK happens to return
+        u = np.array([1.0, -1.0, 1.0, -1.0]) / 2.0
+        v = np.array([1.0, 1.0, -1.0, -1.0]) / 2.0
+        py, px = [0.16, 0.24, 0.28, 0.32], [0.1, 0.2, 0.3, 0.4]
+        probs = np.outer(py, px) + 0.02 * np.outer(u, v)
+        j = JointPmf(tuple("abcd"), tuple("wxyz"), probs)
+        want = select_features(canonical_dependence_matrix(j), 3)
+        monkeypatch.setattr(np.linalg, "svd", rotated_null_svd)
+        got = select_features(canonical_dependence_matrix(j), 3)
+        assert got[0].zero_indices == (1, 2)
+        for fs_got, fs_want in zip(got, want):
+            assert np.array_equal(fs_got.h, fs_want.h)
+
     def test_k_out_of_range(self):
         j = JointPmf(("a", "b"), ("0", "1"), np.full((2, 2), 0.25))
         with pytest.raises(ValidationError, match="range"):
-            select_features(j, 2)
+            select_features(canonical_dependence_matrix(j), 2)
         with pytest.raises(ValidationError, match="range"):
-            select_features(j, 0)
+            select_features(canonical_dependence_matrix(j), 0)
 
     def test_svd_vectors_recovered(self, rng):
         j = JointPmf(
             tuple("abc"), tuple("uvw"), random_positive_joint(rng, 3, 3)
         )
         cdm = canonical_dependence_matrix(j)
-        f, g = select_features(j, 2)
+        f, g = select_features(cdm, 2)
         psi_f = feature_vectors(f)
         psi_g = feature_vectors(g)
         assert np.max(np.abs(psi_f - cdm.svd.v[:, :2])) < 1e-9
@@ -183,11 +198,11 @@ class TestSelectFeatures:
 class TestHgrProfile:
     def test_product_joint_zero(self):
         px = Pmf(("a", "b"), np.array([0.5, 0.5]))
-        assert np.max(hgr_profile(product_joint(px, px))) == 0.0
+        assert np.max(canonical_dependence_matrix(product_joint(px, px)).sigmas) == 0.0
 
     def test_binary_correlation_coefficient(self):
         j = JointPmf(("a", "b"), ("0", "1"), np.array([[0.4, 0.1], [0.1, 0.4]]))
-        prof = hgr_profile(j)
+        prof = canonical_dependence_matrix(j).sigmas
         assert prof[0] == pytest.approx(0.6, abs=1e-12)
 
     def test_data_processing_shrinks_spectrum(self, rng):

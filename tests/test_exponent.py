@@ -11,11 +11,12 @@ from conftest import (
     random_positive_joint,
 )
 from maxcorr import exponent
-from maxcorr.dependence import hgr_profile, select_features
+from maxcorr.dependence import canonical_dependence_matrix, select_features
 from maxcorr.ensemble import CHUNK, AttributeEnsembleSpec
 from maxcorr.errors import AlphabetMismatchError, ValidationError
 from maxcorr.exponent import (
     MC_CHUNK,
+    MC_TIE_TOL,
     RESIDUAL_SLACK,
     ExponentReport,
     _least_pair,
@@ -130,10 +131,11 @@ class TestIProjection:
 
 def single_draw_simulate_errors(rng, p, c, b, n, trials, err_below):
     """Reference for `exponent._simulate_errors`: one multinomial call."""
+    tol = MC_TIE_TOL * float(np.abs(c).max())
     counts = rng.multinomial(n, p, size=trials)
     s = counts @ c / n - b
-    errs = float((s < 0).sum() if err_below else (s > 0).sum())
-    return errs + 0.5 * float((s == 0).sum())
+    errs = float((s < -tol).sum() if err_below else (s > tol).sum())
+    return errs + 0.5 * float((np.abs(s) <= tol).sum())
 
 
 class SerialExecutor:
@@ -177,6 +179,15 @@ class TestMcErrorCurve:
         c2 = mc_error_curve(P06, P04, flipped, [100, 200, 300, 400], 20_000, seed=3)
         assert c1.exponent == c2.exponent
         assert c1.p_hat == c2.p_hat
+
+    def test_exact_ties_count_half(self):
+        # a 50/50 count at N = 100 puts the statistic exactly on the threshold
+        # (p = 0.08 per trial), and BLAS rounds it a hair to either side
+        errs = exponent._simulate_errors(
+            np.random.default_rng(0), np.array([0.5, 0.5]), np.array([0.4, -0.4]),
+            0.0, 100, 100_000, err_below=True,
+        )
+        assert errs / 100_000 == pytest.approx(0.5, abs=0.005)
 
     def test_budget_exhaustion(self):
         far1 = Pmf(U2.labels, np.array([0.99, 0.01]))
@@ -234,6 +245,12 @@ class TestExponentBound:
         assert r == pytest.approx(
             RESIDUAL_SLACK * 0.01 * max(0.2 + 0.05 + 0.01, 0.2 + 0.3 + 0.06))
 
+    @pytest.mark.parametrize("c_u, c_v", [(-0.1, 0.4), (0.5, -1e-9)])
+    def test_rejects_negative_constants(self, c_u, c_v):
+        # with C_U, C_V >= 0 every bound component is >= 0
+        with pytest.raises(ValidationError, match="c_u, c_v"):
+            exponent_bound(0.1, 1, np.array([0.5]), c_u, c_v, 0.0, 0.0, 0.0)
+
     def test_ratio_prediction_is_constant_free(self):
         sig = np.array([0.6, 0.3, 0.1])
         for k in (1, 2, 3):
@@ -253,7 +270,7 @@ class TestAverageExponents:
         cx, cy = identity_channel(joint.x_labels), identity_channel(joint.y_labels)
         mu_u = AttributeEnsembleSpec(base=joint.marginal_x(), attribute_size=2, epsilon=0.05)
         mu_v = AttributeEnsembleSpec(base=joint.marginal_y(), attribute_size=2, epsilon=0.05)
-        f, g = select_features(joint, 3)
+        f, g = select_features(canonical_dependence_matrix(joint), 3)
         rep = average_exponents(mu_u, mu_v, joint, cx, cy, f, g, 800, 555)
         ratio = rep.e_u_s / (rep.c_u * 0.05**2 * 3)
         assert ratio == pytest.approx(8.0 / 3.0, abs=0.12)
@@ -286,7 +303,7 @@ class TestAverageExponents:
         cx, cy = identity_channel(joint.x_labels), identity_channel(joint.y_labels)
         mu_u = AttributeEnsembleSpec(base=joint.marginal_x(), attribute_size=3, epsilon=0.05)
         mu_v = AttributeEnsembleSpec(base=joint.marginal_y(), attribute_size=3, epsilon=0.05)
-        f_svd, g_svd = select_features(joint, 2)
+        f_svd, g_svd = select_features(canonical_dependence_matrix(joint), 2)
         wins = 0
         for seed in range(20):
             rep_svd = average_exponents(mu_u, mu_v, joint, cx, cy, f_svd, g_svd, 40, seed)
@@ -312,21 +329,22 @@ class TestAverageExponents:
             base=joint.marginal_y(), attribute_size=3, epsilon=0.05, rho=0.3
         )
         d_hat = delta_report(information_ensemble(mu_u).sample(40_000, seed=1)).delta
-        f, g = select_features(joint, 3)
-        rep = average_exponents(
-            mu_u, mu_v, joint, cx, cy, f, g, 400, 202, delta_hat=d_hat
-        )
-        for val, se, bnd in zip(rep.exponents, rep.stderrs, rep.bound):
-            assert val <= bnd + rep.residual_budget + 3 * se
-        assert abs(rep.e_u_s - rep.bound[0]) <= rep.residual_budget + 3 * rep.stderr_u_s
-        assert abs(rep.e_v_t - rep.bound[3]) <= rep.residual_budget + 3 * rep.stderr_v_t
+        cdm = canonical_dependence_matrix(joint)
+        f, g = select_features(cdm, 3)
+        rep = average_exponents(mu_u, mu_v, joint, cx, cy, f, g, 400, 202)
+        bound, residual = exponent_bound(0.05, 3, cdm.sigmas, rep.c_u, rep.c_v, d_hat,
+                                         cx.eta, cy.eta)
+        for val, se, bnd in zip(rep.exponents, rep.stderrs, bound):
+            assert val <= bnd + residual + 3 * se
+        assert abs(rep.e_u_s - bound[0]) <= residual + 3 * rep.stderr_u_s
+        assert abs(rep.e_v_t - bound[3]) <= residual + 3 * rep.stderr_v_t
 
     def test_oracle_mode_close_to_analytic(self):
         joint = demo_joint()
         cx, cy = identity_channel(joint.x_labels), identity_channel(joint.y_labels)
         mu_u = AttributeEnsembleSpec(base=joint.marginal_x(), attribute_size=3, epsilon=0.02)
         mu_v = AttributeEnsembleSpec(base=joint.marginal_y(), attribute_size=3, epsilon=0.02)
-        f, g = select_features(joint, 2)
+        f, g = select_features(canonical_dependence_matrix(joint), 2)
         rep_a = average_exponents(mu_u, mu_v, joint, cx, cy, f, g, 40, 888)
         rep_o = average_exponents(mu_u, mu_v, joint, cx, cy, f, g, 40, 888, oracle=True)
         for a, o in zip(rep_a.exponents, rep_o.exponents):
@@ -345,10 +363,11 @@ class TestAverageExponents:
                                      epsilon=0.05, anisotropy=0.3, rho=0.6)
         mu_v = AttributeEnsembleSpec(base=joint.marginal_y(), attribute_size=4,
                                      epsilon=0.05, anisotropy=0.3, rho=0.6)
-        f, g = select_features(apply_channels(joint, cx, cy), 2)
+        cdm = canonical_dependence_matrix(apply_channels(joint, cx, cy))
+        f, g = select_features(cdm, 2)
         args = (mu_u, mu_v, joint, cx, cy, f, g, n_configs, seed)
-        rep = average_exponents(*args, oracle=oracle, delta_hat=0.2)
-        want = loop_average_exponents(*args, oracle=oracle, delta_hat=0.2)
+        rep = average_exponents(*args, oracle=oracle)
+        want = loop_average_exponents(*args, oracle=oracle)
         for fld in dataclasses.fields(ExponentReport):
             assert getattr(rep, fld.name) == pytest.approx(
                 getattr(want, fld.name), rel=1e-12, abs=0.0), fld.name
@@ -378,7 +397,7 @@ class TestAverageExponents:
         cx, cy = identity_channel(joint.x_labels), identity_channel(joint.y_labels)
         mu_u = AttributeEnsembleSpec(base=joint.marginal_x(), attribute_size=3, epsilon=0.05)
         mu_v = AttributeEnsembleSpec(base=joint.marginal_y(), attribute_size=3, epsilon=0.02)
-        f, g = select_features(joint, 2)
+        f, g = select_features(canonical_dependence_matrix(joint), 2)
         with pytest.raises(ValidationError, match="epsilon"):
             average_exponents(mu_u, mu_v, joint, cx, cy, f, g, 10, 1)
 
@@ -386,7 +405,7 @@ class TestAverageExponents:
 def constants_report(mu_u, mu_v, joint, n_configs, seed):
     """average_exponents on identity channels, for its C_U and C_V."""
     cx, cy = identity_channel(joint.x_labels), identity_channel(joint.y_labels)
-    f, g = select_features(joint, 2)
+    f, g = select_features(canonical_dependence_matrix(joint), 2)
     return average_exponents(mu_u, mu_v, joint, cx, cy, f, g, n_configs, seed)
 
 
@@ -445,6 +464,6 @@ class TestExponentReport:
             ExponentReport(
                 e_u_s=-0.1, e_v_s=0, e_u_t=0, e_v_t=0,
                 stderr_u_s=0, stderr_v_s=0, stderr_u_t=0, stderr_v_t=0,
-                bound=(0, 0, 0, 0), residual_budget=0, c_u=0, c_v=0,
+                c_u=0, c_v=0,
                 stderr_c_u=0, stderr_c_v=0,
             )

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import rotated_null_svd
+
 from maxcorr.errors import ValidationError
-from maxcorr.svd import _complete_orthonormal, canonical_sign, jacobi_svd
+from maxcorr.svd import complete_orthonormal, canonical_sign, jacobi_svd
 
 
 def assert_valid_svd(a, res, tol=1e-10):
@@ -81,6 +83,18 @@ class TestJacobiSvd:
         assert np.array_equal(r1.u, r2.u)
         assert np.array_equal(r1.v, r2.v)
 
+    def test_null_basis_independent_of_lapack(self, monkeypatch):
+        # rank 1: three zero sigmas on each side, whose vectors LAPACK may
+        # return in any rotation; jacobi_svd completes both sides itself
+        a = np.outer([1.0, 2.0, 2.0, 0.5], [0.0, 1.0, 1.0, 3.0])
+        want = jacobi_svd(a)
+        monkeypatch.setattr(np.linalg, "svd", rotated_null_svd)
+        got = jacobi_svd(a)
+        assert_valid_svd(a, got)
+        assert np.array_equal(got.s, want.s)
+        assert np.array_equal(got.u, want.u)
+        assert np.array_equal(got.v, want.v)
+
     def test_subspace_agreement_with_oracle(self, rng):
         # well-separated spectra: compare singular subspaces via projectors
         for _ in range(10):
@@ -103,5 +117,5 @@ def test_canonical_sign_tie_lowest_index():
 
 def test_completion_tie_lowest_index():
     # e1 and e2 have equal out-of-span norms: the lower index comes first
-    out = _complete_orthonormal(np.eye(3)[:, :1], 2)
+    out = complete_orthonormal(np.eye(3)[:, :1], 2)
     assert np.array_equal(out, np.eye(3)[:, 1:])

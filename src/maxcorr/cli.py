@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, checks
-from .dependence import canonical_dependence_matrix, select_features
+from .dependence import CdmMatrix, canonical_dependence_matrix, select_features
 from .ensemble import AttributeEnsembleSpec, information_ensemble, sample_configuration
 from .errors import MaxcorrError, ValidationError
 from .exponent import average_exponents, exponent_bound
@@ -50,6 +50,7 @@ from .model import (
     joint_from_samples,
     load_joint,
     make_channel,
+    parse_matrix,
 )
 from .symmetry import delta_report, moment_symmetry_report
 
@@ -96,18 +97,6 @@ class ExperimentConfig:
             epsilon=epsilon, anisotropy=s, rho=self.rho,
             rejection_cap=self.rejection_cap,
         )
-
-
-def _parse_matrix(text: str) -> np.ndarray:
-    """Whitespace-separated rows, one per non-blank line, parsed in one call."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("no rows")
-    widths = [len(line.split()) for line in lines]
-    for row, width in enumerate(widths[1:], start=2):
-        if width != widths[0]:
-            raise ValueError(f"row {row} has {width} entries, row 1 has {widths[0]}")
-    return np.loadtxt(lines, ndmin=2, comments=None)
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -166,8 +155,8 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
         else:
             raise ValidationError("[chain] needs `joint = <path>` or `generator = seeded`")
 
-        t_x = _option(parser, "channel_x", "t", _parse_matrix)
-        t_y = _option(parser, "channel_y", "t", _parse_matrix)
+        t_x = _option(parser, "channel_x", "t", parse_matrix)
+        t_y = _option(parser, "channel_y", "t", parse_matrix)
         seed = (_option(parser, "sampling", "seed", int, "0") if seed_override is None
                 else seed_override)
         # every draw comes from the one stream of its seed; an old multi-worker
@@ -340,10 +329,9 @@ SIM_COLUMNS = (
 )
 
 
-def _simulate_point(cfg: ExperimentConfig, point_id: str, eps: float, k: int,
-                    eta1: float, eta2: float, s: float) -> dict:
-    chan_x = cfg.channel_x(eta1)
-    chan_y = cfg.channel_y(eta2)
+def _simulate_point(cfg: ExperimentConfig, point_id: str, eps: float, k: int, s: float,
+                    chan_x: Channel, chan_y: Channel, cdm: CdmMatrix) -> dict:
+    """One sweep row; `cdm` is that of the joint seen through (chan_x, chan_y)."""
     mu_u = cfg.ensemble_u(eps, s)
     mu_v = cfg.ensemble_v(eps, s)
     d_u = delta_report(information_ensemble(mu_u).sample(
@@ -351,7 +339,6 @@ def _simulate_point(cfg: ExperimentConfig, point_id: str, eps: float, k: int,
     d_v = delta_report(information_ensemble(mu_v).sample(
         cfg.delta_samples, seed=(cfg.seed, 11))).delta
     delta_hat = max(d_u, d_v)
-    cdm = canonical_dependence_matrix(apply_channels(cfg.joint, chan_x, chan_y))
     f, g = select_features(cdm, k)
     rep = average_exponents(
         mu_u, mu_v, cfg.joint, chan_x, chan_y, f, g, cfg.n_configs, (cfg.seed, 12),
@@ -360,7 +347,7 @@ def _simulate_point(cfg: ExperimentConfig, point_id: str, eps: float, k: int,
                                      chan_x.eta, chan_y.eta)
     return {
         "sweep_id": point_id, "config_hash": cfg.config_hash, "seed": cfg.seed,
-        "epsilon": eps, "k": k, "eta1": eta1, "eta2": eta2, "s": s,
+        "epsilon": eps, "k": k, "eta1": chan_x.eta, "eta2": chan_y.eta, "s": s,
         "delta_hat": delta_hat,
         "e_us": rep.e_u_s, "e_vs": rep.e_v_s, "e_ut": rep.e_u_t, "e_vt": rep.e_v_t,
         "bound_us": bound[0], "bound_vs": bound[1],
@@ -423,12 +410,19 @@ def cmd_simulate(args) -> int:
     if journal.exists() and not args.fresh:
         done = _read_journal(journal, cfg.config_hash, cfg.seed)
 
-    grid = list(product(cfg.epsilon_grid, cfg.k_grid, cfg.s_grid,
-                        cfg.eta1_grid, cfg.eta2_grid))
-    points = []
-    for idx, (eps, k, s, e1, e2) in enumerate(grid):
-        points.append((f"{idx:04d}", eps, k, e1, e2, s))
-    todo = [p for p in points if p[0] not in done]
+    grid = product(cfg.epsilon_grid, cfg.k_grid, cfg.s_grid, cfg.eta1_grid, cfg.eta2_grid)
+    points = [(f"{idx:04d}", eps, k, s, etas) for idx, (eps, k, s, *etas) in enumerate(grid)]
+    # one channel pair and one CDM per noisy joint, shared by its points
+    noisy = {}
+    todo = []
+    for point_id, eps, k, s, (e1, e2) in points:
+        if point_id in done:
+            continue
+        if (e1, e2) not in noisy:
+            chan_x, chan_y = cfg.channel_x(e1), cfg.channel_y(e2)
+            cdm = canonical_dependence_matrix(apply_channels(cfg.joint, chan_x, chan_y))
+            noisy[e1, e2] = (chan_x, chan_y, cdm)
+        todo.append((point_id, eps, k, s, *noisy[e1, e2]))
 
     with journal.open("w" if args.fresh else "a") as fh:
 
@@ -447,12 +441,21 @@ def cmd_simulate(args) -> int:
             failure = None
             with ThreadPoolExecutor(max_workers=jobs) as pool:
                 futures = [pool.submit(_simulate_point, cfg, *p) for p in todo]
-                # a failed point must not cost the rows of points finishing after it
-                for future in as_completed(futures):
-                    if future.exception() is None:
-                        record(future.result())
-                    elif failure is None:
-                        failure = future.exception()
+                try:
+                    # a failed point must not cost the rows of points finishing after it
+                    for future in as_completed(futures):
+                        if future.exception() is None:
+                            record(future.result())
+                        elif failure is None:
+                            failure = future.exception()
+                finally:
+                    # on an interrupt, queued points never start and the running
+                    # ones finish; every finished row is journaled before it propagates
+                    pool.shutdown(cancel_futures=True)
+                    for future in futures:
+                        if not future.cancelled() and future.exception() is None:
+                            if future.result()["sweep_id"] not in done:
+                                record(future.result())
             if failure is not None:
                 raise failure
 

@@ -34,7 +34,7 @@ CHUNK-row arrays besides the output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -227,14 +227,7 @@ def push_through_channel(config: Configuration, chan: Channel) -> Configuration:
         raise AlphabetMismatchError("channel alphabet does not match configuration")
     new_base = chan.apply(config.base).require_positive()
     new_cond = chan.P @ config.conditionals
-    out = Configuration(
-        base=new_base,
-        w_labels=config.w_labels,
-        prior=config.prior,
-        conditionals=new_cond,
-        epsilon=config.epsilon,
-        unconstrained=config.unconstrained,
-    )
+    out = replace(config, base=new_base, conditionals=new_cond)
     b = uncentered_b(chan, config.base).b
     phi_path = b @ information_matrix(config).phi
     gap = float(np.abs(phi_path - information_matrix(out).phi).max())
@@ -298,14 +291,7 @@ def markov_push(
     else:
         cond = joint.conditional_y_given_x() @ config.conditionals
 
-    out = Configuration(
-        base=joint.marginal_y(),
-        w_labels=config.w_labels,
-        prior=config.prior,
-        conditionals=cond,
-        epsilon=config.epsilon,
-        unconstrained=config.unconstrained,
-    )
+    out = replace(config, base=joint.marginal_y(), conditionals=cond)
     cdm = canonical_dependence_matrix(joint)
     approx = cdm.b @ information_matrix(config).phi
     residual = information_matrix(out).phi - approx

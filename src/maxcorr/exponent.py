@@ -386,15 +386,14 @@ def average_exponents(
     _check_base("f", f.base, pxh)
     _check_base("g", g.base, pyh)
 
-    psi_f = feature_vectors(f)
-    psi_g = feature_vectors(g)
     y_given_x = joint.conditional_y_given_x()
     x_given_y = joint.conditional_x_given_y()
-    to_xh_from_x = chan_x.P
-    to_yh_from_y = chan_y.P
+    # per variable: its channel, feature vectors, noisy marginal and features
+    x_side = (chan_x.P, feature_vectors(f), pxh.probs, f)
+    y_side = (chan_y.P, feature_vectors(g), pyh.probs, g)
 
-    def score(psi: np.ndarray, cond_hat: np.ndarray, base_hat: np.ndarray,
-              fs: FeatureSet) -> np.ndarray:
+    def score(side, cond_hat: np.ndarray) -> np.ndarray:
+        _, psi, base_hat, fs = side
         phi = information_phi(cond_hat, base_hat, epsilon)
         val, i, j = _least_pair(psi.T @ phi)
         if oracle:
@@ -405,32 +404,23 @@ def average_exponents(
             ])
         return epsilon**2 / 8.0 * val
 
-    def frob(cond_hat: np.ndarray, base_hat: np.ndarray) -> np.ndarray:
-        return (information_phi(cond_hat, base_hat, epsilon) ** 2).sum(axis=(1, 2))
+    def scores(mu, stream, near, far, cross: np.ndarray) -> np.ndarray:
+        """Rows: the near score, the far score and the near ||Phi||_F^2 of
+        each configuration of `mu`, an attribute of the near variable that
+        reaches the far one through `cross`."""
+        near_p, _, near_base, _ = near
+        out = np.empty((3, n_configs))
+        conds = configuration_stream(mu, n_configs, seed=(seed, stream))
+        for start in range(0, n_configs, CHUNK):
+            rows = slice(start, start + CHUNK)
+            cond_near = near_p @ conds[rows]
+            out[0, rows] = score(near, cond_near)
+            out[1, rows] = score(far, far[0] @ (cross @ conds[rows]))
+            out[2, rows] = (information_phi(cond_near, near_base, epsilon) ** 2).sum(axis=(1, 2))
+        return out
 
-    u_s = np.empty(n_configs)
-    u_t = np.empty(n_configs)
-    u_frob = np.empty(n_configs)
-    conds = configuration_stream(mu_u, n_configs, seed=(seed, 0))
-    for start in range(0, n_configs, CHUNK):
-        rows = slice(start, start + CHUNK)
-        cond_xh = to_xh_from_x @ conds[rows]
-        cond_yh = to_yh_from_y @ (y_given_x @ conds[rows])
-        u_s[rows] = score(psi_f, cond_xh, pxh.probs, f)
-        u_t[rows] = score(psi_g, cond_yh, pyh.probs, g)
-        u_frob[rows] = frob(cond_xh, pxh.probs)
-
-    v_s = np.empty(n_configs)
-    v_t = np.empty(n_configs)
-    v_frob = np.empty(n_configs)
-    conds = configuration_stream(mu_v, n_configs, seed=(seed, 1))
-    for start in range(0, n_configs, CHUNK):
-        rows = slice(start, start + CHUNK)
-        cond_yh = to_yh_from_y @ conds[rows]
-        cond_xh = to_xh_from_x @ (x_given_y @ conds[rows])
-        v_t[rows] = score(psi_g, cond_yh, pyh.probs, g)
-        v_s[rows] = score(psi_f, cond_xh, pxh.probs, f)
-        v_frob[rows] = frob(cond_yh, pyh.probs)
+    u_s, u_t, u_frob = scores(mu_u, 0, x_side, y_side, y_given_x)
+    v_t, v_s, v_frob = scores(mu_v, 1, y_side, x_side, x_given_y)
 
     e_u_s, se_u_s = _mean_se(u_s)
     e_u_t, se_u_t = _mean_se(u_t)

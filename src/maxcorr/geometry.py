@@ -8,9 +8,8 @@ vectors phi_w(z) = (P(z|w) - P(z)) / (eps * sqrt(P(z))); a conditional on
 the ball boundary has a unit-norm column.
 
 Configurations additionally enforce marginal consistency
-(sum_w P(w) P(z|w) = P(z)) by default: a latent attribute of Z must
-reproduce the declared base.  Pass ``unconstrained=True`` to drop that
-check when exercising the matrix-level machinery in isolation.
+(sum_w P(w) P(z|w) = P(z)): a latent attribute of Z must reproduce the
+declared base.
 
 `Configuration` and `InformationMatrix` also take a stack of C draws of one
 attribute, shaped (C, |Z|, |W|), and run each check once over the whole
@@ -68,7 +67,6 @@ class Configuration:
     prior: Pmf
     conditionals: np.ndarray  # |Z| x |W|, column w = P(Z | W=w)
     epsilon: float
-    unconstrained: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "w_labels", _check_labels(self.w_labels))
@@ -97,17 +95,13 @@ class Configuration:
                 f"conditional for w={w!r} outside the epsilon-ball: "
                 f"chi2={chi2.max():.6g} > eps^2={self.epsilon**2:.6g}"
             )
-        if not self.unconstrained:
-            mix = cond @ self.prior.probs
-            err = np.max(np.abs(mix - self.base.probs))
-            if err > NULL_TOL:
-                raise ValidationError(
-                    f"prior-weighted conditionals miss the base by {err:g}"
-                )
+        mix = cond @ self.prior.probs
+        err = np.max(np.abs(mix - self.base.probs))
+        if err > NULL_TOL:
+            raise ValidationError(
+                f"prior-weighted conditionals miss the base by {err:g}"
+            )
         object.__setattr__(self, "conditionals", cond)
-
-    def conditional(self, w: str) -> Pmf:
-        return Pmf(self.base.labels, self.conditionals[:, self.w_labels.index(w)])
 
 
 @dataclass(frozen=True)
@@ -172,7 +166,6 @@ def config_from_information_matrix(
     prior: Pmf,
     phi: InformationMatrix,
     epsilon: float,
-    unconstrained: bool = False,
 ) -> Configuration:
     """Invert the information-matrix map back to explicit conditionals.
 
@@ -191,7 +184,6 @@ def config_from_information_matrix(
         prior=prior,
         conditionals=cond,
         epsilon=epsilon,
-        unconstrained=unconstrained,
     )
 
 

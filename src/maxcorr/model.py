@@ -43,7 +43,6 @@ class Pmf:
 
     labels: tuple[str, ...]
     probs: np.ndarray
-    strictly_positive: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "labels", _check_labels(self.labels))
@@ -56,9 +55,6 @@ class Pmf:
             raise ValidationError("negative probability entry")
         if abs(float(p.sum()) - 1.0) > MASS_TOL:
             raise ValidationError(f"probabilities sum to {p.sum()!r}, not 1")
-        if self.strictly_positive and float(p.min()) <= 0.0:
-            z = self.labels[int(np.argmin(p))]
-            raise ValidationError(f"symbol {z!r} has zero probability")
         object.__setattr__(self, "probs", p)
 
     @property
@@ -81,7 +77,7 @@ class Pmf:
 def uniform_pmf(labels: Sequence[str]) -> Pmf:
     labels = tuple(labels)
     n = len(labels)
-    return Pmf(labels, np.full(n, 1.0 / n), strictly_positive=True)
+    return Pmf(labels, np.full(n, 1.0 / n))
 
 
 @dataclass(frozen=True)
@@ -302,29 +298,16 @@ def _fmt_row(row: np.ndarray) -> str:
     return " ".join(FLOAT_FMT % v for v in row)
 
 
-def _read_sections(text: str) -> tuple[str, dict[str, str], list[list[float]]]:
-    kind = ""
-    fields: dict[str, str] = {}
-    matrix: list[list[float]] = []
-    in_matrix = False
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not kind:
-            kind = line
-            continue
-        if in_matrix:
-            matrix.append([float(v) for v in line.split()])
-            continue
-        key, _, value = line.partition(":")
-        key = key.strip()
-        value = value.strip()
-        if value == "" and key == "probs":
-            in_matrix = True
-        else:
-            fields[key] = value
-    return kind, fields, matrix
+def parse_matrix(text: str) -> np.ndarray:
+    """Whitespace-separated rows, one per non-blank line, parsed in one call."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
+        raise ValueError("no rows")
+    widths = [len(line.split()) for line in lines]
+    for row, width in enumerate(widths[1:], start=2):
+        if width != widths[0]:
+            raise ValueError(f"row {row} has {width} entries, row 1 has {widths[0]}")
+    return np.loadtxt(lines, ndmin=2, comments=None)
 
 
 def dump_joint(joint: JointPmf, header: Sequence[str] = ()) -> str:
@@ -341,14 +324,27 @@ def dump_joint(joint: JointPmf, header: Sequence[str] = ()) -> str:
 
 
 def load_joint(text: str) -> JointPmf:
-    kind, fields, matrix = _read_sections(text)
+    """The joint of a `dump_joint` text; a malformed file raises a
+    ValidationError that names what is wrong."""
+    lines = [line for line in (raw.strip() for raw in text.splitlines())
+             if line and not line.startswith("#")]
+    kind = lines[0] if lines else ""
     if kind != "joint v1":
-        raise ValidationError(f"not a joint file (kind {kind!r})")
-    return JointPmf(
-        tuple(fields["x_labels"].split()),
-        tuple(fields["y_labels"].split()),
-        np.array(matrix),
-    )
+        raise ValidationError(f"joint file starts with {kind!r}, expected 'joint v1'")
+    if "probs:" not in lines:
+        raise ValidationError("joint file has no 'probs:' line")
+    start = lines.index("probs:")
+    fields = {key.strip(): value for key, _, value in
+              (line.partition(":") for line in lines[1:start])}
+    for key in ("x_labels", "y_labels"):
+        if key not in fields:
+            raise ValidationError(f"joint file has no '{key}:' line")
+    try:
+        probs = parse_matrix("\n".join(lines[start + 1:]))
+    except ValueError as exc:
+        raise ValidationError(f"joint file probs: {exc}") from None
+    return JointPmf(tuple(fields["x_labels"].split()), tuple(fields["y_labels"].split()),
+                    probs)
 
 
 def iter_sample_pairs(

@@ -264,15 +264,11 @@ def rank_one_range(form: SecondMomentForm) -> RankOneRange:
         v = rng.standard_normal(m)
         starts.append((u / np.linalg.norm(u), v / np.linalg.norm(v)))
 
-    best = {True: (-np.inf, None, None, True), False: (np.inf, None, None, True)}
-    for largest in (True, False):
-        for u0, v0 in starts:
-            val, u, v, ok = _extremize(k4, u0, v0, largest)
-            cur = best[largest]
-            if (largest and val > cur[0]) or (not largest and val < cur[0]):
-                best[largest] = (val, u, v, ok)
-    max_val, umax, vmax, ok_max = best[True]
-    min_val, umin, vmin, ok_min = best[False]
+    # max and min keep the first of equal values, so the earliest start wins ties
+    max_val, umax, vmax, ok_max = max(
+        (_extremize(k4, u0, v0, True) for u0, v0 in starts), key=lambda r: r[0])
+    min_val, umin, vmin, ok_min = min(
+        (_extremize(k4, u0, v0, False) for u0, v0 in starts), key=lambda r: r[0])
     return RankOneRange(
         min_val=min_val,
         max_val=max_val,
@@ -286,10 +282,7 @@ def rank_one_range(form: SecondMomentForm) -> RankOneRange:
 class DeltaReport:
     delta: float
     stderr: float
-    min_val: float
-    max_val: float
     range_result: RankOneRange
-    sample_count: int
 
 
 def delta_report(block: np.ndarray) -> DeltaReport:
@@ -312,10 +305,7 @@ def delta_report(block: np.ndarray) -> DeltaReport:
     return DeltaReport(
         delta=rng_range.spread,
         stderr=float(np.hypot(ses[0], ses[1])),
-        min_val=rng_range.min_val,
-        max_val=rng_range.max_val,
         range_result=rng_range,
-        sample_count=count,
     )
 
 
@@ -335,7 +325,6 @@ class MomentSymmetryReport:
     max_moment_spread_bar: float
     max_cross_covariance: float
     max_cross_covariance_bar: float
-    sample_count: int
 
 
 def moment_symmetry_report(block: np.ndarray) -> MomentSymmetryReport:
@@ -367,7 +356,6 @@ def moment_symmetry_report(block: np.ndarray) -> MomentSymmetryReport:
         max_moment_spread_bar=3.0 * float(se_second[i_hi] + se_second[i_lo]),
         max_cross_covariance=float(np.abs(cov[off]).max()),
         max_cross_covariance_bar=3.0 * float(se_prod[idx[0], idx[1]]),
-        sample_count=samples,
     )
 
 

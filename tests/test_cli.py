@@ -1,7 +1,10 @@
+import _thread
 import argparse
 import configparser
 import gc
 import json
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -94,26 +97,34 @@ class TestConfig:
         for parser in new:
             assert parser.sections() == [] and parser.defaults() == {}
 
-    @pytest.mark.parametrize("old, new, needles", [
-        ("n_configs = 20", "n_configs = sixty", ("[sampling] n_configs", "sixty")),
-        ("-0.75 0.25 0.25 0.25", "-0.75 0.25 abc 0.25", ("[channel_x] t", "abc")),
-        ("-0.75 0.25 0.25 0.25", "-0.75 0.25 0.25", ("[channel_x] t", "row 1 has 3")),
-        ("[channel_x]", "[channel_z]", ("[channel_x] t", "missing")),
-        ("seed = 3", "seed = 3\nworkers = 4", ("[sampling] workers = 4", "only 1")),
-        ("seed = 3", "seed = 3\nseed = 5", ("'seed'", "'sampling'")),
-        ("joint = joint.txt", "joint = absent.txt", ("[chain] joint", "absent.txt")),
-        ("seed = 3", "seed = 3%", ("exp.ini", "'%' must be followed")),
-        (None, None, ("cannot read config", "exp.ini", "No such file")),
+    @pytest.mark.parametrize("name, old, new, needles", [
+        ("exp.ini", "n_configs = 20", "n_configs = sixty", ("[sampling] n_configs", "sixty")),
+        ("exp.ini", "-0.75 0.25 0.25 0.25", "-0.75 0.25 abc 0.25", ("[channel_x] t", "abc")),
+        ("exp.ini", "-0.75 0.25 0.25 0.25", "-0.75 0.25 0.25",
+         ("[channel_x] t", "row 1 has 3")),
+        ("exp.ini", "[channel_x]", "[channel_z]", ("[channel_x] t", "missing")),
+        ("exp.ini", "seed = 3", "seed = 3\nworkers = 4", ("[sampling] workers = 4", "only 1")),
+        ("exp.ini", "seed = 3", "seed = 3\nseed = 5", ("'seed'", "'sampling'")),
+        ("exp.ini", "joint = joint.txt", "joint = absent.txt", ("[chain] joint", "absent.txt")),
+        ("exp.ini", "seed = 3", "seed = 3%", ("exp.ini", "'%' must be followed")),
+        ("exp.ini", None, None, ("cannot read config", "exp.ini", "No such file")),
+        ("joint.txt", "x_labels: a b c d\n", "", ("[chain] joint", "no 'x_labels:' line")),
+        ("joint.txt", " 0.090228508938800953\n", "\n",
+         ("[chain] joint", "probs", "row 2 has 4 entries, row 1 has 3")),
+        ("joint.txt", "joint v1", "joint v2", ("[chain] joint", "expected 'joint v1'")),
     ], ids=["non-numeric-int", "non-numeric-matrix", "ragged-matrix", "missing-section",
             "workers", "duplicate-key", "missing-joint-file", "interpolation",
-            "missing-config-file"])
-    def test_malformed_value_named_in_error_record(self, tmp_path, capsys, old, new,
+            "missing-config-file", "joint-without-x-labels", "ragged-joint-row",
+            "wrong-joint-kind"])
+    def test_malformed_value_named_in_error_record(self, tmp_path, capsys, name, old, new,
                                                    needles):
         path = tiny_config(tmp_path)
+        target = tmp_path / name  # the config or its joint file
         if old is None:
-            path.unlink()  # the config file itself is missing
+            target.unlink()
         else:
-            path.write_text(path.read_text().replace(old, new, 1))
+            assert old in target.read_text()
+            target.write_text(target.read_text().replace(old, new, 1))
         rc = main(["features", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 1
         record = json.loads((tmp_path / "o" / "error.json").read_text())
@@ -252,10 +263,10 @@ class TestCliCommands:
         assert len(lines) == 8
         assert all(line.startswith("PASS") for line in lines)
 
-    @pytest.mark.parametrize("command, k, points", [("features", "2", 1),
-                                                    ("simulate", "1 2", 2)])
-    def test_one_cdm_per_joint(self, tmp_path, capsys, monkeypatch, command, k, points):
-        # features reads one joint; each simulate point reads one noisy joint
+    @pytest.mark.parametrize("command, k, joints", [("features", "2", 1),
+                                                    ("simulate", "1 2", 1)])
+    def test_one_cdm_per_joint(self, tmp_path, capsys, monkeypatch, command, k, joints):
+        # features reads one joint; simulate's two points share one noisy joint
         calls = []
 
         def counting(joint):
@@ -267,7 +278,7 @@ class TestCliCommands:
             monkeypatch.setattr(module, "canonical_dependence_matrix", counting)
         path = tiny_config(tmp_path, n_configs=10, delta_samples=500, k=k)
         assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 0
-        assert len(calls) == points
+        assert len(calls) == joints
 
     def test_out_root_read_when_main_runs(self, tmp_path, capsys, monkeypatch):
         build_parser()  # the parser exists before the variable is set
@@ -351,6 +362,41 @@ class TestSimulateJournal:
         assert simulate(path, out, "--jobs", "2") == 0
         assert "(1 computed)" in capsys.readouterr().out
         assert (out / "simulate.csv").read_bytes() == (tmp_path / "whole" / "simulate.csv").read_bytes()
+
+    def test_interrupt_under_jobs_keeps_finished_points(self, tmp_path, capsys, monkeypatch):
+        import maxcorr.cli as cli
+
+        path = tiny_config(tmp_path, k="1 2", eta_x="0.0 0.01 0.02 0.03")  # 8 points
+        original = cli._simulate_point
+        lock = threading.Lock()
+        interrupted = threading.Event()
+        late_starts, returned = [], []
+
+        def third_interrupts(cfg, point_id, *args):
+            with lock:
+                if interrupted.is_set():
+                    late_starts.append(point_id)
+            time.sleep(0.05)  # each point outlasts the main thread's reaction
+            row = original(cfg, point_id, *args)
+            with lock:
+                returned.append(point_id)
+                if len(returned) == 3:
+                    interrupted.set()
+                    _thread.interrupt_main()  # a KeyboardInterrupt in the main thread
+            return row
+
+        monkeypatch.setattr(cli, "_simulate_point", third_interrupts)
+        out = tmp_path / "o"
+        with pytest.raises(KeyboardInterrupt):
+            simulate(path, out, "--jobs", "2")
+        journal = [json.loads(line)["sweep_id"]
+                   for line in (out / "simulate.partial.jsonl").read_text().splitlines()]
+        assert sorted(journal) == sorted(returned)
+        assert len(late_starts) <= 2  # at most the two workers pick up one more point
+        monkeypatch.setattr(cli, "_simulate_point", original)
+        capsys.readouterr()
+        assert simulate(path, out, "--jobs", "2") == 0
+        assert f"({8 - len(journal)} computed)" in capsys.readouterr().out
 
     def test_jobs_do_not_change_rows(self, tmp_path, capsys):
         path = tiny_config(tmp_path, k="1 2", eta_x="0.0 0.05")  # 4 points

@@ -75,13 +75,6 @@ class TestConfiguration:
         with pytest.raises(ValidationError, match="miss the base"):
             Configuration(U2, ("w1", "w2"), uniform_pmf(("w1", "w2")), cond, 0.2)
 
-    def test_unconstrained_flag(self):
-        cond = np.array([[0.55, 0.55], [0.45, 0.45]])
-        cfg = Configuration(
-            U2, ("w1", "w2"), uniform_pmf(("w1", "w2")), cond, 0.2, unconstrained=True
-        )
-        assert cfg.conditional("w2").probs[0] == 0.55
-
 
 class TestInformationMatrix:
     def test_independent_attribute_gives_zero(self):

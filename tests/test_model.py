@@ -42,9 +42,9 @@ class TestPmf:
         with pytest.raises(ValidationError):
             Pmf(("a", "b"), np.array([0.3, 0.6]))
 
-    def test_strictly_positive_flag(self):
-        with pytest.raises(ValidationError, match="zero probability"):
-            Pmf(("a", "b"), np.array([0.0, 1.0]), strictly_positive=True)
+    def test_require_positive_names_zero_symbol(self):
+        with pytest.raises(ValidationError, match="'a' has zero probability"):
+            Pmf(("a", "b"), np.array([0.0, 1.0])).require_positive()
 
     def test_immutable(self):
         p = uniform_pmf(("a", "b"))

@@ -129,7 +129,7 @@ class TestDeltaEstimate:
     def test_report_has_error_bar(self):
         rep = delta_report(BUMP2X2.sample(50_000, seed=25))
         assert 0 < rep.stderr < 0.05
-        assert rep.delta == rep.max_val - rep.min_val
+        assert rep.delta == rep.range_result.max_val - rep.range_result.min_val
 
 
 class TestMomentSymmetryReport:

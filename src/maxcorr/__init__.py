@@ -35,7 +35,6 @@ from .geometry import (
     Configuration,
     FeatureSet,
     InformationMatrix,
-    chi2_divergence,
     config_from_information_matrix,
     feature_vectors,
     information_matrix,
@@ -48,13 +47,11 @@ from .model import (
     apply_channels,
     joint_from_samples,
     make_channel,
-    reverse_channel,
 )
 from .symmetry import (
     MatrixEnsemble,
     SecondMomentForm,
     delta_report,
-    pushed_delta_bound,
     moment_symmetry_report,
     projection_bound_check,
     propagation_check,

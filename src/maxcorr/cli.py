@@ -84,16 +84,11 @@ class ExperimentConfig:
     def channel_y(self, eta: float) -> Channel:
         return make_channel(self.t_y, eta, self.joint.y_labels)
 
-    def ensemble_u(self, epsilon: float, s: float) -> AttributeEnsembleSpec:
+    def ensemble(self, side: str, epsilon: float, s: float) -> AttributeEnsembleSpec:
+        """The attribute ensemble of X (`side` "x", the U side) or of Y ("y", V)."""
+        base = self.joint.marginal_x() if side == "x" else self.joint.marginal_y()
         return AttributeEnsembleSpec(
-            base=self.joint.marginal_x(), attribute_size=self.attribute_size,
-            epsilon=epsilon, anisotropy=s, rho=self.rho,
-            rejection_cap=self.rejection_cap,
-        )
-
-    def ensemble_v(self, epsilon: float, s: float) -> AttributeEnsembleSpec:
-        return AttributeEnsembleSpec(
-            base=self.joint.marginal_y(), attribute_size=self.attribute_size,
+            base=base, attribute_size=self.attribute_size,
             epsilon=epsilon, anisotropy=s, rho=self.rho,
             rejection_cap=self.rejection_cap,
         )
@@ -192,6 +187,10 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
     finally:
         parser.clear()
         parser.defaults().clear()
+    for key, least in (("n_configs", 1), ("delta_samples", 2)):
+        value = getattr(cfg, key)
+        if value < least:
+            raise ValidationError(f"[sampling] {key} = {value}: must be >= {least}")
     k_max = min(len(joint.x_labels), len(joint.y_labels)) - 1
     for k in cfg.k_grid:
         if not 1 <= k <= k_max:
@@ -232,7 +231,12 @@ def _f(x: float) -> str:
 def cmd_ingest(args) -> int:
     out = Path(args.out)
     _prepare_out(out, None)
-    lines = Path(args.samples).read_text().splitlines()
+    path = Path(args.samples)
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise ValidationError(f"cannot read samples {path}: {exc.strerror or exc}") from None
+    lines = data.decode().splitlines()
     pairs = list(iter_sample_pairs(lines, delimiter=args.delimiter, header=args.header))
     if args.x_alphabet:
         x_alpha = tuple(args.x_alphabet.split(","))
@@ -243,7 +247,7 @@ def cmd_ingest(args) -> int:
     else:
         y_alpha = tuple(dict.fromkeys(y for _, y in pairs))
     joint = joint_from_samples(pairs, x_alpha, y_alpha)
-    digest = hashlib.sha256(Path(args.samples).read_bytes()).hexdigest()[:16]
+    digest = hashlib.sha256(data).hexdigest()[:16]
     (out / "joint.txt").write_text(
         dump_joint(joint, header=_header(digest, args.seed) + [f"records: {len(pairs)}"])
     )
@@ -290,10 +294,10 @@ def cmd_symmetry(args) -> int:
     cfg = load_config(args.config, args.seed)
     out = Path(args.out)
     _prepare_out(out, cfg)
-    samples = args.samples if args.samples else cfg.delta_samples
+    samples = cfg.delta_samples if args.samples is None else args.samples
     eps = cfg.epsilon_grid[0]
     s = args.anisotropy
-    spec = cfg.ensemble_u(eps, s) if args.side == "x" else cfg.ensemble_v(eps, s)
+    spec = cfg.ensemble(args.side, eps, s)
     block = information_ensemble(spec).sample(samples, seed=cfg.seed)
     rep = delta_report(block)
     lem = moment_symmetry_report(block)
@@ -332,8 +336,8 @@ SIM_COLUMNS = (
 def _simulate_point(cfg: ExperimentConfig, point_id: str, eps: float, k: int, s: float,
                     chan_x: Channel, chan_y: Channel, cdm: CdmMatrix) -> dict:
     """One sweep row; `cdm` is that of the joint seen through (chan_x, chan_y)."""
-    mu_u = cfg.ensemble_u(eps, s)
-    mu_v = cfg.ensemble_v(eps, s)
+    mu_u = cfg.ensemble("x", eps, s)
+    mu_v = cfg.ensemble("y", eps, s)
     d_u = delta_report(information_ensemble(mu_u).sample(
         cfg.delta_samples, seed=(cfg.seed, 10))).delta
     d_v = delta_report(information_ensemble(mu_v).sample(
@@ -470,7 +474,7 @@ def _verify_checks(cfg: ExperimentConfig) -> list[checks.Check]:
     """The registry's checks on the config's joint, X channel and U-ensemble."""
     rng = np.random.default_rng(cfg.seed)
     joint = cfg.joint
-    spec = cfg.ensemble_u(cfg.epsilon_grid[0], 0.0)
+    spec = cfg.ensemble("x", cfg.epsilon_grid[0], 0.0)
     ens = information_ensemble(spec)
     bump = checks.BUMP.sample(100_000, seed=cfg.seed)  # for delta and moments alike
     first = ens.sample(cfg.delta_samples, seed=cfg.seed)

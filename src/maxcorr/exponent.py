@@ -32,7 +32,7 @@ import numpy as np
 from .ensemble import CHUNK, AttributeEnsembleSpec, configuration_stream
 from .errors import AlphabetMismatchError, ValidationError
 from .geometry import FeatureSet, feature_vectors, information_phi
-from .model import Channel, JointPmf, Pmf, apply_channels
+from .model import Channel, JointPmf, Pmf
 
 DEGENERATE_MEAN_GAP = 1e-12
 # most trials one multinomial call draws: consecutive calls on one generator
@@ -362,6 +362,11 @@ def average_exponents(
 ) -> ExponentReport:
     """Monte Carlo estimate of the four averaged error exponents.
 
+    `f` and `g` must be the features of the joint seen through
+    (`chan_x`, `chan_y`): the noisy marginals are read from their bases,
+    which are checked against the joint's marginals pushed through the
+    channels.
+
     Per configuration, the scored hypothesis pair is the least
     distinguishable one under the statistic at hand (argmin of the
     analytic exponent; the argmax-error-probability pair to leading
@@ -378,45 +383,43 @@ def average_exponents(
         raise ValidationError("f and g must have the same number of features")
     epsilon = mu_u.epsilon
 
-    joint_hat = apply_channels(joint, chan_x, chan_y)
     px, py = joint.marginal_x(), joint.marginal_y()
-    pxh, pyh = joint_hat.marginal_x(), joint_hat.marginal_y()
     _check_base("mu_u", mu_u.base, px)
     _check_base("mu_v", mu_v.base, py)
-    _check_base("f", f.base, pxh)
-    _check_base("g", g.base, pyh)
+    _check_base("f", f.base, chan_x.apply(px))
+    _check_base("g", g.base, chan_y.apply(py))
 
     y_given_x = joint.conditional_y_given_x()
     x_given_y = joint.conditional_x_given_y()
-    # per variable: its channel, feature vectors, noisy marginal and features
-    x_side = (chan_x.P, feature_vectors(f), pxh.probs, f)
-    y_side = (chan_y.P, feature_vectors(g), pyh.probs, g)
+    # per variable: its channel, features (on the noisy marginal) and feature vectors
+    x_side = (chan_x.P, f, feature_vectors(f))
+    y_side = (chan_y.P, g, feature_vectors(g))
 
-    def score(side, cond_hat: np.ndarray) -> np.ndarray:
-        _, psi, base_hat, fs = side
-        phi = information_phi(cond_hat, base_hat, epsilon)
+    def score(side, cond_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The least pair's score of each configuration, and the information
+        matrices of `cond_hat` it was read from."""
+        _, fs, psi = side
+        phi = information_phi(cond_hat, fs.base.probs, epsilon)
         val, i, j = _least_pair(psi.T @ phi)
         if oracle:
             labels = fs.base.labels
             return np.array([
                 iprojection_exponent(Pmf(labels, c[:, a]), Pmf(labels, c[:, b]), fs)
                 for c, a, b in zip(cond_hat, i, j)
-            ])
-        return epsilon**2 / 8.0 * val
+            ]), phi
+        return epsilon**2 / 8.0 * val, phi
 
     def scores(mu, stream, near, far, cross: np.ndarray) -> np.ndarray:
         """Rows: the near score, the far score and the near ||Phi||_F^2 of
         each configuration of `mu`, an attribute of the near variable that
         reaches the far one through `cross`."""
-        near_p, _, near_base, _ = near
         out = np.empty((3, n_configs))
         conds = configuration_stream(mu, n_configs, seed=(seed, stream))
         for start in range(0, n_configs, CHUNK):
             rows = slice(start, start + CHUNK)
-            cond_near = near_p @ conds[rows]
-            out[0, rows] = score(near, cond_near)
-            out[1, rows] = score(far, far[0] @ (cross @ conds[rows]))
-            out[2, rows] = (information_phi(cond_near, near_base, epsilon) ** 2).sum(axis=(1, 2))
+            out[0, rows], phi_near = score(near, near[0] @ conds[rows])
+            out[1, rows], _ = score(far, far[0] @ (cross @ conds[rows]))
+            out[2, rows] = (phi_near**2).sum(axis=(1, 2))
         return out
 
     u_s, u_t, u_frob = scores(mu_u, 0, x_side, y_side, y_given_x)

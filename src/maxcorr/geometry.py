@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -37,17 +36,6 @@ NULL_TOL = 1e-10
 ORTHO_TOL = 1e-8
 BALL_SLACK = 1e-9
 RANK_TOL = 1e-10
-
-
-def chi2_divergence(p: Pmf, ref: Pmf) -> float:
-    """Pearson chi-square statistic sum_z (p(z) - ref(z))^2 / ref(z)."""
-    if p.labels != ref.labels:
-        raise AlphabetMismatchError(
-            f"alphabets differ: {p.labels} vs {ref.labels}"
-        )
-    ref.require_positive()
-    d = p.probs - ref.probs
-    return float(np.sum(d * d / ref.probs))
 
 
 def _chi2_columns(cond: np.ndarray, base: np.ndarray) -> np.ndarray:
@@ -259,10 +247,8 @@ def feature_vectors(fs: FeatureSet) -> np.ndarray:
     return np.sqrt(fs.base.probs)[:, None] * fs.h
 
 
-def dump_features(fs: FeatureSet, header: Sequence[str] = ()) -> str:
+def dump_features(fs: FeatureSet) -> str:
     buf = io.StringIO()
-    for line in header:
-        buf.write(f"# {line}\n")
     buf.write("features v1\n")
     buf.write("labels: " + " ".join(fs.base.labels) + "\n")
     buf.write("base:\n")
@@ -273,30 +259,3 @@ def dump_features(fs: FeatureSet, header: Sequence[str] = ()) -> str:
         for lab, val in zip(fs.base.labels, fs.h[:, i]):
             buf.write(("%s " + FLOAT_FMT + "\n") % (lab, val))
     return buf.getvalue()
-
-
-def load_features(text: str) -> FeatureSet:
-    labels: list[str] = []
-    base_row: list[float] = []
-    columns: list[list[float]] = []
-    mode = ""
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#") or line == "features v1":
-            continue
-        if line.startswith("labels:"):
-            labels = line.split(":", 1)[1].split()
-        elif line == "base:":
-            mode = "base"
-        elif line.startswith("k:"):
-            mode = ""
-        elif line.startswith("feature "):
-            columns.append([])
-            mode = "feature"
-        elif mode == "base":
-            base_row = [float(v) for v in line.split()]
-        elif mode == "feature":
-            columns[-1].append(float(line.split()[1]))
-    base = Pmf(tuple(labels), np.array(base_row))
-    h = np.array(columns).T if columns else np.zeros((len(labels), 0))
-    return FeatureSet(h=h, base=base)

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import AlphabetMismatchError, FeasibilityError, ValidationError
 
 MASS_TOL = 1e-12
-STOCHASTIC_TOL = 1e-10
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -124,14 +123,6 @@ class JointPmf:
         py = self.marginal_y().require_positive().probs
         return self.probs.T / py[np.newaxis, :]
 
-    def swapped(self) -> "JointPmf":
-        """The same joint with the roles of X and Y exchanged."""
-        return JointPmf(self.y_labels, self.x_labels, self.probs.T)
-
-
-def product_joint(px: Pmf, py: Pmf) -> JointPmf:
-    return JointPmf(px.labels, py.labels, np.outer(py.probs, px.probs))
-
 
 @dataclass(frozen=True)
 class Channel:
@@ -177,11 +168,6 @@ class Channel:
                 f"channel alphabet {self.labels} != input alphabet {pmf.labels}"
             )
         return Pmf(self.labels, self.P @ pmf.probs)
-
-
-def identity_channel(labels: Sequence[str]) -> Channel:
-    n = len(tuple(labels))
-    return Channel(tuple(labels), 0.0, np.zeros((n, n)))
 
 
 def max_feasible_step(start: np.ndarray, step: np.ndarray) -> float:
@@ -257,26 +243,6 @@ def apply_channels(joint: JointPmf, chan_x: Channel, chan_y: Channel) -> JointPm
         raise AlphabetMismatchError("y-channel alphabet does not match joint")
     noisy = chan_y.P @ joint.probs @ chan_x.P.T
     return JointPmf(joint.x_labels, joint.y_labels, noisy)
-
-
-def reverse_channel(chan: Channel, input_pmf: Pmf) -> np.ndarray:
-    """Bayes-reverse transition matrix P(x | xh) = D_x P(xh|x)^T D_xh^{-1}.
-
-    Returned column-stochastic matrix has columns indexed by the output
-    symbol xh and rows by the input symbol x.
-    """
-    if chan.labels != input_pmf.labels:
-        raise AlphabetMismatchError("channel alphabet does not match input pmf")
-    input_pmf.require_positive()
-    out = chan.P @ input_pmf.probs
-    if float(out.min()) <= 0.0:
-        z = chan.labels[int(np.argmin(out))]
-        raise ValidationError(f"output symbol {z!r} has zero probability")
-    rev = (input_pmf.probs[:, np.newaxis] * chan.P.T) / out[np.newaxis, :]
-    err = np.max(np.abs(rev.sum(axis=0) - 1.0))
-    if err > STOCHASTIC_TOL:
-        raise ValidationError(f"reverse channel columns off-stochastic by {err:g}")
-    return rev
 
 
 # ---------------------------------------------------------------------------

@@ -78,10 +78,10 @@ class MatrixEnsemble:
         return block
 
 
-def gaussian_iid(n: int, m: int, scale: float = 1.0) -> MatrixEnsemble:
+def gaussian_iid(n: int, m: int) -> MatrixEnsemble:
     return MatrixEnsemble(
-        n, m, lambda rng, c: scale * rng.standard_normal((c, n, m)),
-        name=f"gaussian_iid({n}x{m}, scale={scale})",
+        n, m, lambda rng, c: rng.standard_normal((c, n, m)),
+        name=f"gaussian_iid({n}x{m})",
     )
 
 
@@ -400,18 +400,9 @@ def projection_bound_check(
     )
 
 
-def pushed_delta_bound(b: np.ndarray, delta: float, alpha: float) -> float:
-    """Symmetry deviation bound for {B A}: (alpha+delta)(s1^2-sn^2) + s1^2 delta."""
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ValidationError(f"B must be square, got {b.shape}")
-    if delta < 0 or alpha < 0:
-        raise ValidationError("delta and alpha must be >= 0")
-    return _gamma(jacobi_svd(b).s, delta, alpha)
-
-
 def _gamma(s: np.ndarray, delta: float, alpha: float) -> float:
-    """The pushed bound from the singular values of B, largest first."""
+    """Symmetry deviation bound for {B A}, (alpha+delta)(s1^2-sn^2) + s1^2 delta,
+    from the singular values s of B, largest first."""
     s1, sn = float(s[0]), float(s[-1])
     return (alpha + delta) * (s1**2 - sn**2) + s1**2 * delta
 

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from maxcorr.model import JointPmf, make_channel
+
 
 @pytest.fixture
 def rng():
@@ -30,6 +32,17 @@ def random_perturbation_t(rng, n):
     k = rng.random((n, n)) + 0.05
     k /= k.sum(axis=0, keepdims=True)
     return k - np.eye(n)
+
+
+def identity_channel(labels):
+    """The noiseless channel on `labels`."""
+    n = len(labels)
+    return make_channel(np.zeros((n, n)), 0.0, labels)
+
+
+def product_joint(px, py):
+    """The joint of independent X ~ px and Y ~ py."""
+    return JointPmf(px.labels, py.labels, np.outer(py.probs, px.probs))
 
 
 _LAPACK_SVD = np.linalg.svd

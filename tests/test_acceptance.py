@@ -11,7 +11,12 @@ from functools import partial
 
 import numpy as np
 
-from conftest import random_perturbation_t, random_positive_joint
+from conftest import (
+    identity_channel,
+    product_joint,
+    random_perturbation_t,
+    random_positive_joint,
+)
 from maxcorr import checks
 from maxcorr.dependence import canonical_dependence_matrix, select_features
 from maxcorr.ensemble import AttributeEnsembleSpec, information_ensemble, sample_configuration
@@ -30,9 +35,7 @@ from maxcorr.model import (
     JointPmf,
     Pmf,
     apply_channels,
-    identity_channel,
     make_channel,
-    product_joint,
     uniform_pmf,
 )
 from maxcorr.symmetry import conjugated, delta_report, entry_variances

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maxcorr import cli, dependence
+from maxcorr import cli, dependence, exponent, model
 from maxcorr.cli import OUT_ROOT_ENV, build_parser, load_config, main
 from maxcorr.errors import ValidationError
 
@@ -99,6 +99,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("name, old, new, needles", [
         ("exp.ini", "n_configs = 20", "n_configs = sixty", ("[sampling] n_configs", "sixty")),
+        ("exp.ini", "n_configs = 20", "n_configs = 0", ("[sampling] n_configs = 0", ">= 1")),
+        ("exp.ini", "delta_samples = 4000", "delta_samples = 1",
+         ("[sampling] delta_samples = 1", ">= 2")),
         ("exp.ini", "-0.75 0.25 0.25 0.25", "-0.75 0.25 abc 0.25", ("[channel_x] t", "abc")),
         ("exp.ini", "-0.75 0.25 0.25 0.25", "-0.75 0.25 0.25",
          ("[channel_x] t", "row 1 has 3")),
@@ -112,7 +115,7 @@ class TestConfig:
         ("joint.txt", " 0.090228508938800953\n", "\n",
          ("[chain] joint", "probs", "row 2 has 4 entries, row 1 has 3")),
         ("joint.txt", "joint v1", "joint v2", ("[chain] joint", "expected 'joint v1'")),
-    ], ids=["non-numeric-int", "non-numeric-matrix", "ragged-matrix", "missing-section",
+    ], ids=["non-numeric-int", "zero-configs", "one-delta-sample", "non-numeric-matrix", "ragged-matrix", "missing-section",
             "workers", "duplicate-key", "missing-joint-file", "interpolation",
             "missing-config-file", "joint-without-x-labels", "ragged-joint-row",
             "wrong-joint-kind"])
@@ -164,6 +167,14 @@ class TestCliCommands:
         joint = load_joint((tmp_path / "o" / "joint.txt").read_text())
         assert joint.probs[0, 0] == 0.5
 
+    def test_ingest_missing_file_named_in_error_record(self, tmp_path, capsys):
+        rc = main(["ingest", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        record = json.loads((tmp_path / "o" / "error.json").read_text())
+        assert record["error"] == "ValidationError"
+        assert "cannot read samples" in record["message"]
+        assert "absent.csv" in record["message"]
+
     def test_features_match_golden_oracle(self, tmp_path, capsys):
         rc = main([
             "features", "--config", str(DEMO), "--k", "2",
@@ -204,6 +215,14 @@ class TestCliCommands:
         assert rc == 0
         body = (tmp_path / "o" / "symmetry.txt").read_text()
         assert "delta_hat:" in body
+
+    def test_symmetry_zero_samples_rejected(self, tmp_path, capsys):
+        path = tiny_config(tmp_path)
+        rc = main(["symmetry", "--config", str(path), "--samples", "0",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        record = json.loads((tmp_path / "o" / "error.json").read_text())
+        assert record["message"] == "count must be >= 1"
 
     def test_symmetry_draws_once(self, tmp_path, capsys, monkeypatch):
         # delta_hat and the moment report are statistics of one drawn block
@@ -266,19 +285,28 @@ class TestCliCommands:
     @pytest.mark.parametrize("command, k, joints", [("features", "2", 1),
                                                     ("simulate", "1 2", 1)])
     def test_one_cdm_per_joint(self, tmp_path, capsys, monkeypatch, command, k, joints):
-        # features reads one joint; simulate's two points share one noisy joint
-        calls = []
+        # features reads one joint; simulate's two points share one noisy joint,
+        # built once: average_exponents reads its marginals from the features
+        calls, pushes = [], []
 
         def counting(joint):
             calls.append(joint)
             return build(joint)
 
-        build = dependence.canonical_dependence_matrix
+        def counting_push(*args):
+            pushes.append(args)
+            return push(*args)
+
+        build, push = dependence.canonical_dependence_matrix, model.apply_channels
         for module in (cli, dependence):  # dependence's global serves its own callers
             monkeypatch.setattr(module, "canonical_dependence_matrix", counting)
+        for module in (cli, exponent):
+            monkeypatch.setattr(module, "apply_channels", counting_push, raising=False)
         path = tiny_config(tmp_path, n_configs=10, delta_samples=500, k=k)
         assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 0
         assert len(calls) == joints
+        noisy_joints = joints if command == "simulate" else 0  # features reads the clean joint
+        assert len(pushes) == noisy_joints
 
     def test_out_root_read_when_main_runs(self, tmp_path, capsys, monkeypatch):
         build_parser()  # the parser exists before the variable is set

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    identity_channel,
+    product_joint,
     random_perturbation_t,
     random_positive_joint,
     random_positive_pmf,
@@ -19,10 +21,8 @@ from maxcorr.model import (
     JointPmf,
     Pmf,
     apply_channels,
-    identity_channel,
     make_channel,
     max_feasible_eta,
-    product_joint,
     uniform_pmf,
 )
 from maxcorr.svd import canonical_sign

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    identity_channel,
     loop_information_draws,
     loop_information_sample,
     random_perturbation_t,
@@ -32,7 +33,6 @@ from maxcorr.model import (
     JointPmf,
     Pmf,
     apply_channels,
-    identity_channel,
     make_channel,
     uniform_pmf,
 )
@@ -262,13 +262,13 @@ class TestMarkovPush:
         assert abs(slope - 1.0) < 0.2
 
     def test_transposed_statement(self, rng):
-        # attribute of Y pushed to X through the swapped joint
+        # attribute of Y pushed to X through the joint with X and Y exchanged
         j, _, _ = chain_fixture(rng, 0.0, 0.0)
         spec = AttributeEnsembleSpec(
             base=j.marginal_y(), attribute_size=3, epsilon=0.05
         )
         cfg = sample_configuration(spec, seed=7)
-        res = markov_push(cfg, j.swapped())
+        res = markov_push(cfg, JointPmf(j.y_labels, j.x_labels, j.probs.T))
         assert res.residual_norm < 1e-12
 
     def test_marginal_mismatch_rejected(self, rng):

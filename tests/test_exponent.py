@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    identity_channel,
     loop_average_exponents,
     loop_least_pair,
     random_perturbation_t,
@@ -33,7 +34,7 @@ from maxcorr.geometry import (
     feature_vectors,
     normalize_features,
 )
-from maxcorr.model import JointPmf, Pmf, apply_channels, identity_channel, make_channel, uniform_pmf
+from maxcorr.model import JointPmf, Pmf, apply_channels, make_channel, uniform_pmf
 
 U2 = uniform_pmf(("z1", "z2"))
 FS2 = FeatureSet(h=np.array([[1.0], [-1.0]]), base=U2)
@@ -399,6 +400,18 @@ class TestAverageExponents:
         mu_v = AttributeEnsembleSpec(base=joint.marginal_y(), attribute_size=3, epsilon=0.02)
         f, g = select_features(canonical_dependence_matrix(joint), 2)
         with pytest.raises(ValidationError, match="epsilon"):
+            average_exponents(mu_u, mu_v, joint, cx, cy, f, g, 10, 1)
+
+    def test_features_of_another_joint_rejected(self, rng):
+        # the noisy marginals are read from the feature bases, so features of
+        # the clean joint must not pass for those of the noisy one
+        joint = demo_joint()
+        cx = make_channel(random_perturbation_t(rng, 4), 0.05, joint.x_labels)
+        cy = identity_channel(joint.y_labels)
+        mu_u = AttributeEnsembleSpec(base=joint.marginal_x(), attribute_size=3, epsilon=0.05)
+        mu_v = AttributeEnsembleSpec(base=joint.marginal_y(), attribute_size=3, epsilon=0.05)
+        f, g = select_features(canonical_dependence_matrix(joint), 2)
+        with pytest.raises(ValidationError, match="f ensemble base differs from marginal"):
             average_exponents(mu_u, mu_v, joint, cx, cy, f, g, 10, 1)
 
 

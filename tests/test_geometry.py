@@ -3,7 +3,6 @@ import pytest
 
 from conftest import loop_max_feasible_step, random_positive_pmf
 from maxcorr.errors import (
-    AlphabetMismatchError,
     FeasibilityError,
     RankDeficiencyError,
     ValidationError,
@@ -12,12 +11,10 @@ from maxcorr.geometry import (
     Configuration,
     FeatureSet,
     InformationMatrix,
-    chi2_divergence,
     config_from_information_matrix,
     dump_features,
     feature_vectors,
     information_matrix,
-    load_features,
     max_feasible_epsilon,
     normalize_features,
 )
@@ -38,28 +35,22 @@ def small_config(eps=0.1):
 
 
 class TestChi2:
-    def test_zero_at_ref(self):
-        p = Pmf(("a", "b"), np.array([0.3, 0.7]))
-        assert chi2_divergence(p, p) == 0.0
+    """The chi-square ball of `Configuration`, the one place the chi-square
+    statistic sum_z (p(z) - base(z))^2 / base(z) is computed."""
 
     def test_hand_value(self):
-        # ((0.6-0.5)^2 + (0.4-0.5)^2) / 0.5 = 0.02 / 0.5 = 0.04
-        p = Pmf(("z1", "z2"), np.array([0.6, 0.4]))
-        assert chi2_divergence(p, U2) == pytest.approx(0.04, abs=1e-15)
-
-    def test_membership_threshold(self):
-        p = Pmf(("z1", "z2"), np.array([0.55, 0.45]))
-        # ((0.55-0.5)^2 + (0.45-0.5)^2) / 0.5 = 0.005 / 0.5 = 0.01
-        assert chi2_divergence(p, U2) == pytest.approx(0.01, abs=1e-15)
-
-    def test_alphabet_mismatch(self):
-        with pytest.raises(AlphabetMismatchError):
-            chi2_divergence(U2, uniform_pmf(("a", "b")))
+        # each column: ((0.6 - 0.5)^2 + (0.4 - 0.5)^2) / 0.5 = chi2 0.04 = 0.2^2
+        cond = np.array([[0.6, 0.4], [0.4, 0.6]])
+        prior = uniform_pmf(("w1", "w2"))
+        Configuration(U2, prior.labels, prior, cond, 0.2)
+        with pytest.raises(ValidationError, match=r"chi2=0\.04 > eps\^2=0\.0361"):
+            Configuration(U2, prior.labels, prior, cond, 0.19)
 
     def test_nonpositive_ref(self):
-        ref = Pmf(("a", "b"), np.array([1.0, 0.0]))
-        with pytest.raises(ValidationError):
-            chi2_divergence(Pmf(("a", "b"), np.array([0.5, 0.5])), ref)
+        base = Pmf(("z1", "z2"), np.array([1.0, 0.0]))
+        prior = uniform_pmf(("w1", "w2"))
+        with pytest.raises(ValidationError, match="'z2' has zero probability"):
+            Configuration(base, prior.labels, prior, np.array([[1.0, 1.0], [0.0, 0.0]]), 0.1)
 
 
 class TestConfiguration:
@@ -306,9 +297,16 @@ class TestFeatureVectors:
 
 
 class TestFeatureIo:
-    def test_round_trip(self, rng):
-        base = Pmf(("a", "b", "c"), random_positive_pmf(rng, 3))
-        fs = normalize_features(rng.normal(size=(3, 2)), base)
-        back = load_features(dump_features(fs, header=("demo",)))
-        assert back.base.labels == fs.base.labels
-        assert np.array_equal(back.h, fs.h)
+    def test_dump_literal_text(self):
+        # h = (-2, 0.5) has mean 0 and variance 1 under the base (0.2, 0.8)
+        fs = FeatureSet(h=np.array([[-2.0], [0.5]]), base=Pmf(("a", "b"), np.array([0.2, 0.8])))
+        assert dump_features(fs) == (
+            "features v1\n"
+            "labels: a b\n"
+            "base:\n"
+            "0.20000000000000001 0.80000000000000004\n"
+            "k: 1\n"
+            "feature 0:\n"
+            "a -2\n"
+            "b 0.5\n"
+        )

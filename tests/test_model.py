@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import identity_channel, product_joint
 from maxcorr.errors import (
     AlphabetMismatchError,
     FeasibilityError,
@@ -14,14 +15,11 @@ from maxcorr.model import (
     Pmf,
     apply_channels,
     dump_joint,
-    identity_channel,
     iter_sample_pairs,
     joint_from_samples,
     load_joint,
     make_channel,
     max_feasible_eta,
-    product_joint,
-    reverse_channel,
     uniform_pmf,
 )
 
@@ -187,49 +185,6 @@ class TestApplyChannels:
         j = JointPmf(("a", "b"), ("0", "1"), np.full((2, 2), 0.25))
         with pytest.raises(AlphabetMismatchError):
             apply_channels(j, identity_channel(("p", "q")), identity_channel(j.y_labels))
-
-
-class TestReverseChannel:
-    def test_identity(self):
-        c = identity_channel(("a", "b"))
-        rev = reverse_channel(c, Pmf(("a", "b"), np.array([0.3, 0.7])))
-        assert np.allclose(rev, np.eye(2), atol=1e-15)
-
-    def test_symmetric_uniform_fixed_point(self):
-        c = make_channel(T_BINARY, 0.2)
-        rev = reverse_channel(c, uniform_pmf(c.labels))
-        assert np.max(np.abs(rev - c.P)) < 1e-14
-
-    def test_bayes_hand_oracle(self):
-        # eta=0.2 BSC, input (0.3, 0.7): P_out = (0.38, 0.62);
-        # rev column xh: P(x|xh) = P(xh|x)P(x)/P(xh), computed by hand.
-        c = make_channel(T_BINARY, 0.2)
-        rev = reverse_channel(c, Pmf(c.labels, np.array([0.3, 0.7])))
-        expected = np.array([[0.24 / 0.38, 0.06 / 0.62], [0.14 / 0.38, 0.56 / 0.62]])
-        assert np.max(np.abs(rev - expected)) < 1e-15
-
-    def test_detailed_balance(self, rng):
-        from conftest import random_perturbation_t
-
-        for _ in range(10):
-            n = int(rng.integers(2, 6))
-            t = random_perturbation_t(rng, n)
-            c = make_channel(t, 0.4 * max_feasible_eta(t))
-            from conftest import random_positive_pmf
-
-            px = Pmf(c.labels, random_positive_pmf(rng, n))
-            rev = reverse_channel(c, px)
-            out = c.P @ px.probs
-            lhs = out[:, None] * rev.T
-            rhs = c.P * px.probs[None, :]
-            assert np.max(np.abs(lhs - rhs)) < 1e-10
-
-    def test_zero_output_symbol_named(self):
-        # channel sends everything to symbol 'a': column 'b' of P is e_a
-        t = np.array([[0.0, 1.0], [0.0, -1.0]])
-        c = make_channel(t, 1.0, ("a", "b"))
-        with pytest.raises(ValidationError, match="'b'"):
-            reverse_channel(c, Pmf(("a", "b"), np.array([0.5, 0.5])))
 
 
 class TestSerialization:

@@ -5,11 +5,11 @@ from maxcorr.errors import ValidationError
 from maxcorr.symmetry import (
     MatrixEnsemble,
     SecondMomentForm,
+    _gamma,
     conjugated,
     constant,
     delta_report,
     entry_variances,
-    pushed_delta_bound,
     gaussian_iid,
     moment_symmetry_report,
     projection_bound_check,
@@ -192,19 +192,16 @@ class TestProjectionBound:
 
 
 class TestPushedDeltaBound:
+    # the bound (alpha + delta)(s1^2 - sn^2) + s1^2 delta on delta({B A}), from
+    # the singular values of B
     def test_identity_recovers_delta(self):
-        assert pushed_delta_bound(np.eye(3), 0.2, 5.0) == pytest.approx(0.2)
+        assert _gamma(np.ones(3), 0.2, 5.0) == pytest.approx(0.2)
 
     def test_zero_delta_range_term(self):
-        b = np.diag([2.0, 1.0])
-        assert pushed_delta_bound(b, 0.0, 1.3) == pytest.approx((4 - 1) * 1.3)
+        assert _gamma(np.array([2.0, 1.0]), 0.0, 1.3) == pytest.approx((4 - 1) * 1.3)
 
     def test_hand_arithmetic(self):
-        assert pushed_delta_bound(np.diag([2.0, 1.0]), 0.1, 1.0) == pytest.approx(3.7)
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValidationError):
-            pushed_delta_bound(np.ones((2, 3)), 0.1, 1.0)
+        assert _gamma(np.array([2.0, 1.0]), 0.1, 1.0) == pytest.approx(3.7)
 
 
 class TestPropagationCheck:
@@ -244,7 +241,10 @@ class TestPropagationCheck:
         monkeypatch.setattr(sym, "jacobi_svd", lambda a: calls.append(a) or original(a))
         res = propagation_check(block, b)
         assert len(calls) == 1
-        assert res.delta_bound == pushed_delta_bound(b, res.delta_in, res.alpha)
+        s = np.linalg.svd(b, compute_uv=False)
+        assert res.delta_bound == pytest.approx(
+            (res.alpha + res.delta_in) * (s[0] ** 2 - s[-1] ** 2) + s[0] ** 2 * res.delta_in,
+            rel=1e-12)
 
     def test_non_square_b_rejected(self):
         with pytest.raises(ValidationError, match="square"):

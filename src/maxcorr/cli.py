@@ -236,7 +236,12 @@ def cmd_ingest(args) -> int:
         data = path.read_bytes()
     except OSError as exc:
         raise ValidationError(f"cannot read samples {path}: {exc.strerror or exc}") from None
-    lines = data.decode().splitlines()
+    try:
+        lines = data.decode().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"cannot decode samples {path} as UTF-8: byte {exc.start} ({exc.reason})"
+        ) from None
     pairs = list(iter_sample_pairs(lines, delimiter=args.delimiter, header=args.header))
     if args.x_alphabet:
         x_alpha = tuple(args.x_alphabet.split(","))

@@ -23,7 +23,6 @@ from .svd import SvdResult, complete_orthonormal, jacobi_svd
 
 NULL_TOL = 1e-10
 ZERO_SIGMA = 1e-10
-DEGENERATE_GAP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -58,24 +57,6 @@ class CdmMatrix:
     def sigmas(self) -> np.ndarray:
         return self.svd.s
 
-    def degenerate_groups(self, k: int | None = None) -> tuple[tuple[int, ...], ...]:
-        """Index groups of numerically repeated singular values.
-
-        Only groups of size >= 2 that intersect the first k indices are
-        reported (all of them when k is None).
-        """
-        s = self.svd.s
-        groups: list[tuple[int, ...]] = []
-        start = 0
-        for i in range(1, s.size + 1):
-            if i == s.size or abs(s[i] - s[i - 1]) > DEGENERATE_GAP * max(1.0, s[0]):
-                if i - start >= 2:
-                    groups.append(tuple(range(start, i)))
-                start = i
-        if k is not None:
-            groups = [g for g in groups if g[0] < k]
-        return tuple(groups)
-
 
 def canonical_dependence_matrix(joint: JointPmf) -> CdmMatrix:
     """Centered, sqrt-normalized dependence matrix of a joint.
@@ -103,8 +84,6 @@ class UncenteredB:
     """
 
     b: np.ndarray
-    p_in: Pmf
-    p_out: Pmf
     svd: SvdResult = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -133,7 +112,7 @@ def uncentered_b(chan: Channel, input_pmf: Pmf) -> UncenteredB:
     out = chan.apply(input_pmf)
     out.require_positive()
     b = (chan.P * np.sqrt(input_pmf.probs)[None, :]) / np.sqrt(out.probs)[:, None]
-    return UncenteredB(b=b, p_in=input_pmf, p_out=out)
+    return UncenteredB(b=b)
 
 
 def _deflate_root(vec: np.ndarray, root: np.ndarray) -> np.ndarray:
@@ -168,24 +147,14 @@ def select_features(cdm: CdmMatrix, k: int) -> tuple[FeatureSet, FeatureSet]:
     (`cdm.sigmas`) from the same object.
 
     f_i(x) = v_i(x) / sqrt(P_X(x)) and g_i(y) = u_i(y) / sqrt(P_Y(y)) for
-    the i-th right/left singular vector pair.  Requests that reach into a
-    degenerate or zero part of the spectrum succeed but are flagged on the
-    returned feature sets.
+    the i-th right/left singular vector pair.
     """
     k_max = min(cdm.px.size, cdm.py.size) - 1
     if not 1 <= k <= k_max:
         raise ValidationError(f"k={k} outside valid range 1..{k_max}")
     live = int(np.sum(cdm.sigmas[:k] > ZERO_SIGMA))
-    groups = cdm.degenerate_groups(k)
-    zero_idx = tuple(range(live, k))
     rx = np.sqrt(cdm.px.probs)
     ry = np.sqrt(cdm.py.probs)
-    f = FeatureSet(
-        h=_feature_directions(cdm.svd.v, live, k, rx) / rx[:, None], base=cdm.px,
-        degenerate_groups=groups, zero_indices=zero_idx,
-    )
-    g = FeatureSet(
-        h=_feature_directions(cdm.svd.u, live, k, ry) / ry[:, None], base=cdm.py,
-        degenerate_groups=groups, zero_indices=zero_idx,
-    )
+    f = FeatureSet(h=_feature_directions(cdm.svd.v, live, k, rx) / rx[:, None], base=cdm.px)
+    g = FeatureSet(h=_feature_directions(cdm.svd.u, live, k, ry) / ry[:, None], base=cdm.py)
     return f, g

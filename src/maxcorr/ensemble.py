@@ -86,10 +86,6 @@ class AttributeEnsembleSpec:
             raise ValidationError("prior size does not match attribute_size")
         self.prior.require_positive()
 
-    @property
-    def w_labels(self) -> tuple[str, ...]:
-        return self.prior.labels
-
 
 def raw_information_sample(
     rng: np.random.Generator,
@@ -248,7 +244,6 @@ class MarkovPushResult:
     """
 
     config: Configuration
-    approx_phi: np.ndarray
     residual: np.ndarray
 
     @property
@@ -293,6 +288,5 @@ def markov_push(
 
     out = replace(config, base=joint.marginal_y(), conditionals=cond)
     cdm = canonical_dependence_matrix(joint)
-    approx = cdm.b @ information_matrix(config).phi
-    residual = information_matrix(out).phi - approx
-    return MarkovPushResult(config=out, approx_phi=approx, residual=residual)
+    residual = information_matrix(out).phi - cdm.b @ information_matrix(config).phi
+    return MarkovPushResult(config=out, residual=residual)

@@ -100,26 +100,39 @@ def _iprojection_value(p: np.ndarray, c: np.ndarray, b: float) -> float:
     return max(0.0, lam * b - log_z)
 
 
-def iprojection_exponent(p1: Pmf, p2: Pmf, fs: FeatureSet) -> float:
-    """Exact error exponent of the nearest-centroid feature test.
+def _centroid_hyperplane(
+    p1: Pmf, p2: Pmf, fs: FeatureSet
+) -> tuple[np.ndarray, float] | None:
+    """The nearest-centroid test's decision hyperplane (c, b).
 
-    The decision region is the halfspace a . mean(h) > b with
-    a = E_1[h] - E_2[h] and b the midpoint threshold; the rate is the
-    smaller of the two I-projection values onto that hyperplane.
-    Returns 0 (with a warning) when the features cannot separate the pair.
+    The test decides hypothesis 1 when c . (counts / N) > b, with
+    c = h a, a = E_1[h] - E_2[h] and b the midpoint threshold.  Returns
+    None (with a warning) when the features cannot separate the pair.
     """
     if p1.labels != p2.labels or p1.labels != fs.base.labels:
         raise AlphabetMismatchError("distributions and features must share an alphabet")
-    p1.require_positive()
-    p2.require_positive()
     m1 = fs.mean_under(p1.probs)
     m2 = fs.mean_under(p2.probs)
     a = m1 - m2
     if float(np.linalg.norm(a)) <= DEGENERATE_MEAN_GAP:
         warnings.warn("features are constant across the pair; exponent is 0")
+        return None
+    return fs.h @ a, float((m1 + m2) @ a) / 2.0
+
+
+def iprojection_exponent(p1: Pmf, p2: Pmf, fs: FeatureSet) -> float:
+    """Exact error exponent of the nearest-centroid feature test.
+
+    The rate is the smaller of the two I-projection values onto the test's
+    decision hyperplane.  Returns 0 (with a warning) when the features
+    cannot separate the pair.
+    """
+    p1.require_positive()
+    p2.require_positive()
+    plane = _centroid_hyperplane(p1, p2, fs)
+    if plane is None:
         return 0.0
-    c = fs.h @ a
-    b = float((m1 + m2) @ a) / 2.0
+    c, b = plane
     return min(
         _iprojection_value(p1.probs, c, b),
         _iprojection_value(p2.probs, c, b),
@@ -134,7 +147,6 @@ class McCurve:
     stderr: float
     n_values: tuple[int, ...]
     p_hat: tuple[float, ...]
-    error_counts: tuple[float, ...]
     trials: tuple[int, ...]
 
 
@@ -179,28 +191,20 @@ def mc_error_curve(
     at most `MC_CHUNK` trials at a time, which bounds memory whatever the
     trial budget.
     """
-    if p1.labels != p2.labels or p1.labels != fs.base.labels:
-        raise AlphabetMismatchError("distributions and features must share an alphabet")
+    plane = _centroid_hyperplane(p1, p2, fs)
     bad_n = [int(v) for v in n_grid if int(v) < 1]
     if bad_n:
         raise ValidationError(f"n_grid entries must be >= 1, got {bad_n}")
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
-    m1 = fs.mean_under(p1.probs)
-    m2 = fs.mean_under(p2.probs)
-    a = m1 - m2
-    if float(np.linalg.norm(a)) <= DEGENERATE_MEAN_GAP:
+    if plane is None:
         # constant statistic: the error probability is exactly 1/2 forever
-        warnings.warn("features are constant across the pair; exponent is 0")
         grid = tuple(sorted(int(v) for v in n_grid))
         return McCurve(
             exponent=0.0, stderr=0.0, n_values=grid,
-            p_hat=tuple(0.5 for _ in grid),
-            error_counts=tuple(float(trials) for _ in grid),
-            trials=tuple(trials for _ in grid),
+            p_hat=tuple(0.5 for _ in grid), trials=tuple(trials for _ in grid),
         )
-    c = fs.h @ a
-    b = float((m1 + m2) @ a) / 2.0
+    c, b = plane
     if max_trials is None:
         max_trials = 64 * trials
 
@@ -256,7 +260,6 @@ def mc_error_curve(
         stderr=float(np.sqrt(cov[1, 1])),
         n_values=tuple(used_n),
         p_hat=tuple(p_hats),
-        error_counts=tuple(err_counts),
         trials=tuple(used_trials),
     )
 

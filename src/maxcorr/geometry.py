@@ -29,7 +29,7 @@ from .errors import (
     RankDeficiencyError,
     ValidationError,
 )
-from .model import FLOAT_FMT, Pmf, _check_labels, _fmt_row, _freeze, max_feasible_step
+from .model import FLOAT_FMT, Pmf, _fmt_row, _freeze, max_feasible_step
 from .svd import canonical_sign
 
 NULL_TOL = 1e-10
@@ -51,21 +51,17 @@ class Configuration:
     """
 
     base: Pmf
-    w_labels: tuple[str, ...]
     prior: Pmf
     conditionals: np.ndarray  # |Z| x |W|, column w = P(Z | W=w)
     epsilon: float
 
     def __post_init__(self):
-        object.__setattr__(self, "w_labels", _check_labels(self.w_labels))
-        if self.prior.labels != self.w_labels:
-            raise AlphabetMismatchError("prior labels do not match w_labels")
         self.base.require_positive()
         self.prior.require_positive()
         if not self.epsilon > 0:
             raise ValidationError("epsilon must be > 0")
         cond = _freeze(self.conditionals)
-        nz, nw = self.base.size, len(self.w_labels)
+        nz, nw = self.base.size, self.prior.size
         if cond.ndim not in (2, 3) or cond.shape[-2:] != (nz, nw):
             raise ValidationError(
                 f"conditionals shape {cond.shape}, expected ([C,] {nz}, {nw})"
@@ -78,7 +74,7 @@ class Configuration:
         chi2 = _chi2_columns(cond, self.base.probs)
         limit = self.epsilon**2 * (1.0 + BALL_SLACK) + 1e-15
         if np.any(chi2 > limit):
-            w = self.w_labels[int(np.argmax(chi2)) % nw]
+            w = self.prior.labels[int(np.argmax(chi2)) % nw]
             raise ValidationError(
                 f"conditional for w={w!r} outside the epsilon-ball: "
                 f"chi2={chi2.max():.6g} > eps^2={self.epsilon**2:.6g}"
@@ -119,10 +115,6 @@ class InformationMatrix:
                 f"columns not orthogonal to sqrt(base): overlap {overlap:g}"
             )
         object.__setattr__(self, "phi", phi)
-
-    @property
-    def column_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.phi, axis=-2)
 
 
 def information_phi(
@@ -166,28 +158,15 @@ def config_from_information_matrix(
         raise FeasibilityError(
             "epsilon too large for this direction", max_feasible_epsilon(base, phi.phi)
         )
-    return Configuration(
-        base=base,
-        w_labels=prior.labels,
-        prior=prior,
-        conditionals=cond,
-        epsilon=epsilon,
-    )
+    return Configuration(base=base, prior=prior, conditionals=cond, epsilon=epsilon)
 
 
 @dataclass(frozen=True)
 class FeatureSet:
-    """k zero-mean, unit-covariance feature functions on a base alphabet.
-
-    ``degenerate_groups`` lists index groups sharing a (numerically)
-    repeated singular value when the features came from an SVD selection;
-    ``zero_indices`` flags features paired with a zero singular value.
-    """
+    """k zero-mean, unit-covariance feature functions on a base alphabet."""
 
     h: np.ndarray  # |Z| x k, column i = feature i
     base: Pmf
-    degenerate_groups: tuple[tuple[int, ...], ...] = ()
-    zero_indices: tuple[int, ...] = ()
 
     def __post_init__(self):
         h = _freeze(self.h)

@@ -66,12 +66,6 @@ class Pmf:
             raise ValidationError(f"symbol {z!r} has zero probability")
         return self
 
-    def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise AlphabetMismatchError(f"unknown label {label!r}") from None
-
 
 def uniform_pmf(labels: Sequence[str]) -> Pmf:
     labels = tuple(labels)

@@ -174,7 +174,6 @@ class SecondMomentForm:
     """Empirical second-moment operator K = E[vec(A) vec(A)^T]."""
 
     k: np.ndarray
-    sample_count: int
     dims: tuple[int, int]
 
     def __post_init__(self):
@@ -187,15 +186,8 @@ class SecondMomentForm:
         eigs = np.linalg.eigvalsh((k + k.T) / 2.0)
         if eigs[0] < PSD_TOL * max(1.0, float(eigs[-1])):
             raise ValidationError(f"second-moment operator not PSD: {eigs[0]!r}")
-        if self.sample_count < 2:
-            raise ValidationError("sample_count must be >= 2")
         k.setflags(write=False)
         object.__setattr__(self, "k", k)
-
-    @property
-    def trace(self) -> float:
-        """Estimate of E ||A||_F^2."""
-        return float(np.trace(self.k))
 
 
 def second_moment_form(block: np.ndarray) -> SecondMomentForm:
@@ -205,7 +197,7 @@ def second_moment_form(block: np.ndarray) -> SecondMomentForm:
     vec = _vec_blocks(block)
     k = vec.T @ vec / count
     k = (k + k.T) / 2.0
-    return SecondMomentForm(k=k, sample_count=count, dims=(n, m))
+    return SecondMomentForm(k=k, dims=(n, m))
 
 
 @dataclass(frozen=True)
@@ -365,7 +357,6 @@ class ProjectionBoundResult:
     bound: float
     margin: float
     passed: bool
-    sample_count: int
 
 
 def projection_bound_check(
@@ -395,8 +386,7 @@ def projection_bound_check(
     margin = 3.0 * float(d.std(ddof=1)) / np.sqrt(samples)
     bound = 2.0 * g2 * h2 * delta
     return ProjectionBoundResult(
-        lhs=lhs, bound=bound, margin=margin,
-        passed=lhs <= bound + margin, sample_count=samples,
+        lhs=lhs, bound=bound, margin=margin, passed=lhs <= bound + margin
     )
 
 

@@ -174,6 +174,15 @@ class TestCliCommands:
         assert record["error"] == "ValidationError"
         assert "cannot read samples" in record["message"]
         assert "absent.csv" in record["message"]
+        # a sample file that is not UTF-8 (one Latin-1 e-acute label)
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes(b"x,y\ncaf\xe9,0\na,1\n")
+        rc = main(["ingest", str(latin1), "--out", str(tmp_path / "d")])
+        assert rc == 1
+        record = json.loads((tmp_path / "d" / "error.json").read_text())
+        assert record["error"] == "ValidationError"
+        assert "cannot decode samples" in record["message"]
+        assert "latin1.csv" in record["message"]
 
     def test_features_match_golden_oracle(self, tmp_path, capsys):
         rc = main([

@@ -97,14 +97,12 @@ class TestCanonicalDependenceMatrix:
         my = uncentered_b(cy, j.marginal_y()).b
         assert np.max(np.abs(noisy.b - my @ clean.b @ mx.T)) < 1e-10
 
-    def test_degenerate_group_detection(self):
+    def test_repeated_singular_values(self):
         # B = 0.3 * (projector onto the complement of sqrt-uniform)
         probs = np.full((3, 3), (1 - 0.3) / 9) + 0.1 * np.eye(3)
         j = JointPmf(("a", "b", "c"), ("u", "v", "w"), probs)
         cdm = canonical_dependence_matrix(j)
         assert np.allclose(np.sort(cdm.sigmas), [0.0, 0.3, 0.3], atol=1e-12)
-        assert cdm.degenerate_groups(2) == ((0, 1),)
-        assert cdm.degenerate_groups(1) == ((0, 1),)
 
 
 class TestUncenteredB:
@@ -152,13 +150,11 @@ class TestSelectFeatures:
         assert np.max(np.abs(f.h[:, 0] - np.array([1.0, -1.0]))) < 1e-12
         assert np.max(np.abs(g.h[:, 0] - np.array([1.0, -1.0]))) < 1e-12
 
-    def test_independent_joint_flagged(self):
+    def test_independent_joint_features_normalized(self):
         px = Pmf(("a", "b"), np.array([0.25, 0.75]))
         py = Pmf(("0", "1"), np.array([0.5, 0.5]))
         f, g = select_features(canonical_dependence_matrix(product_joint(px, py)), 1)
-        assert f.zero_indices == (0,)
-        assert g.zero_indices == (0,)
-        # flagged features are still valid normalized features
+        # zero-sigma features are still valid normalized features
         assert abs(float(px.probs @ f.h[:, 0])) < 1e-12
 
     def test_zero_sigma_features_independent_of_lapack(self, monkeypatch):
@@ -172,7 +168,6 @@ class TestSelectFeatures:
         want = select_features(canonical_dependence_matrix(j), 3)
         monkeypatch.setattr(np.linalg, "svd", rotated_null_svd)
         got = select_features(canonical_dependence_matrix(j), 3)
-        assert got[0].zero_indices == (1, 2)
         for fs_got, fs_want in zip(got, want):
             assert np.array_equal(fs_got.h, fs_want.h)
 

@@ -53,7 +53,7 @@ class TestSampling:
         # Configuration __post_init__ enforces ball membership and
         # marginal consistency; spot-check the norm policy on top.
         phi = information_matrix(cfg)
-        assert phi.column_norms.max() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(phi.phi, axis=-2).max() == pytest.approx(1.0, abs=1e-12)
 
     def test_stream_deterministic(self):
         a = configuration_stream(spec4(), 5, seed=9)
@@ -68,7 +68,7 @@ class TestSampling:
         conds = configuration_stream(spec, 4, seed=9)
         assert conds.shape == (4, 4, 3)
         for phi, cond in zip(phis, conds):
-            cfg = Configuration(spec.base, spec.w_labels, spec.prior, cond, spec.epsilon)
+            cfg = Configuration(spec.base, spec.prior, cond, spec.epsilon)
             assert np.max(np.abs(phi - information_matrix(cfg).phi)) < 1e-12
 
     def test_projected_delta_measured(self):
@@ -203,7 +203,7 @@ class TestPushThroughChannel:
         cond = np.array([[0.6, 0.4], [0.4, 0.6]])
         from maxcorr.geometry import Configuration
 
-        cfg = Configuration(base, ("w0", "w1"), uniform_pmf(("w0", "w1")), cond, 0.3)
+        cfg = Configuration(base, uniform_pmf(("w0", "w1")), cond, 0.3)
         chan = make_channel(np.array([[-1.0, 1.0], [1.0, -1.0]]), 0.1, base.labels)
         out = push_through_channel(cfg, chan)
         # P(a|w0) = 0.9*0.6 + 0.1*0.4 = 0.58

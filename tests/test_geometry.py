@@ -27,7 +27,6 @@ def small_config(eps=0.1):
     cond = np.array([[0.55, 0.45], [0.45, 0.55]])
     return Configuration(
         base=U2,
-        w_labels=("w1", "w2"),
         prior=uniform_pmf(("w1", "w2")),
         conditionals=cond,
         epsilon=eps,
@@ -42,15 +41,15 @@ class TestChi2:
         # each column: ((0.6 - 0.5)^2 + (0.4 - 0.5)^2) / 0.5 = chi2 0.04 = 0.2^2
         cond = np.array([[0.6, 0.4], [0.4, 0.6]])
         prior = uniform_pmf(("w1", "w2"))
-        Configuration(U2, prior.labels, prior, cond, 0.2)
+        Configuration(U2, prior, cond, 0.2)
         with pytest.raises(ValidationError, match=r"chi2=0\.04 > eps\^2=0\.0361"):
-            Configuration(U2, prior.labels, prior, cond, 0.19)
+            Configuration(U2, prior, cond, 0.19)
 
     def test_nonpositive_ref(self):
         base = Pmf(("z1", "z2"), np.array([1.0, 0.0]))
         prior = uniform_pmf(("w1", "w2"))
         with pytest.raises(ValidationError, match="'z2' has zero probability"):
-            Configuration(base, prior.labels, prior, np.array([[1.0, 1.0], [0.0, 0.0]]), 0.1)
+            Configuration(base, prior, np.array([[1.0, 1.0], [0.0, 0.0]]), 0.1)
 
 
 class TestConfiguration:
@@ -64,13 +63,13 @@ class TestConfiguration:
     def test_marginal_consistency_enforced(self):
         cond = np.array([[0.55, 0.55], [0.45, 0.45]])
         with pytest.raises(ValidationError, match="miss the base"):
-            Configuration(U2, ("w1", "w2"), uniform_pmf(("w1", "w2")), cond, 0.2)
+            Configuration(U2, uniform_pmf(("w1", "w2")), cond, 0.2)
 
 
 class TestInformationMatrix:
     def test_independent_attribute_gives_zero(self):
         cond = np.array([[0.5, 0.5], [0.5, 0.5]])
-        cfg = Configuration(U2, ("w1", "w2"), uniform_pmf(("w1", "w2")), cond, 0.1)
+        cfg = Configuration(U2, uniform_pmf(("w1", "w2")), cond, 0.1)
         phi = information_matrix(cfg)
         assert np.array_equal(phi.phi, np.zeros((2, 2)))
 
@@ -80,7 +79,7 @@ class TestInformationMatrix:
         r = np.sqrt(0.5)
         expected = np.array([[r, -r], [-r, r]])
         assert np.max(np.abs(phi.phi - expected)) < 1e-14
-        assert phi.column_norms == pytest.approx([1.0, 1.0], abs=1e-12)
+        assert np.linalg.norm(phi.phi, axis=-2) == pytest.approx([1.0, 1.0], abs=1e-12)
 
     def test_round_trip_exact(self, rng):
         for _ in range(25):
@@ -101,7 +100,7 @@ class TestInformationMatrix:
             eps = float(np.sqrt(
                 ((cond - base.probs[:, None]) ** 2 / base.probs[:, None]).sum(axis=0).max()
             )) * 1.5 + 1e-9
-            cfg = Configuration(base, prior.labels, prior, cond, eps)
+            cfg = Configuration(base, prior, cond, eps)
             phi = information_matrix(cfg)
             back = config_from_information_matrix(base, prior, phi, eps)
             assert np.max(np.abs(back.conditionals - cfg.conditionals)) < 1e-14
@@ -157,7 +156,7 @@ def stack_draws(count=5):
 
 
 def stacked_config(cond):
-    return Configuration(STACK_BASE, STACK_PRIOR.labels, STACK_PRIOR, cond, STACK_EPS)
+    return Configuration(STACK_BASE, STACK_PRIOR, cond, STACK_EPS)
 
 
 def stacked_phi(phi):
@@ -197,8 +196,9 @@ class TestStackedValidation:
         phi, cond = stack_draws()
         cfg = stacked_config(cond)
         assert np.array_equal(cfg.conditionals, cond)
-        assert np.array_equal(stacked_phi(phi).column_norms,
-                              np.stack([stacked_phi(p).column_norms for p in phi]))
+        assert np.array_equal(
+            np.linalg.norm(stacked_phi(phi).phi, axis=-2),
+            np.stack([np.linalg.norm(stacked_phi(p).phi, axis=-2) for p in phi]))
         back = config_from_information_matrix(STACK_BASE, STACK_PRIOR, stacked_phi(phi), STACK_EPS)
         assert np.array_equal(back.conditionals, np.stack([
             config_from_information_matrix(

@@ -30,7 +30,6 @@ class TestPmf:
     def test_valid(self):
         p = Pmf(("a", "b"), np.array([0.3, 0.7]))
         assert p.size == 2
-        assert p.index("b") == 1
 
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):

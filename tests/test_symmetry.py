@@ -60,7 +60,7 @@ class TestSecondMomentForm:
         form = second_moment_form(constant(np.eye(2)).sample(10, seed=0))
         v = np.array([1.0, 0.0, 0.0, 1.0])
         assert np.max(np.abs(form.k - np.outer(v, v))) < 1e-14
-        assert form.trace == pytest.approx(2.0)
+        assert np.trace(form.k) == pytest.approx(2.0)
 
     def test_iid_gaussian_isotropy(self):
         form = second_moment_form(gaussian_iid(2, 2).sample(100_000, seed=11))
@@ -74,18 +74,25 @@ class TestSecondMomentForm:
         with pytest.raises(ValidationError):
             second_moment_form(gaussian_iid(2, 2).sample(1, seed=0))
 
+    @pytest.mark.parametrize("k, message", [
+        (np.eye(3), r"K shape \(3, 3\) does not match dims \(2, 2\)"),
+        (np.eye(4) + np.triu(np.full((4, 4), 0.5), 1), "not symmetric"),
+        (np.diag([1.0, 1.0, 1.0, -0.5]), "not PSD"),
+    ], ids=["shape", "asymmetric", "not_psd"])
+    def test_rejects_invalid_k(self, k, message):
+        with pytest.raises(ValidationError, match=message):
+            SecondMomentForm(k=k, dims=(2, 2))
+
 
 class TestRankOneRange:
     def test_identity_form(self):
-        form = SecondMomentForm(k=np.eye(4), sample_count=10, dims=(2, 2))
+        form = SecondMomentForm(k=np.eye(4), dims=(2, 2))
         r = rank_one_range(form)
         assert r.min_val == pytest.approx(1.0, abs=1e-10)
         assert r.max_val == pytest.approx(1.0, abs=1e-10)
 
     def test_variance_bump_extremes(self):
-        form = SecondMomentForm(
-            k=np.diag([1.5, 1.0, 1.0, 1.0]), sample_count=10, dims=(2, 2)
-        )
+        form = SecondMomentForm(k=np.diag([1.5, 1.0, 1.0, 1.0]), dims=(2, 2))
         r = rank_one_range(form)
         assert r.min_val == pytest.approx(1.0, abs=1e-10)
         assert r.max_val == pytest.approx(1.5, abs=1e-10)
@@ -96,7 +103,7 @@ class TestRankOneRange:
     def test_matches_grid_oracle_2x2(self, rng):
         for _ in range(5):
             w = rng.normal(size=(6, 4))
-            form = SecondMomentForm(k=w.T @ w / 6, sample_count=10, dims=(2, 2))
+            form = SecondMomentForm(k=w.T @ w / 6, dims=(2, 2))
             lo, hi = grid_range_2x2(form)
             r = rank_one_range(form)
             assert r.min_val == pytest.approx(lo, abs=1e-4)

@@ -7,7 +7,10 @@ transformations.  Since Q1 u and Q2 v sweep all unit vectors, that supremum
 equals the full range (max - min) of the rank-one form over unit pairs, so
 the estimator here is: build the empirical second-moment operator
 K = E[vec(A) vec(A)^T], find the extrema of (v (x) u)^T K (v (x) u) by
-alternating eigen-iteration with restarts, and report max - min.
+alternating eigen-iteration with restarts, and report max - min.  The
+restart chains (one per start and extreme) iterate together as one stack:
+each iteration is two matmuls with K and two stacked `eigh` calls over the
+chains still moving, and each chain stops at its own convergence.
 
 Every statistic here is a function of an already-drawn (count, n, m) block
 of samples; none of them draws.  Drawing happens only in
@@ -138,9 +141,7 @@ def conjugated(ens: MatrixEnsemble, q1: np.ndarray, q2: np.ndarray) -> MatrixEns
     q2 = np.asarray(q2, dtype=float)
     return MatrixEnsemble(
         ens.n, ens.m,
-        lambda rng, c: np.einsum(
-            "ab,sbk,km->sam", q1.T, ens.sample_block(rng, c), q2
-        ),
+        lambda rng, c: q1.T @ ens.sample_block(rng, c) @ q2,
         name=f"conjugated({ens.name})", declared_delta=ens.declared_delta,
     )
 
@@ -213,26 +214,12 @@ class RankOneRange:
         return self.max_val - self.min_val
 
 
-def _extremize(
-    k4: np.ndarray, u0: np.ndarray, v0: np.ndarray, largest: bool,
-) -> tuple[float, np.ndarray, np.ndarray, bool]:
-    u, v = u0.copy(), v0.copy()
-    pick = -1 if largest else 0
-    obj = None
-    for _ in range(RANK_ONE_MAX_ITER):
-        mu = np.einsum("j,l,ijkl->ik", v, v, k4)
-        mu = (mu + mu.T) / 2.0
-        w, q = np.linalg.eigh(mu)
-        u = q[:, pick]
-        nv = np.einsum("i,k,ijkl->jl", u, u, k4)
-        nv = (nv + nv.T) / 2.0
-        w, q = np.linalg.eigh(nv)
-        v = q[:, pick]
-        new_obj = float(w[pick])
-        if obj is not None and abs(new_obj - obj) <= RANK_ONE_TOL * max(1.0, abs(new_obj)):
-            return new_obj, u, v, True
-        obj = new_obj
-    return obj, u, v, False
+def _extreme_eigpairs(mats: np.ndarray, pick: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalue and unit eigenvector `pick[c]` (-1 largest, 0 smallest) of
+    each symmetrised matrix in a (C, d, d) stack."""
+    w, q = np.linalg.eigh((mats + mats.transpose(0, 2, 1)) / 2.0)
+    rows = np.arange(len(pick))
+    return w[rows, pick], q[rows, :, pick]
 
 
 def rank_one_range(form: SecondMomentForm) -> RankOneRange:
@@ -242,31 +229,61 @@ def rank_one_range(form: SecondMomentForm) -> RankOneRange:
     joint problem is non-convex; seeded random restarts plus deterministic
     canonical starts at the extreme diagonal entries of K guard against
     local extrema.
+
+    Every start runs one chain toward the maximum and one toward the
+    minimum, and all chains iterate together: one iteration is one matmul
+    with K for M(v) = sum_jl v_j v_l K[i,j,k,l] of every live chain, one
+    stacked `eigh` for u, the same for N(u) and v.  Each chain stops on
+    its own once its objective moves by at most RANK_ONE_TOL (relative)
+    between two iterations; a chain still moving after RANK_ONE_MAX_ITER
+    iterations marks the range unconverged.
     """
     n, m = form.dims
-    k4 = form.k.reshape((n, m, n, m), order="F")
+    # kv[(i, k), (j, l)] = K[i, j, k, l], K's (n, m, n, m) view of vec(A) pairs
+    kv = form.k.reshape((n, m, n, m), order="F").transpose(0, 2, 1, 3).reshape(n * n, m * m)
     diag = np.diag(form.k)
-    starts: list[tuple[np.ndarray, np.ndarray]] = []
+    starts_u, starts_v = [], []
     for pos in (int(np.argmax(diag)), int(np.argmin(diag))):
-        i, j = pos % n, pos // n
-        starts.append((np.eye(n)[:, i], np.eye(m)[:, j]))
+        starts_u.append(np.eye(n)[pos % n])
+        starts_v.append(np.eye(m)[pos // n])
     rng = np.random.default_rng(np.random.SeedSequence(entropy=0, spawn_key=(97,)))
     for _ in range(RANK_ONE_RESTARTS):
         u = rng.standard_normal(n)
         v = rng.standard_normal(m)
-        starts.append((u / np.linalg.norm(u), v / np.linalg.norm(v)))
+        starts_u.append(u / np.linalg.norm(u))
+        starts_v.append(v / np.linalg.norm(v))
 
-    # max and min keep the first of equal values, so the earliest start wins ties
-    max_val, umax, vmax, ok_max = max(
-        (_extremize(k4, u0, v0, True) for u0, v0 in starts), key=lambda r: r[0])
-    min_val, umin, vmin, ok_min = min(
-        (_extremize(k4, u0, v0, False) for u0, v0 in starts), key=lambda r: r[0])
+    # chain c < S runs start c toward the maximum, chain S + c toward the minimum
+    s = len(starts_u)
+    u = np.array(starts_u + starts_u)
+    v = np.array(starts_v + starts_v)
+    pick = np.repeat([-1, 0], s)
+    obj = np.full(2 * s, np.nan)  # so no chain stops on its first iteration
+    converged = np.zeros(2 * s, dtype=bool)
+    live = np.arange(2 * s)
+    for _ in range(RANK_ONE_MAX_ITER):
+        vl = v[live]
+        mu = ((vl[:, :, None] * vl[:, None, :]).reshape(-1, m * m) @ kv.T).reshape(-1, n, n)
+        _, ul = _extreme_eigpairs(mu, pick[live])
+        nv = ((ul[:, :, None] * ul[:, None, :]).reshape(-1, n * n) @ kv).reshape(-1, m, m)
+        new_obj, v[live] = _extreme_eigpairs(nv, pick[live])
+        u[live] = ul
+        done = np.abs(new_obj - obj[live]) <= RANK_ONE_TOL * np.maximum(1.0, np.abs(new_obj))
+        obj[live] = new_obj
+        converged[live[done]] = True
+        live = live[~done]
+        if not live.size:
+            break
+
+    # argmax/argmin take the first of equal values, so the earliest start wins ties
+    hi = int(np.argmax(obj[:s]))
+    lo = s + int(np.argmin(obj[s:]))
     return RankOneRange(
-        min_val=min_val,
-        max_val=max_val,
-        argmin=(umin, vmin),
-        argmax=(umax, vmax),
-        unconverged=not (ok_max and ok_min),
+        min_val=float(obj[lo]),
+        max_val=float(obj[hi]),
+        argmin=(u[lo], v[lo]),
+        argmax=(u[hi], v[hi]),
+        unconverged=not (converged[hi] and converged[lo]),
     )
 
 

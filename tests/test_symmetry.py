@@ -1,7 +1,12 @@
+from functools import cache
+
 import numpy as np
 import pytest
 
+from maxcorr import symmetry
+from maxcorr.ensemble import AttributeEnsembleSpec, information_ensemble
 from maxcorr.errors import ValidationError
+from maxcorr.model import Pmf
 from maxcorr.symmetry import (
     MatrixEnsemble,
     SecondMomentForm,
@@ -32,10 +37,72 @@ def grid_range_2x2(form, step=1e-3):
     """
     thetas = np.arange(0.0, np.pi, step)
     us = np.column_stack([np.cos(thetas), np.sin(thetas)])
-    k4 = form.k.reshape((2, 2, 2, 2), order="F")
-    mu = np.einsum("ti,tk,ijkl->tjl", us, us, k4)
-    vals = np.einsum("tjl,sj,sl->ts", mu, us, us)
+    # kv[(i, k), (j, l)] = K[i, j, k, l]; row t of uu is vec(u_t u_t^T)
+    kv = form.k.reshape((2, 2, 2, 2), order="F").transpose(0, 2, 1, 3).reshape(4, 4)
+    uu = (us[:, :, None] * us[:, None, :]).reshape(-1, 4)
+    vals = (uu @ kv) @ uu.T  # vals[t, s] = rank-one moment at (u_t, u_s)
     return float(vals.min()), float(vals.max())
+
+
+def scalar_rank_one_range(form):
+    """Independent oracle: the alternating eigen-iteration run one chain at a
+    time, from the same starts, each start once toward the maximum and once
+    toward the minimum, with the same stopping rule.
+
+    Returns (min_val, max_val, unconverged); the first start wins ties.
+    """
+    n, m = form.dims
+    k4 = form.k.reshape((n, m, n, m), order="F")
+
+    def extremize(u, v, largest):
+        pick = -1 if largest else 0
+        obj = None
+        for _ in range(symmetry.RANK_ONE_MAX_ITER):
+            mu = np.einsum("j,l,ijkl->ik", v, v, k4)
+            u = np.linalg.eigh((mu + mu.T) / 2.0)[1][:, pick]
+            nv = np.einsum("i,k,ijkl->jl", u, u, k4)
+            w, q = np.linalg.eigh((nv + nv.T) / 2.0)
+            v = q[:, pick]
+            new_obj = float(w[pick])
+            if obj is not None and abs(new_obj - obj) <= (
+                    symmetry.RANK_ONE_TOL * max(1.0, abs(new_obj))):
+                return new_obj, True
+            obj = new_obj
+        return obj, False
+
+    diag = np.diag(form.k)
+    starts = [(np.eye(n)[:, pos % n], np.eye(m)[:, pos // n])
+              for pos in (int(np.argmax(diag)), int(np.argmin(diag)))]
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=0, spawn_key=(97,)))
+    for _ in range(symmetry.RANK_ONE_RESTARTS):
+        u = rng.standard_normal(n)
+        v = rng.standard_normal(m)
+        starts.append((u / np.linalg.norm(u), v / np.linalg.norm(v)))
+    hi, ok_hi = max((extremize(u, v, True) for u, v in starts), key=lambda r: r[0])
+    lo, ok_lo = min((extremize(u, v, False) for u, v in starts), key=lambda r: r[0])
+    return lo, hi, not (ok_hi and ok_lo)
+
+
+ORACLE_FORMS = ["psd-2x2", "psd-3x4", "psd-4x3", "psd-16x6", "info-4x3", "info-16x6"]
+
+
+@cache
+def oracle_form(name):
+    """A seeded second-moment form: K = W^T W / rows for a random W, or the
+    K of an information-ensemble block (degenerate: the sqrt(base) direction
+    of every draw is zero)."""
+    kind, dims = name.split("-")
+    n, m = (int(d) for d in dims.split("x"))
+    rng = np.random.default_rng(n * 100 + m)
+    if kind == "psd":
+        w = rng.normal(size=(n * m + 2, n * m))
+        return SecondMomentForm(k=w.T @ w / len(w), dims=(n, m))
+    base = rng.random(n) + 0.1
+    spec = AttributeEnsembleSpec(
+        base=Pmf(tuple(f"x{i}" for i in range(n)), base / base.sum()),
+        attribute_size=m, epsilon=0.05, anisotropy=0.4,
+    )
+    return second_moment_form(information_ensemble(spec).sample(2000, seed=n + m))
 
 
 class TestSamplingContract:
@@ -108,6 +175,33 @@ class TestRankOneRange:
             r = rank_one_range(form)
             assert r.min_val == pytest.approx(lo, abs=1e-4)
             assert r.max_val == pytest.approx(hi, abs=1e-4)
+
+    @pytest.mark.parametrize("name", ORACLE_FORMS)
+    def test_matches_scalar_oracle(self, name):
+        form = oracle_form(name)
+        lo, hi, unconverged = scalar_rank_one_range(form)
+        r = rank_one_range(form)
+        assert abs(r.min_val - lo) <= 1e-12 * max(1.0, abs(lo))
+        assert abs(r.max_val - hi) <= 1e-12 * max(1.0, abs(hi))
+        assert r.unconverged == unconverged
+
+    @pytest.mark.parametrize("name", ORACLE_FORMS)
+    def test_directions_attain_values(self, name):
+        # delta_report's stderr is evaluated at these directions
+        form = oracle_form(name)
+        r = rank_one_range(form)
+        scale = max(float(np.abs(form.k).max()), abs(r.min_val), abs(r.max_val))
+        for (u, v), val in ((r.argmin, r.min_val), (r.argmax, r.max_val)):
+            assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+            w = np.kron(v, u)
+            assert abs(w @ form.k @ w - val) <= 1e-12 * scale
+
+    def test_unconverged_reported(self, monkeypatch):
+        form = SecondMomentForm(k=np.diag([1.5, 1.0, 1.0, 1.0]), dims=(2, 2))
+        assert rank_one_range(form).unconverged is False
+        monkeypatch.setattr(symmetry, "RANK_ONE_MAX_ITER", 1)
+        assert rank_one_range(form).unconverged is True
 
 
 class TestDeltaEstimate:

@@ -10,9 +10,9 @@ from .dependence import (
 )
 from .ensemble import (
     AttributeEnsembleSpec,
+    chain_residual,
     configuration_stream,
     information_ensemble,
-    markov_push,
     push_through_channel,
     sample_configuration,
 )

@@ -30,6 +30,11 @@ one (count, |Z|, |W|) array.  They are converted and validated as stacks
 of CHUNK rows, one `config_from_information_matrix` call per stack, so no
 per-configuration object is built and working memory stays a few
 CHUNK-row arrays besides the output.
+
+Propagation has one push per channel, `push_through_channel`, and one
+chain statement, `chain_residual`: an attribute of the clean X pushed to
+the noisy Y^ differs from B^ times its push to the noisy X^ by a residual
+that is O(eta_1), with no residual without X noise.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dependence import canonical_dependence_matrix, uncentered_b
+from .dependence import canonical_dependence_matrix
 from .errors import AlphabetMismatchError, FeasibilityError, ValidationError
 from .geometry import (
     Configuration,
@@ -47,10 +52,9 @@ from .geometry import (
     information_matrix,
     max_feasible_epsilon,
 )
-from .model import Channel, JointPmf, Pmf, uniform_pmf
+from .model import Channel, JointPmf, Pmf, apply_channels, uniform_pmf
 from .symmetry import MatrixEnsemble, seed_rng
 
-PATH_AGREEMENT_TOL = 1e-12
 # Raw draws per `_accepted_block` sampler call, and rows per validated stack
 # in `configuration_stream`: working memory is a few chunk-sized arrays
 # besides the output, whatever the requested count.
@@ -215,57 +219,26 @@ def configuration_stream(
 def push_through_channel(config: Configuration, chan: Channel) -> Configuration:
     """Propagate an attribute of X to an attribute of the channel output.
 
-    Conditionals transform by the channel kernel; equivalently the
-    information matrix transforms by the uncentered dependence matrix.
-    Both paths are computed and must agree to PATH_AGREEMENT_TOL.
+    Conditionals transform by the channel kernel, so the information matrix
+    transforms by the channel's uncentered dependence matrix; `Configuration`
+    validates the result, a positive output base included.
     """
     if chan.labels != config.base.labels:
         raise AlphabetMismatchError("channel alphabet does not match configuration")
-    new_base = chan.apply(config.base).require_positive()
-    new_cond = chan.P @ config.conditionals
-    out = replace(config, base=new_base, conditionals=new_cond)
-    b = uncentered_b(chan, config.base).b
-    phi_path = b @ information_matrix(config).phi
-    gap = float(np.abs(phi_path - information_matrix(out).phi).max())
-    if gap > PATH_AGREEMENT_TOL:
-        raise ValidationError(
-            f"information-matrix path disagrees with conditional path by {gap:g}"
-        )
-    return out
+    return replace(config, base=chan.apply(config.base),
+                   conditionals=chan.P @ config.conditionals)
 
 
-@dataclass(frozen=True)
-class MarkovPushResult:
-    """Exact push of an attribute across the chain plus its linearization.
+def chain_residual(config: Configuration, joint: JointPmf,
+                   chan_x: Channel, chan_y: Channel) -> np.ndarray:
+    """The residual of the linearized push across the noisy chain.
 
-    ``residual = Phi_exact - B~ @ Phi_in`` vanishes when the observed pair
-    is the clean pair and otherwise scales linearly with the first
-    channel's noise level.
-    """
-
-    config: Configuration
-    residual: np.ndarray
-
-    @property
-    def residual_norm(self) -> float:
-        return float(np.abs(self.residual).max()) if self.residual.size else 0.0
-
-
-def markov_push(
-    config: Configuration,
-    joint: JointPmf,
-    *,
-    clean_config: Configuration | None = None,
-    clean_joint: JointPmf | None = None,
-    chan_y: Channel | None = None,
-) -> MarkovPushResult:
-    """Push an attribute of the joint's X-side to its Y-side.
-
-    With no clean-chain data the exact conditionals are computed through
-    P(y|x) of `joint` itself, which is exact precisely when `config`'s
-    variable and the joint's X coordinate are the same (no first-channel
-    noise).  Supplying (clean_config, clean_joint, chan_y) routes the
-    exact computation through the unobserved clean chain instead.
+    `config` is an attribute U of the clean X of `joint`.  Its exact push
+    to Y^ = chan_y(Y) runs through the clean chain U - X - Y - Y^; the
+    linearized push is B^ Phi^{X^|U}, with B^ the dependence matrix of the
+    noisy pair and X^ = chan_x(X).  The residual Phi^{Y^|U} - B^ Phi^{X^|U}
+    is O(eta_1): U - X - Y^ is itself a Markov chain, so there is no
+    residual without X noise.
     """
     if config.base.labels != joint.x_labels:
         raise AlphabetMismatchError("configuration alphabet does not match joint X")
@@ -274,19 +247,9 @@ def markov_push(
         raise ValidationError(
             f"configuration base differs from joint X-marginal by {marg_gap:g}"
         )
-    if clean_config is not None:
-        if clean_joint is None or chan_y is None:
-            raise ValidationError(
-                "clean-chain push needs clean_config, clean_joint and chan_y"
-            )
-        if clean_config.base.labels != clean_joint.x_labels:
-            raise AlphabetMismatchError("clean configuration does not match clean joint")
-        kernel = chan_y.P @ clean_joint.conditional_y_given_x()
-        cond = kernel @ clean_config.conditionals
-    else:
-        cond = joint.conditional_y_given_x() @ config.conditionals
-
-    out = replace(config, base=joint.marginal_y(), conditionals=cond)
-    cdm = canonical_dependence_matrix(joint)
-    residual = information_matrix(out).phi - cdm.b @ information_matrix(config).phi
-    return MarkovPushResult(config=out, residual=residual)
+    noisy = apply_channels(joint, chan_x, chan_y)
+    x_hat = push_through_channel(config, chan_x)
+    y_given_u = joint.conditional_y_given_x() @ config.conditionals
+    y_hat = replace(config, base=noisy.marginal_y(), conditionals=chan_y.P @ y_given_u)
+    b = canonical_dependence_matrix(noisy).b
+    return information_matrix(y_hat).phi - b @ information_matrix(x_hat).phi

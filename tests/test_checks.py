@@ -4,8 +4,10 @@ something."""
 
 import numpy as np
 
+from conftest import random_perturbation_t, random_positive_joint
 from maxcorr import checks
-from maxcorr.model import Pmf, make_channel
+from maxcorr.ensemble import AttributeEnsembleSpec, sample_configuration
+from maxcorr.model import JointPmf, Pmf, make_channel
 from maxcorr.symmetry import gaussian_iid, variance_bump
 
 T2 = np.array([[-1.0, 1.0], [1.0, -1.0]])
@@ -33,4 +35,17 @@ def test_channel_spectrum_slope_fails_on_quadratic_channel():
     p = Pmf(("a", "b"), np.array([0.3, 0.7]))
     check = checks.channel_spectrum_slope(
         [(lambda eta: make_channel(T2, eta**2, p.labels), p)])
+    assert not check.ok, check.detail
+
+
+def test_markov_residual_fails_on_quadratic_channel():
+    # an X channel of strength eta^2 makes the chain residual O(eta^2)
+    rng = np.random.default_rng(6)
+    joint = JointPmf(tuple("abcd"), tuple("wxyz"), random_positive_joint(rng, 4, 4))
+    tx, ty = random_perturbation_t(rng, 4), random_perturbation_t(rng, 4)
+    spec = AttributeEnsembleSpec(base=joint.marginal_x(), attribute_size=3, epsilon=0.05)
+    check = checks.markov_residual(
+        sample_configuration(spec, seed=6), joint,
+        lambda eta: make_channel(tx, eta**2, joint.x_labels),
+        make_channel(ty, 0.05, joint.y_labels))
     assert not check.ok, check.detail

@@ -3,6 +3,7 @@ import argparse
 import configparser
 import gc
 import json
+import signal
 import threading
 import time
 from pathlib import Path
@@ -424,8 +425,14 @@ class TestSimulateJournal:
 
         monkeypatch.setattr(cli, "_simulate_point", third_interrupts)
         out = tmp_path / "o"
-        with pytest.raises(KeyboardInterrupt):
-            simulate(path, out, "--jobs", "2")
+        # interrupt_main() does nothing while SIGINT is ignored, as in a
+        # background launch, so the test installs Python's own handler
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                simulate(path, out, "--jobs", "2")
+        finally:
+            signal.signal(signal.SIGINT, previous)
         journal = [json.loads(line)["sweep_id"]
                    for line in (out / "simulate.partial.jsonl").read_text().splitlines()]
         assert sorted(journal) == sorted(returned)

@@ -14,9 +14,9 @@ from maxcorr.dependence import uncentered_b
 from maxcorr.ensemble import (
     CHUNK,
     AttributeEnsembleSpec,
+    chain_residual,
     configuration_stream,
     information_ensemble,
-    markov_push,
     push_through_channel,
     raw_information_sample,
     sample_configuration,
@@ -32,7 +32,6 @@ from maxcorr.geometry import (
 from maxcorr.model import (
     JointPmf,
     Pmf,
-    apply_channels,
     make_channel,
     uniform_pmf,
 )
@@ -214,7 +213,7 @@ class TestPushThroughChannel:
         cfg = sample_configuration(spec4(), seed=4)
         t = random_perturbation_t(rng, 4)
         chan = make_channel(t, 0.3, BASE4.labels)
-        out = push_through_channel(cfg, chan)  # raises if paths disagree
+        out = push_through_channel(cfg, chan)
         b = uncentered_b(chan, cfg.base).b
         gap = np.abs(
             b @ information_matrix(cfg).phi - information_matrix(out).phi
@@ -233,14 +232,23 @@ def chain_fixture(rng, eta1, eta2):
 
 class TestMarkovPush:
     def test_zero_noise_residual_vanishes(self, rng):
-        j, _, _ = chain_fixture(rng, 0.0, 0.0)
+        j, cx, cy = chain_fixture(rng, 0.0, 0.0)
         spec = AttributeEnsembleSpec(
             base=j.marginal_x(), attribute_size=3, epsilon=0.05
         )
         cfg = sample_configuration(spec, seed=5)
-        res = markov_push(cfg, j)
-        assert res.residual_norm < 1e-12
-        assert res.config.base.labels == j.y_labels
+        res = chain_residual(cfg, j, cx, cy)
+        assert res.shape == (len(j.y_labels), 3)
+        assert np.abs(res).max() < 1e-12
+
+    def test_y_noise_alone_leaves_no_residual(self, rng):
+        # U - X - Y^ is a Markov chain, so only X noise leaves a residual
+        j, cx, cy = chain_fixture(rng, 0.0, 0.3)
+        spec = AttributeEnsembleSpec(
+            base=j.marginal_x(), attribute_size=3, epsilon=0.05
+        )
+        cfg = sample_configuration(spec, seed=9)
+        assert np.abs(chain_residual(cfg, j, cx, cy)).max() < 1e-12
 
     def test_residual_linear_in_eta(self, rng):
         j, cx0, cy = chain_fixture(rng, 0.0, 0.05)
@@ -252,29 +260,24 @@ class TestMarkovPush:
         norms = []
         for eta in etas:
             cx = make_channel(cx0.T, eta, j.x_labels)
-            noisy = apply_channels(j, cx, cy)
-            cfg_hat = push_through_channel(clean_cfg, cx)
-            res = markov_push(
-                cfg_hat, noisy, clean_config=clean_cfg, clean_joint=j, chan_y=cy
-            )
-            norms.append(res.residual_norm)
+            norms.append(np.abs(chain_residual(clean_cfg, j, cx, cy)).max())
         slope = np.polyfit(np.log(etas), np.log(norms), 1)[0]
         assert abs(slope - 1.0) < 0.2
 
     def test_transposed_statement(self, rng):
         # attribute of Y pushed to X through the joint with X and Y exchanged
-        j, _, _ = chain_fixture(rng, 0.0, 0.0)
+        j, cx, cy = chain_fixture(rng, 0.0, 0.0)
         spec = AttributeEnsembleSpec(
             base=j.marginal_y(), attribute_size=3, epsilon=0.05
         )
         cfg = sample_configuration(spec, seed=7)
-        res = markov_push(cfg, JointPmf(j.y_labels, j.x_labels, j.probs.T))
-        assert res.residual_norm < 1e-12
+        res = chain_residual(cfg, JointPmf(j.y_labels, j.x_labels, j.probs.T), cy, cx)
+        assert np.abs(res).max() < 1e-12
 
     def test_marginal_mismatch_rejected(self, rng):
-        j, _, _ = chain_fixture(rng, 0.0, 0.0)
+        j, cx, cy = chain_fixture(rng, 0.0, 0.0)
         other = Pmf(j.x_labels, np.array([0.4, 0.3, 0.2, 0.1]))
         spec = AttributeEnsembleSpec(base=other, attribute_size=3, epsilon=0.05)
         cfg = sample_configuration(spec, seed=8)
         with pytest.raises(ValidationError, match="marginal"):
-            markov_push(cfg, j)
+            chain_residual(cfg, j, cx, cy)

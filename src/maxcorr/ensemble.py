@@ -20,7 +20,11 @@ Every sampling path (`information_ensemble`, `configuration_stream`,
 normal draw.  Accepted matrices are collected CHUNK raw draws at a time.  A
 (B, n, m) normal draw consumes exactly the normals of B sequential (n, m)
 draws, so the accepted sequence is the one a draw-by-draw loop yields, bit
-for bit.  The rejection cap counts consecutive rejected draws across chunk
+for bit.  That equality also rests on the two projections staying stacked
+per-draw products (one large product over all draws rounds differently);
+every elementwise step and reduction runs on an (n, m, B) array, with the
+draw axis innermost, so numpy's inner loops are B entries long rather than
+m.  The rejection cap counts consecutive rejected draws across chunk
 boundaries and resets at each acceptance; cap + 1 in a row raise a
 FeasibilityError.  Draws past the last accepted matrix are discarded with
 the seed's generator, which nothing else draws from.
@@ -101,27 +105,37 @@ def raw_information_sample(
     """`count` unscaled information-matrix draws (steps 1-3, no norm policy).
 
     One (count, n, m) normal draw consumes the same normals as `count`
-    sequential (n, m) draws, so draw i equals the i-th single draw.
+    sequential (n, m) draws, so draw i equals the i-th single draw.  The
+    result is the (count, n, m) view of an (n, m, count) array.
     """
     n, m = base.size, prior.size
     phi = rng.standard_normal((count, n, m))
     if anisotropy:
         phi[:, 0, :] *= 1.0 + anisotropy
     root = np.sqrt(base)
-    phi -= root[:, None] * (root @ phi)[:, None, :]
-    phi -= (phi @ prior)[:, :, None]
-    return phi
+    t = phi.transpose(1, 2, 0).copy()
+    t -= root[:, None, None] * (root @ phi).T
+    phi = t.transpose(2, 0, 1).copy()
+    t -= (phi.reshape(-1, m) @ prior).reshape(count, n).T[:, None, :]
+    return t.transpose(2, 0, 1)
 
 
 def _accept(spec: AttributeEnsembleSpec, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rescale raw draws in place (step 4) and return them with the mask of
-    accepted draws: nonzero, with every conditional inside [0, 1]."""
+    accepted draws: nonzero, with every conditional inside [0, 1].
+
+    `phi` is a (count, n, m) view of an (n, m, count) array, which every
+    step here reads with the draw axis innermost.
+    """
     base = spec.base.probs
-    top = np.linalg.norm(phi, axis=1).max(axis=1)
+    t = phi.transpose(1, 2, 0)
+    # sqrt is monotone, so the max of the squared column norms comes first
+    top = np.sqrt(np.add.reduce(t * t, axis=0).max(axis=0))
     nonzero = top > 0.0
-    phi *= np.divide(spec.rho, top, out=np.zeros_like(top), where=nonzero)[:, None, None]
-    cond = base[:, None] + spec.epsilon * np.sqrt(base)[:, None] * phi
-    return phi, nonzero & np.all((cond >= 0.0) & (cond <= 1.0), axis=(1, 2))
+    t *= np.divide(spec.rho, top, out=np.zeros_like(top), where=nonzero)
+    cond = base[:, None, None] + spec.epsilon * np.sqrt(base)[:, None, None] * t
+    cond = cond.reshape(-1, t.shape[2])
+    return phi, nonzero & (cond.min(axis=0) >= 0.0) & (cond.max(axis=0) <= 1.0)
 
 
 def _rejection_cap_error(

@@ -7,10 +7,15 @@ transformations.  Since Q1 u and Q2 v sweep all unit vectors, that supremum
 equals the full range (max - min) of the rank-one form over unit pairs, so
 the estimator here is: build the empirical second-moment operator
 K = E[vec(A) vec(A)^T], find the extrema of (v (x) u)^T K (v (x) u) by
-alternating eigen-iteration with restarts, and report max - min.  The
-restart chains (one per start and extreme) iterate together as one stack:
-each iteration is two matmuls with K and two stacked `eigh` calls over the
-chains still moving, and each chain stops at its own convergence.
+alternating eigen-iteration with restarts, and report max - min.  K is
+summed over the row-major flat view of the block, a reshape that copies
+nothing, and reordered into the column-major vec convention.  The restart
+chains (one per start and extreme) iterate together as one stack: each
+iteration is two matmuls with K and two stacked `eigh` calls over the
+chains still moving, and each chain stops at its own convergence.  Chains
+whose values agree to within that convergence tolerance count as tied, and
+the earliest start among them is reported, so the reported direction (and
+the stderr evaluated there) does not follow last-bit rounding of K.
 
 Every statistic here is a function of an already-drawn (count, n, m) block
 of samples; none of them draws.  Drawing happens only in
@@ -164,12 +169,6 @@ def _as_block(block) -> np.ndarray:
     return block
 
 
-def _vec_blocks(samples: np.ndarray) -> np.ndarray:
-    """Column-major vec of each sample: vec(A)[j*n + i] = A[i, j]."""
-    count, n, m = samples.shape
-    return samples.transpose(0, 2, 1).reshape(count, n * m)
-
-
 @dataclass(frozen=True)
 class SecondMomentForm:
     """Empirical second-moment operator K = E[vec(A) vec(A)^T]."""
@@ -192,11 +191,17 @@ class SecondMomentForm:
 
 
 def second_moment_form(block: np.ndarray) -> SecondMomentForm:
-    """K of a drawn (count, n, m) block."""
+    """K of a drawn (count, n, m) block.
+
+    The moments are summed over the row-major flat view of the samples,
+    entry (i, j) at i*m + j, and reordered into the column-major vec
+    convention of K, entry (i, j) at j*n + i.
+    """
     block = _as_block(block)
     count, n, m = block.shape
-    vec = _vec_blocks(block)
-    k = vec.T @ vec / count
+    flat = block.reshape(count, n * m)
+    k = (flat.T @ flat / count).reshape(n, m, n, m).transpose(1, 0, 3, 2)
+    k = k.reshape(n * m, n * m)
     k = (k + k.T) / 2.0
     return SecondMomentForm(k=k, dims=(n, m))
 
@@ -222,6 +227,13 @@ def _extreme_eigpairs(mats: np.ndarray, pick: np.ndarray) -> tuple[np.ndarray, n
     return w[rows, pick], q[rows, :, pick]
 
 
+def _earliest_near(values: np.ndarray, extreme: float) -> int:
+    """The first index whose value lies within RANK_ONE_TOL (relative) of
+    `extreme`."""
+    near = np.abs(values - extreme) <= RANK_ONE_TOL * max(1.0, abs(extreme))
+    return int(np.flatnonzero(near)[0])
+
+
 def rank_one_range(form: SecondMomentForm) -> RankOneRange:
     """Extrema of the rank-one second moment over unit vector pairs.
 
@@ -237,6 +249,10 @@ def rank_one_range(form: SecondMomentForm) -> RankOneRange:
     its own once its objective moves by at most RANK_ONE_TOL (relative)
     between two iterations; a chain still moving after RANK_ONE_MAX_ITER
     iterations marks the range unconverged.
+
+    Each extreme is reported from the earliest start whose value lies
+    within RANK_ONE_TOL * max(1, |extreme|) of it, with that chain's value
+    and direction, so the reported direction attains the reported value.
     """
     n, m = form.dims
     # kv[(i, k), (j, l)] = K[i, j, k, l], K's (n, m, n, m) view of vec(A) pairs
@@ -275,9 +291,8 @@ def rank_one_range(form: SecondMomentForm) -> RankOneRange:
         if not live.size:
             break
 
-    # argmax/argmin take the first of equal values, so the earliest start wins ties
-    hi = int(np.argmax(obj[:s]))
-    lo = s + int(np.argmin(obj[s:]))
+    hi = _earliest_near(obj[:s], obj[:s].max())
+    lo = s + _earliest_near(obj[s:], obj[s:].min())
     return RankOneRange(
         min_val=float(obj[lo]),
         max_val=float(obj[hi]),
@@ -304,12 +319,11 @@ def delta_report(block: np.ndarray) -> DeltaReport:
     block = _as_block(block)
     count = block.shape[0]
     form = second_moment_form(block)
-    vec = _vec_blocks(block)
+    flat = block.reshape(count, -1)
     rng_range = rank_one_range(form)
     ses = []
     for u, v in (rng_range.argmin, rng_range.argmax):
-        w = np.kron(v, u)
-        per_sample = (vec @ w) ** 2
+        per_sample = (flat @ np.outer(u, v).ravel()) ** 2
         ses.append(float(per_sample.std(ddof=1)) / np.sqrt(count))
     return DeltaReport(
         delta=rng_range.spread,
@@ -339,17 +353,17 @@ class MomentSymmetryReport:
 def moment_symmetry_report(block: np.ndarray) -> MomentSymmetryReport:
     block = _as_block(block)
     samples = block.shape[0]
-    vec = _vec_blocks(block)
-    mean = vec.mean(axis=0)
-    se_mean = vec.std(axis=0, ddof=1) / np.sqrt(samples)
+    flat = block.reshape(samples, -1)
+    mean = flat.mean(axis=0)
+    se_mean = flat.std(axis=0, ddof=1) / np.sqrt(samples)
     i_mean = int(np.argmax(np.abs(mean)))
 
-    sq = vec**2
+    sq = flat**2
     second = sq.mean(axis=0)
     se_second = sq.std(axis=0, ddof=1) / np.sqrt(samples)
     i_hi, i_lo = int(np.argmax(second)), int(np.argmin(second))
 
-    k = vec.T @ vec / samples
+    k = flat.T @ flat / samples
     k2 = sq.T @ sq / samples
     cov = k - np.outer(mean, mean)
     var_prod = np.maximum(k2 - k**2, 0.0)

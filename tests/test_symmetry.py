@@ -1,9 +1,11 @@
 from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from maxcorr import symmetry
+from maxcorr.cli import load_config
 from maxcorr.ensemble import AttributeEnsembleSpec, information_ensemble
 from maxcorr.errors import ValidationError
 from maxcorr.model import Pmf
@@ -27,6 +29,7 @@ from maxcorr.symmetry import (
 )
 
 BUMP2X2 = variance_bump(2, 2, 1.5)
+DEMO = Path(__file__).resolve().parent.parent / "demo" / "demo.ini"
 
 
 def grid_range_2x2(form, step=1e-3):
@@ -141,6 +144,29 @@ class TestSecondMomentForm:
         with pytest.raises(ValidationError):
             second_moment_form(gaussian_iid(2, 2).sample(1, seed=0))
 
+    @staticmethod
+    def vec_reference(block):
+        """K by the column-major vec of each sample, vec(A)[j*n + i] = A[i, j]."""
+        count, n, m = block.shape
+        vec = block.transpose(0, 2, 1).reshape(count, n * m)
+        k = vec.T @ vec / count
+        return (k + k.T) / 2.0
+
+    def test_non_square_keeps_vec_convention(self):
+        block = entry_variances(np.arange(1.0, 16.0).reshape(5, 3)).sample(500, seed=13)
+        k = second_moment_form(block).k
+        want = self.vec_reference(block)
+        assert np.max(np.abs(k - want)) <= 1e-15 * np.abs(want).max()
+
+    def test_non_contiguous_block(self):
+        block = variance_bump(3, 2, 1.5).sample(1000, seed=14)[::2]
+        assert not block.flags.c_contiguous
+        k = second_moment_form(block).k
+        want = self.vec_reference(block)
+        assert np.max(np.abs(k - want)) <= 1e-15 * np.abs(want).max()
+        got, copy = delta_report(block), delta_report(np.ascontiguousarray(block))
+        assert (got.delta, got.stderr) == (copy.delta, copy.stderr)
+
     @pytest.mark.parametrize("k, message", [
         (np.eye(3), r"K shape \(3, 3\) does not match dims \(2, 2\)"),
         (np.eye(4) + np.triu(np.full((4, 4), 0.5), 1), "not symmetric"),
@@ -226,6 +252,18 @@ class TestDeltaEstimate:
         d1 = delta_report(base.sample(20_000, seed=24)).delta
         d2 = delta_report(conjugated(base, q1, q2).sample(20_000, seed=24)).delta
         assert d2 == pytest.approx(d1, abs=1e-6)
+
+    def test_stderr_ignores_sample_order(self):
+        # the max chains end within ~1e-15 of one another but their
+        # directions agree only to ~1e-8, so picking the winner by the last
+        # bits of K moved the stderr by 4.4e-10 relative under a permutation
+        cfg = load_config(DEMO)
+        spec = cfg.ensemble("y", cfg.epsilon_grid[0], 0.4)
+        block = information_ensemble(spec).sample(20_000, seed=0)
+        a = delta_report(block)
+        b = delta_report(block[np.random.default_rng(1).permutation(len(block))])
+        assert abs(a.stderr - b.stderr) <= 1e-12 * a.stderr
+        assert abs(a.delta - b.delta) <= 1e-14 * a.delta
 
     def test_report_has_error_bar(self):
         rep = delta_report(BUMP2X2.sample(50_000, seed=25))

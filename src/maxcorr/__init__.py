@@ -3,7 +3,6 @@ measurement, and error-exponent verification."""
 
 from .dependence import (
     CdmMatrix,
-    UncenteredB,
     canonical_dependence_matrix,
     select_features,
     uncentered_b,

@@ -275,7 +275,6 @@ def cmd_features(args) -> int:
     )
     _write_text(out / "sigmas.txt", sigma_body, cfg.config_hash, cfg.seed)
 
-    nx, ny = len(joint.x_labels), len(joint.y_labels)
     rows = [
         "index,sigma,"
         + ",".join(f"f_{lab}" for lab in joint.x_labels)

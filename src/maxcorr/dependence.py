@@ -8,6 +8,10 @@ annihilates the sqrt-marginal directions on both sides, and its singular
 values are the maximal-correlation coefficients of the pair.  The top-k
 right/left singular vectors, divided entrywise by the sqrt-marginals,
 are the optimal feature functions over X and Y.
+
+`uncentered_b` is the uncentered dependence matrix of a channel's (input,
+output) pair.  Its top singular value is 1, at the sqrt-marginal pair, and
+the spread of its spectrum grows as O(eta) for P = I + eta*T.
 """
 
 from __future__ import annotations
@@ -75,44 +79,17 @@ def canonical_dependence_matrix(joint: JointPmf) -> CdmMatrix:
     return CdmMatrix(b=b, px=px, py=py)
 
 
-@dataclass(frozen=True)
-class UncenteredB:
-    """Uncentered dependence matrix of (input, output) under a channel.
+def uncentered_b(chan: Channel, input_pmf: Pmf) -> np.ndarray:
+    """Uncentered dependence matrix D_out^{-1/2} P D_in^{1/2} of (input, output)
+    under `chan`.
 
-    b = D_out^{-1/2} P(out|in) D_in^{1/2}; the top singular value is 1,
-    achieved by the sqrt-marginal pair.
+    Its top singular value is 1 for every column-stochastic P, achieved by
+    the sqrt-marginal pair.
     """
-
-    b: np.ndarray
-    svd: SvdResult = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        b = np.array(self.b, dtype=float)
-        res = jacobi_svd(b)
-        if abs(res.s[0] - 1.0) > NULL_TOL:
-            raise ValidationError(f"top singular value {res.s[0]!r} is not 1")
-        if res.s[-1] < -NULL_TOL:
-            raise ValidationError("negative singular value")
-        b.setflags(write=False)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "svd", res)
-
-    @property
-    def sigmas(self) -> np.ndarray:
-        return self.svd.s
-
-    def spectral_spread(self) -> float:
-        """sigma_max^2 - sigma_min^2; O(eta) for P = I + eta*T channels."""
-        s = self.svd.s
-        return float(s[0] ** 2 - s[-1] ** 2)
-
-
-def uncentered_b(chan: Channel, input_pmf: Pmf) -> UncenteredB:
     input_pmf.require_positive()
     out = chan.apply(input_pmf)
     out.require_positive()
-    b = (chan.P * np.sqrt(input_pmf.probs)[None, :]) / np.sqrt(out.probs)[:, None]
-    return UncenteredB(b=b)
+    return (chan.P * np.sqrt(input_pmf.probs)[None, :]) / np.sqrt(out.probs)[:, None]
 
 
 def _deflate_root(vec: np.ndarray, root: np.ndarray) -> np.ndarray:

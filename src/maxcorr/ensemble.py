@@ -56,7 +56,7 @@ from .geometry import (
     information_matrix,
     max_feasible_epsilon,
 )
-from .model import Channel, JointPmf, Pmf, apply_channels, uniform_pmf
+from .model import Channel, JointPmf, Pmf, apply_channels, require_marginal, uniform_pmf
 from .symmetry import MatrixEnsemble, seed_rng
 
 # Raw draws per `_accepted_block` sampler call, and rows per validated stack
@@ -254,13 +254,7 @@ def chain_residual(config: Configuration, joint: JointPmf,
     is O(eta_1): U - X - Y^ is itself a Markov chain, so there is no
     residual without X noise.
     """
-    if config.base.labels != joint.x_labels:
-        raise AlphabetMismatchError("configuration alphabet does not match joint X")
-    marg_gap = float(np.abs(config.base.probs - joint.marginal_x().probs).max())
-    if marg_gap > 1e-10:
-        raise ValidationError(
-            f"configuration base differs from joint X-marginal by {marg_gap:g}"
-        )
+    require_marginal("configuration", config.base, joint.marginal_x())
     noisy = apply_channels(joint, chan_x, chan_y)
     x_hat = push_through_channel(config, chan_x)
     y_given_u = joint.conditional_y_given_x() @ config.conditionals

@@ -32,7 +32,7 @@ import numpy as np
 from .ensemble import CHUNK, AttributeEnsembleSpec, configuration_stream
 from .errors import AlphabetMismatchError, ValidationError
 from .geometry import FeatureSet, feature_vectors, information_phi
-from .model import Channel, JointPmf, Pmf
+from .model import Channel, JointPmf, Pmf, require_marginal
 
 DEGENERATE_MEAN_GAP = 1e-12
 # most trials one multinomial call draws: consecutive calls on one generator
@@ -337,17 +337,7 @@ def _least_pair(proj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    if values.size < 2:
-        return float(values.mean()), 0.0
     return float(values.mean()), float(values.std(ddof=1)) / np.sqrt(values.size)
-
-
-def _check_base(name: str, spec_base: Pmf, marginal: Pmf) -> None:
-    if spec_base.labels != marginal.labels:
-        raise AlphabetMismatchError(f"{name} ensemble labels do not match the joint")
-    gap = float(np.abs(spec_base.probs - marginal.probs).max())
-    if gap > 1e-10:
-        raise ValidationError(f"{name} ensemble base differs from marginal by {gap:g}")
 
 
 def average_exponents(
@@ -380,6 +370,8 @@ def average_exponents(
     (seed, 1); per-configuration limits are computed first and averaged
     afterwards.
     """
+    if n_configs < 2:
+        raise ValidationError(f"n_configs={n_configs}: a standard error needs at least 2")
     if mu_u.epsilon != mu_v.epsilon:
         raise ValidationError("mu_u and mu_v must share one epsilon")
     if f.k != g.k:
@@ -387,10 +379,10 @@ def average_exponents(
     epsilon = mu_u.epsilon
 
     px, py = joint.marginal_x(), joint.marginal_y()
-    _check_base("mu_u", mu_u.base, px)
-    _check_base("mu_v", mu_v.base, py)
-    _check_base("f", f.base, chan_x.apply(px))
-    _check_base("g", g.base, chan_y.apply(py))
+    require_marginal("mu_u ensemble", mu_u.base, px)
+    require_marginal("mu_v ensemble", mu_v.base, py)
+    require_marginal("f ensemble", f.base, chan_x.apply(px))
+    require_marginal("g ensemble", g.base, chan_y.apply(py))
 
     y_given_x = joint.conditional_y_given_x()
     x_given_y = joint.conditional_x_given_y()

@@ -67,6 +67,16 @@ class Pmf:
         return self
 
 
+def require_marginal(name: str, base: Pmf, marginal: Pmf) -> None:
+    """Raise unless `base`, the base of `name`, is `marginal`: the same labels
+    and probabilities within 1e-10."""
+    if base.labels != marginal.labels:
+        raise AlphabetMismatchError(f"{name} labels do not match the joint")
+    gap = float(np.abs(base.probs - marginal.probs).max())
+    if gap > 1e-10:
+        raise ValidationError(f"{name} base differs from marginal by {gap:g}")
+
+
 def uniform_pmf(labels: Sequence[str]) -> Pmf:
     labels = tuple(labels)
     n = len(labels)
@@ -120,7 +130,10 @@ class JointPmf:
 
 @dataclass(frozen=True)
 class Channel:
-    """Column-stochastic perturbation channel P = I + eta * T on one alphabet."""
+    """Column-stochastic perturbation channel P = I + eta * T on one alphabet.
+
+    An eta beyond `max_feasible_eta(T)` raises a FeasibilityError.
+    """
 
     labels: tuple[str, ...]
     eta: float
@@ -141,20 +154,14 @@ class Channel:
             raise ValidationError(
                 f"column {j} of T sums to {col_sums[j]!r}, not 0"
             )
+        feasible = max_feasible_eta(t)
+        if self.eta > feasible + MASS_TOL:
+            raise FeasibilityError("eta exceeds feasibility bound", feasible)
         p = np.eye(n) + self.eta * t
-        if np.any(p < -MASS_TOL) or np.any(p > 1 + MASS_TOL):
-            raise FeasibilityError(
-                "eta exceeds feasibility bound for this T",
-                max_feasible_eta(t),
-            )
         if np.max(np.abs(p.sum(axis=0) - 1.0)) > 1e-11:
             raise ValidationError("columns of P do not sum to 1")
         object.__setattr__(self, "T", t)
         object.__setattr__(self, "P", _freeze(np.clip(p, 0.0, 1.0)))
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
 
     def apply(self, pmf: Pmf) -> Pmf:
         if pmf.labels != self.labels:
@@ -185,15 +192,13 @@ def max_feasible_eta(T: np.ndarray) -> float:
 
 
 def make_channel(T: np.ndarray, eta: float, labels: Sequence[str] | None = None) -> Channel:
-    """Build I + eta*T, rejecting eta beyond the exact feasibility bound."""
+    """Build I + eta*T on `labels` (default "0".."n-1"); `Channel` rejects
+    eta beyond the exact feasibility bound."""
     T = np.asarray(T, dtype=float)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise ValidationError(f"T must be square, got shape {T.shape}")
     if labels is None:
         labels = tuple(str(i) for i in range(T.shape[0]))
-    feasible = max_feasible_eta(T)
-    if eta > feasible + MASS_TOL:
-        raise FeasibilityError("eta exceeds feasibility bound", feasible)
     return Channel(tuple(labels), float(eta), T)
 
 

@@ -112,12 +112,7 @@ def variance_bump(n: int, m: int, sigma2: float) -> MatrixEnsemble:
     sigma2; the canonical weakly-but-not-exactly symmetric ensemble."""
     v = np.ones((n, m))
     v[0, 0] = sigma2
-    ens = entry_variances(v)
-    return MatrixEnsemble(
-        n, m, ens.sample_block,
-        name=f"variance_bump({n}x{m}, sigma2={sigma2})",
-        declared_delta=abs(sigma2 - 1.0),
-    )
+    return entry_variances(v)
 
 
 def constant(matrix: np.ndarray) -> MatrixEnsemble:

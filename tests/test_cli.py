@@ -168,6 +168,26 @@ class TestCliCommands:
         joint = load_joint((tmp_path / "o" / "joint.txt").read_text())
         assert joint.probs[0, 0] == 0.5
 
+    def test_ingest_declared_alphabets(self, tmp_path, capsys):
+        samples = tmp_path / "s.csv"
+        samples.write_text("a,w\na,w\nb,x\nb,w\n")
+        rc = main(["ingest", str(samples), "--x-alphabet", "a,b,c", "--y-alphabet", "w,x",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 0
+        from maxcorr.model import load_joint
+
+        joint = load_joint((tmp_path / "o" / "joint.txt").read_text())
+        assert joint.x_labels == ("a", "b", "c")
+        # the declared symbol with no records gets a zero column
+        assert np.array_equal(joint.probs, [[0.5, 0.25, 0.0], [0.0, 0.25, 0.0]])
+        # a record outside the declared alphabet is named in the error record
+        rc = main(["ingest", str(samples), "--x-alphabet", "a,b", "--y-alphabet", "w",
+                   "--out", str(tmp_path / "e")])
+        assert rc == 1
+        record = json.loads((tmp_path / "e" / "error.json").read_text())
+        assert record["error"] == "AlphabetMismatchError"
+        assert "record 2: y label 'x'" in record["message"]
+
     def test_ingest_missing_file_named_in_error_record(self, tmp_path, capsys):
         rc = main(["ingest", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "o")])
         assert rc == 1
@@ -472,6 +492,39 @@ class TestSimulateJournal:
         lines = (out / "simulate.csv").read_text().splitlines()
         assert lines[:2] == [f"# config_hash: {new.config_hash}", "# seed: 9"]
         assert len(lines) == 3 + 2
+
+    def test_non_json_journal_line_refused(self, tmp_path, capsys):
+        path = tiny_config(tmp_path, k="1 2")  # 2 points
+        out = tmp_path / "o"
+        assert simulate(path, out) == 0
+        csv = (out / "simulate.csv").read_bytes()
+        journal = out / "simulate.partial.jsonl"
+        rows = journal.read_text().splitlines(keepends=True)
+        # a blank line is skipped
+        journal.write_text(rows[0] + "\n" + rows[1])
+        capsys.readouterr()
+        assert simulate(path, out) == 0
+        assert "(0 computed)" in capsys.readouterr().out
+        assert (out / "simulate.csv").read_bytes() == csv
+        # a complete line that is not JSON is refused, not skipped
+        journal.write_text(rows[0] + "not json\n" + rows[1])
+        assert simulate(path, out) == 1
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "ValidationError"
+        assert "line 2 is not a journal row; rerun with --fresh" in record["message"]
+
+    def test_single_configuration_refused(self, tmp_path, capsys):
+        # one configuration has no standard error, so simulate refuses it;
+        # features never reads n_configs and still accepts it
+        path = tiny_config(tmp_path, n_configs=1)
+        assert load_config(path).n_configs == 1
+        assert main(["features", "--config", str(path), "--out", str(tmp_path / "f")]) == 0
+        out = tmp_path / "o"
+        assert simulate(path, out) == 1
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "ValidationError"
+        assert "n_configs" in record["message"]
+        assert not (out / "simulate.csv").exists()
 
     def test_torn_last_line_recomputed(self, tmp_path, capsys):
         path = tiny_config(tmp_path, k="1 2")  # 2 points

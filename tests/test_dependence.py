@@ -25,7 +25,7 @@ from maxcorr.model import (
     max_feasible_eta,
     uniform_pmf,
 )
-from maxcorr.svd import canonical_sign
+from maxcorr.svd import canonical_sign, jacobi_svd
 
 T_BINARY = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
@@ -93,8 +93,8 @@ class TestCanonicalDependenceMatrix:
         cy = make_channel(ty, 0.3 * max_feasible_eta(ty), j.y_labels)
         clean = canonical_dependence_matrix(j)
         noisy = canonical_dependence_matrix(apply_channels(j, cx, cy))
-        mx = uncentered_b(cx, j.marginal_x()).b
-        my = uncentered_b(cy, j.marginal_y()).b
+        mx = uncentered_b(cx, j.marginal_x())
+        my = uncentered_b(cy, j.marginal_y())
         assert np.max(np.abs(noisy.b - my @ clean.b @ mx.T)) < 1e-10
 
     def test_repeated_singular_values(self):
@@ -108,29 +108,37 @@ class TestCanonicalDependenceMatrix:
 class TestUncenteredB:
     def test_identity_channel(self):
         p = Pmf(("a", "b"), np.array([0.3, 0.7]))
-        ub = uncentered_b(identity_channel(p.labels), p)
-        assert np.max(np.abs(ub.b - np.eye(2))) < 1e-12
-        assert ub.sigmas == pytest.approx([1.0, 1.0], abs=1e-12)
+        b = uncentered_b(identity_channel(p.labels), p)
+        assert np.max(np.abs(b - np.eye(2))) < 1e-12
+        assert jacobi_svd(b).s == pytest.approx([1.0, 1.0], abs=1e-12)
 
     def test_bsc_uniform_closed_form(self):
         eta = 0.15
-        ub = uncentered_b(
+        b = uncentered_b(
             make_channel(T_BINARY, eta, ("a", "b")), uniform_pmf(("a", "b"))
         )
-        assert np.max(np.abs(ub.b - ub.b.T)) < 1e-15
-        assert np.allclose(np.sort(ub.sigmas), [1 - 2 * eta, 1.0], atol=1e-12)
-        assert ub.spectral_spread() == pytest.approx(1 - (1 - 2 * eta) ** 2, abs=1e-12)
+        assert np.max(np.abs(b - b.T)) < 1e-15
+        s = jacobi_svd(b).s
+        assert np.allclose(np.sort(s), [1 - 2 * eta, 1.0], atol=1e-12)
+        assert s[0] ** 2 - s[-1] ** 2 == pytest.approx(1 - (1 - 2 * eta) ** 2, abs=1e-12)
 
     def test_spread_linear_in_eta(self, rng):
         t = random_perturbation_t(rng, 4)
         p = Pmf(tuple("abcd"), random_positive_pmf(rng, 4))
         etas = np.array([0.01, 0.02, 0.04, 0.08]) * max_feasible_eta(t)
-        spreads = [
-            uncentered_b(make_channel(t, e, p.labels), p).spectral_spread()
-            for e in etas
-        ]
+        sigmas = [jacobi_svd(uncentered_b(make_channel(t, e, p.labels), p)).s for e in etas]
+        spreads = [s[0] ** 2 - s[-1] ** 2 for s in sigmas]
         slope = np.polyfit(np.log(etas), np.log(spreads), 1)[0]
         assert abs(slope - 1.0) < 0.2
+
+    def test_top_singular_value_is_one(self, rng):
+        # sigma_max = 1 for every column-stochastic P, at the sqrt-marginal pair
+        for n in (2, 3, 5):
+            for frac in (0.0, 0.3, 0.7, 1.0):
+                t = random_perturbation_t(rng, n)
+                p = Pmf(tuple("abcde"[:n]), random_positive_pmf(rng, n))
+                b = uncentered_b(make_channel(t, frac * max_feasible_eta(t), p.labels), p)
+                assert abs(jacobi_svd(b).s[0] - 1.0) < 1e-10
 
 
 class TestSelectFeatures:

@@ -21,7 +21,7 @@ from maxcorr.ensemble import (
     raw_information_sample,
     sample_configuration,
 )
-from maxcorr.errors import FeasibilityError, ValidationError
+from maxcorr.errors import AlphabetMismatchError, FeasibilityError, ValidationError
 from maxcorr.geometry import (
     Configuration,
     InformationMatrix,
@@ -214,7 +214,7 @@ class TestPushThroughChannel:
         t = random_perturbation_t(rng, 4)
         chan = make_channel(t, 0.3, BASE4.labels)
         out = push_through_channel(cfg, chan)
-        b = uncentered_b(chan, cfg.base).b
+        b = uncentered_b(chan, cfg.base)
         gap = np.abs(
             b @ information_matrix(cfg).phi - information_matrix(out).phi
         ).max()
@@ -280,4 +280,12 @@ class TestMarkovPush:
         spec = AttributeEnsembleSpec(base=other, attribute_size=3, epsilon=0.05)
         cfg = sample_configuration(spec, seed=8)
         with pytest.raises(ValidationError, match="marginal"):
+            chain_residual(cfg, j, cx, cy)
+
+    def test_alphabet_mismatch_rejected(self, rng):
+        j, cx, cy = chain_fixture(rng, 0.0, 0.0)
+        other = Pmf(tuple("pqrs"), j.marginal_x().probs)
+        spec = AttributeEnsembleSpec(base=other, attribute_size=3, epsilon=0.05)
+        cfg = sample_configuration(spec, seed=8)
+        with pytest.raises(AlphabetMismatchError, match="configuration labels"):
             chain_residual(cfg, j, cx, cy)

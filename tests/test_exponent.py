@@ -109,6 +109,15 @@ class TestIProjection:
         with pytest.raises(AlphabetMismatchError):
             iprojection_exponent(other, P04, FS2)
 
+    @pytest.mark.parametrize("b", [0.99, 0.01])
+    def test_bracket_expansion_closed_form(self, b):
+        # the tilt solving E_Q[c] = b lies outside the first bracket [-1, 1];
+        # the I-projection of a fair coin onto mean b is Bernoulli(b)
+        p = np.array([0.5, 0.5])
+        c = np.array([0.0, 1.0])
+        kl = b * np.log(2 * b) + (1 - b) * np.log(2 * (1 - b))
+        assert exponent._iprojection_value(p, c, b) == pytest.approx(kl, abs=1e-12)
+
     def test_small_epsilon_matches_analytic(self, rng):
         # eps = 0.02 configurations: exact exponent within 5% of the
         # leading-order formula (measured margin across seeds is ~2%)
@@ -412,6 +421,27 @@ class TestAverageExponents:
         mu_v = AttributeEnsembleSpec(base=joint.marginal_y(), attribute_size=3, epsilon=0.05)
         f, g = select_features(canonical_dependence_matrix(joint), 2)
         with pytest.raises(ValidationError, match="f ensemble base differs from marginal"):
+            average_exponents(mu_u, mu_v, joint, cx, cy, f, g, 10, 1)
+
+    def test_single_configuration_rejected(self):
+        # one configuration has no standard error; reporting 0 would claim certainty
+        joint = demo_joint()
+        cx, cy = identity_channel(joint.x_labels), identity_channel(joint.y_labels)
+        mu_u = AttributeEnsembleSpec(base=joint.marginal_x(), attribute_size=3, epsilon=0.05)
+        mu_v = AttributeEnsembleSpec(base=joint.marginal_y(), attribute_size=3, epsilon=0.05)
+        f, g = select_features(canonical_dependence_matrix(joint), 2)
+        with pytest.raises(ValidationError, match="n_configs=1"):
+            average_exponents(mu_u, mu_v, joint, cx, cy, f, g, 1, 1)
+        assert average_exponents(mu_u, mu_v, joint, cx, cy, f, g, 2, 1).stderr_u_s > 0
+
+    def test_ensemble_of_another_alphabet_rejected(self):
+        joint = demo_joint()
+        cx, cy = identity_channel(joint.x_labels), identity_channel(joint.y_labels)
+        relabeled = Pmf(tuple("pqrs"), joint.marginal_x().probs)
+        mu_u = AttributeEnsembleSpec(base=relabeled, attribute_size=3, epsilon=0.05)
+        mu_v = AttributeEnsembleSpec(base=joint.marginal_y(), attribute_size=3, epsilon=0.05)
+        f, g = select_features(canonical_dependence_matrix(joint), 2)
+        with pytest.raises(AlphabetMismatchError, match="mu_u ensemble labels"):
             average_exponents(mu_u, mu_v, joint, cx, cy, f, g, 10, 1)
 
 

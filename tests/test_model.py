@@ -20,6 +20,7 @@ from maxcorr.model import (
     load_joint,
     make_channel,
     max_feasible_eta,
+    require_marginal,
     uniform_pmf,
 )
 
@@ -132,6 +133,22 @@ class TestChannel:
     def test_rejects_bad_column_sum(self):
         with pytest.raises(ValidationError, match="sums to"):
             Channel(("a", "b"), 0.1, np.array([[-1.0, 0.5], [1.0, -1.0]]))
+
+    def test_direct_construction_checks_eta_bound(self):
+        with pytest.raises(FeasibilityError, match="eta exceeds feasibility bound") as exc:
+            Channel(("a", "b"), 1.2, T_BINARY)
+        assert exc.value.max_feasible == pytest.approx(1.0, abs=1e-15)
+        # a T with bad column sums is refused for them first, whatever eta
+        with pytest.raises(ValidationError, match="sums to"):
+            make_channel(np.array([[-1.0, 0.5], [1.0, -1.0]]), 5.0)
+
+
+class TestRequireMarginal:
+    def test_gap_named(self):
+        base = Pmf(("a", "b"), np.array([0.5, 0.5]))
+        require_marginal("f", base, Pmf(base.labels, np.array([0.5 + 1e-12, 0.5 - 1e-12])))
+        with pytest.raises(ValidationError, match="f base differs from marginal by 0.1"):
+            require_marginal("f", base, Pmf(base.labels, np.array([0.6, 0.4])))
 
 
 class TestApplyChannels:

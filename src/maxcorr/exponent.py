@@ -36,8 +36,10 @@ from .model import Channel, JointPmf, Pmf, require_marginal
 
 DEGENERATE_MEAN_GAP = 1e-12
 # most trials one multinomial call draws: consecutive calls on one generator
-# give the same draws as a single call, and the count array stays ~2 MB
-MC_CHUNK = 1 << 16
+# give the same draws as a single call, and the count array stays in cache
+# (128 KiB at |X| = 4); larger chunks raise peak memory and make no pass
+# measurably faster
+MC_CHUNK = 1 << 12
 # a statistic within MC_TIE_TOL * max|c| of the threshold is a tie, counted
 # as half an error: BLAS computes `counts @ c` with fused multiply-adds, so
 # an exact tie lands a rounding error off zero, on either side
@@ -75,8 +77,11 @@ def _iprojection_value(p: np.ndarray, c: np.ndarray, b: float) -> float:
     """min_Q D(Q || p) subject to E_Q[c] = b, by exponential tilting.
 
     The tilted mean is strictly increasing in the tilt, so a bracketed
-    bisection is exact and deterministic.
+    bisection is exact and deterministic.  A b strictly outside
+    [min c, max c] admits no Q, and the value is infinite.
     """
+    if b > c.max() or b < c.min():
+        return np.inf
     logp = np.log(p)
     lo, hi = -1.0, 1.0
     for _ in range(80):
@@ -188,8 +193,8 @@ def mc_error_curve(
     streams, and hypothesis 1's runs on a helper thread while hypothesis
     2's runs on the calling thread; the curve does not depend on it and is
     bit-identical to running them one after the other.  Each stream draws
-    at most `MC_CHUNK` trials at a time, which bounds memory whatever the
-    trial budget.
+    at most `MC_CHUNK` (4,096) trials at a time, so a stream holds at most
+    `MC_CHUNK` x |X| counts whatever the trial budget.
     """
     plane = _centroid_hyperplane(p1, p2, fs)
     bad_n = [int(v) for v in n_grid if int(v) < 1]
@@ -277,7 +282,13 @@ def exponent_bound(
     """The four-component exponent bound and the residual budget.
 
     Component order matches the average exponents: (U|S, V|S, U|T, V|T) ->
-    (C_U e^2 k, C_V e^2 sum s_i^2, C_U e^2 sum s_i^2, C_V e^2 k).  The
+    (C_U e^2 k, C_V e^2 sum s_i^2, C_U e^2 sum s_i^2, C_V e^2 k).  Each
+    component bounds the average over attribute configurations of the
+    least-distinguishable pair's score, not a mean over all pairs.  The
+    constants are those `average_exponents` reports:
+    C_U = E ||Phi^(Xh|U)||_F^2 / (4 |X| |U|), with |X| the clean alphabet
+    size (equal to |Xh|, as channels are square) and |U| the attribute
+    size, and C_V likewise on the Y side.  The
     residual budget is RESIDUAL_SLACK * eps^2 * max(delta + eta_i + delta*eta_i);
     the big-O constant is the exposed module constant, never hidden.
     """

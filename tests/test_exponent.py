@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -118,6 +119,20 @@ class TestIProjection:
         kl = b * np.log(2 * b) + (1 - b) * np.log(2 * (1 - b))
         assert exponent._iprojection_value(p, c, b) == pytest.approx(kl, abs=1e-12)
 
+    @pytest.mark.parametrize("b", [1.5, -0.5])
+    def test_infeasible_threshold_is_infinite(self, b):
+        # no Q on {0, 1} has mean outside [0, 1]: no tilt brackets b, so a
+        # bisection would return a huge finite value (about 6e23)
+        p = np.array([0.5, 0.5])
+        c = np.array([0.0, 1.0])
+        assert exponent._iprojection_value(p, c, b) == np.inf
+
+    def test_threshold_at_max_is_finite(self):
+        # b = max c: the only Q is the point mass on c's top symbol, D = log 2
+        p = np.array([0.5, 0.5])
+        c = np.array([0.0, 1.0])
+        assert exponent._iprojection_value(p, c, 1.0) == pytest.approx(np.log(2), abs=1e-12)
+
     def test_small_epsilon_matches_analytic(self, rng):
         # eps = 0.02 configurations: exact exponent within 5% of the
         # leading-order formula (measured margin across seeds is ~2%)
@@ -198,6 +213,27 @@ class TestMcErrorCurve:
             0.0, 100, 100_000, err_below=True,
         )
         assert errs / 100_000 == pytest.approx(0.5, abs=0.005)
+
+    def test_stream_memory_bounded(self):
+        # one stream's Python-level peak must not grow with the trial budget:
+        # the count array is drawn MC_CHUNK trials at a time
+        p = np.array([0.3, 0.2, 0.25, 0.25])
+        c = FS4.h @ np.array([1.0, -0.5])
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                exponent._simulate_errors(
+                    np.random.default_rng(0), p, c, 0.0, 2000, trials, err_below=True,
+                )
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # a first call in a fresh process also allocates lazy state
+        small, large = peak(10_000), peak(1_000_000)
+        assert large < 1 << 20
+        assert large <= 1.5 * small
 
     def test_budget_exhaustion(self):
         far1 = Pmf(U2.labels, np.array([0.99, 0.01]))

@@ -119,19 +119,15 @@ class TestIProjection:
         kl = b * np.log(2 * b) + (1 - b) * np.log(2 * (1 - b))
         assert exponent._iprojection_value(p, c, b) == pytest.approx(kl, abs=1e-12)
 
-    @pytest.mark.parametrize("b", [1.5, -0.5])
-    def test_infeasible_threshold_is_infinite(self, b):
-        # no Q on {0, 1} has mean outside [0, 1]: no tilt brackets b, so a
-        # bisection would return a huge finite value (about 6e23)
+    @pytest.mark.parametrize("b, value", [(1.5, np.inf), (-0.5, np.inf), (1.0, np.log(2))],
+                             ids=["above-max", "below-min", "at-max"])
+    def test_threshold_outside_or_at_range(self, b, value):
+        # no Q on {0, 1} has mean outside [0, 1], so the value is infinite (a
+        # bisection without a bracket returns about 6e23); at b = max c the
+        # only Q is the point mass on symbol 1, and D = log 2
         p = np.array([0.5, 0.5])
         c = np.array([0.0, 1.0])
-        assert exponent._iprojection_value(p, c, b) == np.inf
-
-    def test_threshold_at_max_is_finite(self):
-        # b = max c: the only Q is the point mass on c's top symbol, D = log 2
-        p = np.array([0.5, 0.5])
-        c = np.array([0.0, 1.0])
-        assert exponent._iprojection_value(p, c, 1.0) == pytest.approx(np.log(2), abs=1e-12)
+        assert exponent._iprojection_value(p, c, b) == pytest.approx(value, abs=1e-12)
 
     def test_small_epsilon_matches_analytic(self, rng):
         # eps = 0.02 configurations: exact exponent within 5% of the

@@ -201,6 +201,16 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
         cfg.channel_x(eta)
     for eta in cfg.eta2_grid:
         cfg.channel_y(eta)
+    # AttributeEnsembleSpec owns the ensemble rules; a sweep value it
+    # rejects fails here, before any point runs or is journaled
+    for eps, s in product(cfg.epsilon_grid, cfg.s_grid):
+        for side in ("x", "y"):
+            try:
+                cfg.ensemble(side, eps, s)
+            except ValidationError as exc:
+                raise ValidationError(
+                    f"attribute ensemble at [sweep] epsilon = {eps!r}, s = {s!r}: {exc}"
+                ) from None
     return cfg
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ValidationError
 from .geometry import FeatureSet
 from .model import Channel, JointPmf, Pmf
-from .svd import SvdResult, complete_orthonormal, jacobi_svd
+from .svd import SvdResult, jacobi_svd
 
 NULL_TOL = 1e-10
 ZERO_SIGMA = 1e-10
@@ -90,6 +90,27 @@ def uncentered_b(chan: Channel, input_pmf: Pmf) -> np.ndarray:
     out = chan.apply(input_pmf)
     out.require_positive()
     return (chan.P * np.sqrt(input_pmf.probs)[None, :]) / np.sqrt(out.probs)[:, None]
+
+
+def complete_orthonormal(cols: np.ndarray, count: int) -> np.ndarray:
+    """Append `count` orthonormal columns, built from canonical basis vectors.
+
+    Each new column is the residual of the canonical basis vector with the
+    largest out-of-span component (ties within 1e-12 broken by lowest
+    index), which is deterministic and always well-conditioned.
+    """
+    n, k = cols.shape
+    q = cols
+    for _ in range(count):
+        resid = np.eye(n) - q @ q.T  # column e: residual of basis vector e
+        best, best_norm = 0, -1.0
+        for e, norm in enumerate(np.linalg.norm(resid, axis=0).tolist()):
+            if norm > best_norm + 1e-12:
+                best, best_norm = e, norm
+        if best_norm < 1e-8:
+            raise RuntimeError("orthonormal completion failed")
+        q = np.column_stack([q, resid[:, best] / best_norm])
+    return q[:, k:]
 
 
 def _deflate_root(vec: np.ndarray, root: np.ndarray) -> np.ndarray:

@@ -85,8 +85,8 @@ class AttributeEnsembleSpec:
             raise ValidationError("epsilon must be > 0")
         if not 0 < self.rho <= 1.0:
             raise ValidationError("rho must be in (0, 1]")
-        if self.anisotropy < 0:
-            raise ValidationError("anisotropy must be >= 0")
+        if not 0 <= self.anisotropy < np.inf:  # NaN fails both comparisons
+            raise ValidationError("anisotropy must be finite and >= 0")
         if self.prior is None:
             labels = tuple(f"w{j}" for j in range(self.attribute_size))
             object.__setattr__(self, "prior", uniform_pmf(labels))

@@ -187,7 +187,9 @@ def mc_error_curve(
     (the sqrt(N) Bahadur-Rao prefactor would otherwise bias the slope),
     weighting each point by its error count.  Sample sizes whose error
     counts stay under `MC_MIN_ERRORS` after auto-extending the trial budget
-    are dropped from the top of the grid.
+    are dropped from the top of the grid.  The budget of a point starts at
+    `trials` and grows fourfold per extension up to `max_trials` (default
+    64 x `trials`), the most trials any one point may use.
 
     At each (N, attempt) the two hypotheses draw from independent seeded
     streams, and hypothesis 1's runs on a helper thread while hypothesis
@@ -202,6 +204,10 @@ def mc_error_curve(
         raise ValidationError(f"n_grid entries must be >= 1, got {bad_n}")
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
+    if max_trials is None:
+        max_trials = 64 * trials
+    if max_trials < trials:
+        raise ValidationError(f"max_trials must be >= trials ({trials}), got {max_trials}")
     if plane is None:
         # constant statistic: the error probability is exactly 1/2 forever
         grid = tuple(sorted(int(v) for v in n_grid))
@@ -210,8 +216,6 @@ def mc_error_curve(
             p_hat=tuple(0.5 for _ in grid), trials=tuple(trials for _ in grid),
         )
     c, b = plane
-    if max_trials is None:
-        max_trials = 64 * trials
 
     used_n: list[int] = []
     p_hats: list[float] = []
@@ -235,7 +239,7 @@ def mc_error_curve(
                 total = f1.result() + e2
                 if total >= MC_MIN_ERRORS or t >= max_trials:
                     break
-                t *= 4
+                t = min(4 * t, max_trials)
                 attempt += 1
             if total < MC_MIN_ERRORS:
                 break  # truncate the grid from this N upward

@@ -1,18 +1,20 @@
 """Canonicalised dense SVD: LAPACK ``gesdd`` through numpy.
 
 ``jacobi_svd`` makes one ``np.linalg.svd`` call, then fixes the signs of
-the singular vectors and completes the zero-sigma columns of U and V from
-canonical basis vectors, neither of which LAPACK pins down.  Reruns are
+the singular vectors, which LAPACK does not pin down.  Reruns are
 byte-identical on one numpy/BLAS build; across builds the results agree
 to last-place float noise, since LAPACK's kernels differ between them.
 The name is that of the one-sided Jacobi routine this replaced, kept
 because the benchmark traces ``svd.jacobi_svd``.
 
-Sign convention: each right singular vector is scaled so that its
-largest-magnitude entry is positive (ties broken by lowest index); the
-paired left vector is flipped in tandem so that ``U @ diag(s) @ V.T``
-still reconstructs the input.  Vectors paired with zero singular values
-carry no reconstruction constraint and are canonicalized independently.
+Sign convention, for every shape: each right singular vector is scaled so
+that its largest-magnitude entry is positive (ties broken by lowest
+index); the paired left vector is flipped in tandem so that
+``U @ diag(s) @ V.T`` still reconstructs the input.  A left vector paired
+with a zero singular value carries no reconstruction constraint and gets
+the same rule on its own entries.  The zero-sigma columns themselves are
+LAPACK's basis of the null spaces, which no output reads:
+``dependence.select_features`` builds its zero-sigma features itself.
 """
 
 from __future__ import annotations
@@ -32,13 +34,19 @@ def canonical_sign(v: np.ndarray) -> float:
     return -1.0 if v[idx] < 0 else 1.0
 
 
+def _column_signs(a: np.ndarray) -> np.ndarray:
+    """`canonical_sign` of every column of `a`, as one array operation."""
+    top = a[np.argmax(np.abs(a), axis=0), np.arange(a.shape[1])]
+    return np.where(top < 0, -1.0, 1.0)
+
+
 @dataclass(frozen=True)
 class SvdResult:
     """Economy SVD A = U @ diag(s) @ V.T with s sorted descending.
 
     U is (n, r), V is (m, r) with r = min(n, m); both have orthonormal
-    columns.  Columns of U and V paired with numerically zero singular values
-    are completed deterministically from canonical basis vectors.
+    columns.  Columns paired with numerically zero singular values are
+    LAPACK's and carry canonical signs but no other convention.
     """
 
     u: np.ndarray
@@ -49,29 +57,8 @@ class SvdResult:
         return self.u @ (self.s[:, None] * self.v.T)
 
 
-def complete_orthonormal(cols: np.ndarray, count: int) -> np.ndarray:
-    """Append `count` orthonormal columns, built from canonical basis vectors.
-
-    Each new column is the residual of the canonical basis vector with the
-    largest out-of-span component (ties within 1e-12 broken by lowest
-    index), which is deterministic and always well-conditioned.
-    """
-    n, k = cols.shape
-    q = cols
-    for _ in range(count):
-        resid = np.eye(n) - q @ q.T  # column e: residual of basis vector e
-        best, best_norm = 0, -1.0
-        for e, norm in enumerate(np.linalg.norm(resid, axis=0).tolist()):
-            if norm > best_norm + 1e-12:
-                best, best_norm = e, norm
-        if best_norm < 1e-8:
-            raise RuntimeError("orthonormal completion failed")
-        q = np.column_stack([q, resid[:, best] / best_norm])
-    return q[:, k:]
-
-
 def jacobi_svd(a: np.ndarray) -> SvdResult:
-    """Economy SVD of a finite real matrix, with canonical signs and null basis.
+    """Economy SVD of a finite real matrix, with canonical signs.
 
     A non-finite entry raises a ValidationError naming the shape and the
     index of the first such entry.
@@ -85,20 +72,10 @@ def jacobi_svd(a: np.ndarray) -> SvdResult:
         raise ValidationError(
             f"matrix of shape {a.shape} has non-finite entry {float(a[idx])} at {idx}"
         )
-    n, m = a.shape
-    if n < m:
-        flipped = jacobi_svd(a.T)
-        return SvdResult(u=flipped.v, s=flipped.s, v=flipped.u)
-
     u, sigma, vt = np.linalg.svd(a, full_matrices=False)
     v = vt.T
+    sign = _column_signs(v)
     nonzero = sigma > ZERO_SIGMA_TOL * float(np.linalg.norm(a))
-    k = int(nonzero.sum())
-    u[:, k:] = complete_orthonormal(u[:, :k], m - k)
-    v[:, k:] = complete_orthonormal(v[:, :k], m - k)
-
-    for j in range(m):
-        sign = canonical_sign(v[:, j])
-        v[:, j] *= sign
-        u[:, j] *= sign if nonzero[j] else canonical_sign(u[:, j])
+    v *= sign
+    u *= np.where(nonzero, sign, _column_signs(u))
     return SvdResult(u=u, s=sigma, v=v)

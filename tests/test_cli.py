@@ -81,6 +81,25 @@ class TestConfig:
         with pytest.raises(Exception):
             load_config(path)
 
+    @pytest.mark.parametrize("old, new, needle", [
+        ("s = 0.0", "s = 0.0 -0.4", "s = -0.4"),
+        ("s = 0.0", "s = 0.0 nan", "s = nan"),
+        ("epsilon = 0.05", "epsilon = 0.05 0.0", "epsilon = 0.0"),
+    ], ids=["negative-s", "nan-s", "zero-epsilon"])
+    def test_validates_ensembles_up_front(self, tmp_path, capsys, old, new, needle):
+        # a sweep value the ensemble spec rejects fails before the first
+        # point runs: no journal, and the record names the key and value
+        for name in ("demo.ini", "demo_joint.txt"):
+            (tmp_path / name).write_text((REPO / "demo" / name).read_text())
+        path = tmp_path / "demo.ini"
+        path.write_text(path.read_text().replace(old, new, 1))
+        for command in ("simulate", "features"):
+            out = tmp_path / command
+            assert main([command, "--config", str(path), "--out", str(out)]) == 1
+            message = json.loads((out / "error.json").read_text())["message"]
+            assert "[sweep]" in message and needle in message
+            assert not (out / "simulate.partial.jsonl").exists()
+
     def test_parser_text_released(self):
         # parser <-> SectionProxy cycles are freed only by the cyclic GC, so
         # with it off every parser load_config made is still reachable

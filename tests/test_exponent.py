@@ -247,6 +247,20 @@ class TestMcErrorCurve:
         with pytest.raises(ValidationError, match=needle):
             mc_error_curve(P06, P04, FS2, n_grid, trials, seed=1)
 
+    def test_budget_capped_at_max_trials(self, monkeypatch):
+        # N = 300 extends 20,000 -> 80,000 -> 100,000 (the cap), not on to
+        # 320,000; with too few errors there it is dropped from the grid
+        args = (P06, P04, FS2, [100, 200, 300], 20_000)
+        curve = mc_error_curve(*args, seed=7, max_trials=100_000)
+        assert all(t <= 100_000 for t in curve.trials)
+        monkeypatch.setattr(exponent, "_simulate_errors", single_draw_simulate_errors)
+        monkeypatch.setattr(exponent, "ThreadPoolExecutor", SerialExecutor)
+        assert curve == mc_error_curve(*args, seed=7, max_trials=100_000)
+
+    def test_max_trials_below_trials_named(self):
+        with pytest.raises(ValidationError, match=r"max_trials .*got 999"):
+            mc_error_curve(P06, P04, FS2, [100, 200], 1000, seed=1, max_trials=999)
+
     @pytest.mark.parametrize("p1, p2, fs, n_grid, trials, max_trials, trials_out", [
         (P06, P04, FS2, [100, 200, 300], 20_000, None, (20_000, 20_000, 320_000)),
         (P06, P04, FS2, [100, 200, 400, 800], 20_000, 80_000, (20_000, 20_000)),

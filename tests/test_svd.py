@@ -3,8 +3,9 @@ import pytest
 
 from conftest import rotated_null_svd
 
+from maxcorr.dependence import complete_orthonormal
 from maxcorr.errors import ValidationError
-from maxcorr.svd import complete_orthonormal, canonical_sign, jacobi_svd
+from maxcorr.svd import canonical_sign, jacobi_svd
 
 
 def assert_valid_svd(a, res, tol=1e-10):
@@ -49,7 +50,7 @@ class TestJacobiSvd:
         assert_valid_svd(a, res)
 
     def test_wide_rank_deficient(self, rng):
-        # n < m goes through the transpose flip; 1 of 3 sigmas is nonzero
+        # n < m: 1 of 3 sigmas is nonzero
         a = np.outer(rng.normal(size=3), rng.normal(size=6))
         res = jacobi_svd(a)
         assert np.max(res.s[1:]) < 1e-12
@@ -83,17 +84,59 @@ class TestJacobiSvd:
         assert np.array_equal(r1.u, r2.u)
         assert np.array_equal(r1.v, r2.v)
 
-    def test_null_basis_independent_of_lapack(self, monkeypatch):
+    def test_live_columns_independent_of_null_rotation(self, monkeypatch):
         # rank 1: three zero sigmas on each side, whose vectors LAPACK may
-        # return in any rotation; jacobi_svd completes both sides itself
+        # return in any rotation; the nonzero-sigma pair must not move
         a = np.outer([1.0, 2.0, 2.0, 0.5], [0.0, 1.0, 1.0, 3.0])
         want = jacobi_svd(a)
         monkeypatch.setattr(np.linalg, "svd", rotated_null_svd)
         got = jacobi_svd(a)
         assert_valid_svd(a, got)
         assert np.array_equal(got.s, want.s)
-        assert np.array_equal(got.u, want.u)
-        assert np.array_equal(got.v, want.v)
+        assert np.array_equal(got.u[:, :1], want.u[:, :1])
+        assert np.array_equal(got.v[:, :1], want.v[:, :1])
+
+    @pytest.mark.parametrize("shape", [(2, 6), (3, 5), (6, 4)], ids=["2x6", "3x5", "6x4"])
+    def test_sign_convention_every_shape(self, rng, shape):
+        # wide matrices follow the right-vector rule too
+        for _ in range(20):
+            a = rng.normal(size=shape)
+            res = jacobi_svd(a)
+            top = res.v[np.argmax(np.abs(res.v), axis=0), np.arange(res.v.shape[1])]
+            assert np.all(top > 0)
+            assert np.max(np.abs(res.reconstruct() - a)) < 1e-12
+
+    def test_tied_signs_match_canonical_sign(self, monkeypatch):
+        # W: a Hadamard matrix / 2, so every singular vector has four entries
+        # of magnitude exactly 0.5; columns 1 and 3 start negative and end
+        # positive, so only a lowest-index tie rule flips them
+        w = 0.5 * np.array([[1.0, -1.0, 1.0, -1.0],
+                            [1.0, 1.0, -1.0, -1.0],
+                            [1.0, -1.0, -1.0, 1.0],
+                            [1.0, 1.0, 1.0, 1.0]])
+        s = np.array([4.0, 3.0, 2.0, 0.0])
+        v = w * np.array([1.0, 1.0, 1.0, -1.0])  # the zero-sigma pair signs freely
+        a = w @ np.diag(s) @ v.T
+
+        def oracle(u, v):
+            signs = [canonical_sign(v[:, j]) for j in range(v.shape[1])]
+            u_signs = [signs[j] if s[j] > 0 else canonical_sign(u[:, j])
+                       for j in range(u.shape[1])]
+            return u * u_signs, v * signs
+
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: (w.copy(), s, v.T.copy()))
+        res = jacobi_svd(a)
+        want_u, want_v = oracle(w, v)
+        assert np.array_equal(res.u, want_u)
+        assert np.array_equal(res.v, want_v)
+        assert np.array_equal(res.u[0], [0.5, 0.5, 0.5, 0.5])
+        assert np.array_equal(res.v[0], [0.5, 0.5, 0.5, 0.5])
+        monkeypatch.undo()
+        u, _, vt = np.linalg.svd(a, full_matrices=False)  # whatever LAPACK returns
+        res = jacobi_svd(a)
+        want_u, want_v = oracle(u, vt.T)
+        assert np.array_equal(res.u, want_u)
+        assert np.array_equal(res.v, want_v)
 
     def test_subspace_agreement_with_oracle(self, rng):
         # well-separated spectra: compare singular subspaces via projectors

@@ -39,7 +39,7 @@ from .dependence import CdmMatrix, canonical_dependence_matrix, select_features
 from .ensemble import AttributeEnsembleSpec, information_ensemble, sample_configuration
 from .errors import MaxcorrError, ValidationError
 from .exponent import average_exponents, exponent_bound
-from .geometry import dump_features, normalize_features
+from .geometry import normalize_features
 from .model import (
     FLOAT_FMT,
     Channel,
@@ -278,8 +278,6 @@ def cmd_features(args) -> int:
     joint = cfg.joint
     cdm = canonical_dependence_matrix(joint)
     f, g = select_features(cdm, k)
-    _write_text(out / "features_f.txt", dump_features(f), cfg.config_hash, cfg.seed)
-    _write_text(out / "features_g.txt", dump_features(g), cfg.config_hash, cfg.seed)
     sigma_body = "".join(
         f"sigma {i}: {_f(s)}\n" for i, s in enumerate(cdm.sigmas)
     )
@@ -326,16 +324,6 @@ def cmd_symmetry(args) -> int:
         f"max_cross_covariance_bar: {_f(lem.max_cross_covariance_bar)}\n"
     )
     _write_text(out / "symmetry.txt", body, cfg.config_hash, cfg.seed)
-    csv = (
-        "side,anisotropy,epsilon,samples,delta_hat,delta_stderr,mean_norm,"
-        "max_moment_spread,max_cross_covariance\n"
-        + ",".join(
-            [args.side, _f(s), _f(eps), str(samples), _f(rep.delta), _f(rep.stderr),
-             _f(lem.mean_norm), _f(lem.max_moment_spread), _f(lem.max_cross_covariance)]
-        )
-        + "\n"
-    )
-    _write_text(out / "symmetry.csv", csv, cfg.config_hash, cfg.seed)
     print(f"delta_hat = {rep.delta:.6g} +- {rep.stderr:.2g} -> {out}")
     return 0
 

@@ -18,7 +18,6 @@ stack, at the same tolerances as for a single (|Z|, |W|) matrix.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,7 @@ from .errors import (
     RankDeficiencyError,
     ValidationError,
 )
-from .model import FLOAT_FMT, Pmf, _fmt_row, _freeze, max_feasible_step
+from .model import Pmf, _freeze, max_feasible_step
 from .svd import canonical_sign
 
 NULL_TOL = 1e-10
@@ -224,17 +223,3 @@ def normalize_features(raw: np.ndarray, base: Pmf) -> FeatureSet:
 def feature_vectors(fs: FeatureSet) -> np.ndarray:
     """psi_i(z) = sqrt(P(z)) * h_i(z); columns orthonormal, orthogonal to sqrt(P)."""
     return np.sqrt(fs.base.probs)[:, None] * fs.h
-
-
-def dump_features(fs: FeatureSet) -> str:
-    buf = io.StringIO()
-    buf.write("features v1\n")
-    buf.write("labels: " + " ".join(fs.base.labels) + "\n")
-    buf.write("base:\n")
-    buf.write(_fmt_row(fs.base.probs) + "\n")
-    buf.write(f"k: {fs.k}\n")
-    for i in range(fs.k):
-        buf.write(f"feature {i}:\n")
-        for lab, val in zip(fs.base.labels, fs.h[:, i]):
-            buf.write(("%s " + FLOAT_FMT + "\n") % (lab, val))
-    return buf.getvalue()

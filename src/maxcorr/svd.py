@@ -35,7 +35,12 @@ def canonical_sign(v: np.ndarray) -> float:
 
 
 def _column_signs(a: np.ndarray) -> np.ndarray:
-    """`canonical_sign` of every column of `a`, as one array operation."""
+    """`canonical_sign` of every column of `a`, as one array operation.
+
+    An array with no rows has nothing to sign: every column gets +1.
+    """
+    if a.shape[0] == 0:
+        return np.ones(a.shape[1])
     top = a[np.argmax(np.abs(a), axis=0), np.arange(a.shape[1])]
     return np.where(top < 0, -1.0, 1.0)
 

@@ -13,7 +13,9 @@ import pytest
 
 from maxcorr import cli, dependence, exponent, model
 from maxcorr.cli import OUT_ROOT_ENV, build_parser, load_config, main
+from maxcorr.ensemble import information_ensemble
 from maxcorr.errors import ValidationError
+from maxcorr.symmetry import delta_report, moment_symmetry_report
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO = REPO / "demo" / "demo.ini"
@@ -250,6 +252,20 @@ class TestCliCommands:
         assert lines[0].startswith("# config_hash:")
         assert lines[2] == "index,sigma,f_a,f_b,f_c,f_d,g_w,g_x,g_y,g_z"
         assert len(lines) == 3 + 2
+        # %.17g round-trips a float, so each cell reads back as the feature value
+        joint = load_config(DEMO).joint
+        f, g = dependence.select_features(dependence.canonical_dependence_matrix(joint), 2)
+        for i, line in enumerate(lines[3:]):
+            cells = dict(zip(lines[2].split(","), line.split(",")))
+            assert [float(cells[f"f_{lab}"]) for lab in joint.x_labels] == list(f.h[:, i])
+            assert [float(cells[f"g_{lab}"]) for lab in joint.y_labels] == list(g.h[:, i])
+
+    def test_features_writes_one_file_per_result(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        main(["features", "--config", str(DEMO), "--k", "2", "--out", str(out)])
+        assert {p.name for p in out.iterdir()} == {
+            "config.echo.ini", "features.csv", "sigmas.txt",
+        }
 
     def test_config_echo_written(self, tmp_path, capsys):
         main(["features", "--config", str(DEMO), "--out", str(tmp_path / "o")])
@@ -263,7 +279,23 @@ class TestCliCommands:
         ])
         assert rc == 0
         body = (tmp_path / "o" / "symmetry.txt").read_text()
-        assert "delta_hat:" in body
+        values = dict(line.split(": ", 1) for line in body.splitlines() if not line.startswith("#"))
+        cfg = load_config(path)
+        block = information_ensemble(cfg.ensemble("x", cfg.epsilon_grid[0], 0.0)).sample(
+            4000, seed=cfg.seed)
+        rep = delta_report(block)
+        lem = moment_symmetry_report(block)
+        assert float(values["delta_hat"]) == rep.delta
+        assert float(values["delta_stderr"]) == rep.stderr
+        assert float(values["mean_norm"]) == lem.mean_norm
+        assert float(values["max_moment_spread"]) == lem.max_moment_spread
+        assert float(values["max_cross_covariance"]) == lem.max_cross_covariance
+
+    def test_symmetry_writes_one_file_per_result(self, tmp_path, capsys):
+        path = tiny_config(tmp_path)
+        out = tmp_path / "o"
+        main(["symmetry", "--config", str(path), "--samples", "4000", "--out", str(out)])
+        assert {p.name for p in out.iterdir()} == {"config.echo.ini", "symmetry.txt"}
 
     def test_symmetry_zero_samples_rejected(self, tmp_path, capsys):
         path = tiny_config(tmp_path)

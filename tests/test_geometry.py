@@ -12,7 +12,6 @@ from maxcorr.geometry import (
     FeatureSet,
     InformationMatrix,
     config_from_information_matrix,
-    dump_features,
     feature_vectors,
     information_matrix,
     max_feasible_epsilon,
@@ -295,18 +294,3 @@ class TestFeatureVectors:
         with pytest.raises(ValidationError, match="orthonormal"):
             FeatureSet(h=np.array([[0.5], [-0.5]]), base=U2)
 
-
-class TestFeatureIo:
-    def test_dump_literal_text(self):
-        # h = (-2, 0.5) has mean 0 and variance 1 under the base (0.2, 0.8)
-        fs = FeatureSet(h=np.array([[-2.0], [0.5]]), base=Pmf(("a", "b"), np.array([0.2, 0.8])))
-        assert dump_features(fs) == (
-            "features v1\n"
-            "labels: a b\n"
-            "base:\n"
-            "0.20000000000000001 0.80000000000000004\n"
-            "k: 1\n"
-            "feature 0:\n"
-            "a -2\n"
-            "b 0.5\n"
-        )

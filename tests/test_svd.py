@@ -68,6 +68,14 @@ class TestJacobiSvd:
         assert np.array_equal(res.s, np.zeros(2))
         assert_valid_svd(np.zeros((3, 2)), res)
 
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 3), (0, 0)])
+    def test_empty_matrix(self, shape):
+        res = jacobi_svd(np.zeros(shape))
+        assert res.s.size == 0
+        assert res.u.shape == (shape[0], 0)
+        assert res.v.shape == (shape[1], 0)
+        assert np.array_equal(res.reconstruct(), np.zeros(shape))
+
     def test_sign_convention(self, rng):
         for _ in range(20):
             a = rng.normal(size=(4, 4))

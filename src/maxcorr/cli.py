@@ -1,14 +1,8 @@
 """Experiment harness: config parsing, subcommands, seeded reproducibility.
 
 Config files use INI syntax (configparser); matrices are whitespace-separated
-rows on indented continuation lines.  Sections:
-
-  [chain]     joint = <path>          relative to the config file, or
-              generator = seeded      with x_size, y_size, floor
-  [channel_x] t = <rows>, eta_grid = <floats>     (likewise [channel_y])
-  [ensemble]  attribute_size, rho, rejection_cap
-  [sweep]     epsilon = <floats>, k = <ints>, s = <floats>
-  [sampling]  n_configs, delta_samples, seed, workers (only 1 is accepted)
+rows on indented continuation lines.  CONFIG_KEYS declares every section and
+key with its default; any other section or key is refused.
 
 Every emitted file starts with `# config_hash:` and `# seed:` comment lines;
 floats are serialized with 17 significant digits and rows are sorted, so a
@@ -56,6 +50,20 @@ from .symmetry import delta_report, moment_symmetry_report
 
 OUT_ROOT_ENV = "MAXCORR_OUT_ROOT"
 
+# The config format, {section: {key: default}}; None marks a key with no
+# default.  [chain] takes `joint = <path>` (relative to the config file) or
+# `generator = seeded` with x_size and y_size; [sampling] workers accepts
+# only 1 (one seeded stream per seed).
+CONFIG_KEYS = {
+    "chain": {"joint": None, "generator": None, "x_size": None, "y_size": None,
+              "floor": "0.15", "generator_seed": "314159"},
+    "channel_x": {"t": None, "eta_grid": "0.0"},
+    "channel_y": {"t": None, "eta_grid": "0.0"},
+    "ensemble": {"attribute_size": "3", "rho": "1.0", "rejection_cap": "1000"},
+    "sweep": {"epsilon": "0.05", "k": "1", "s": "0.0"},
+    "sampling": {"n_configs": "100", "delta_samples": "20000", "seed": "0", "workers": "1"},
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -102,23 +110,41 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split())
 
 
-def _option(parser: configparser.ConfigParser, section: str, key: str, parse,
-            default: str | None = None):
-    """`parse` of `[section] key`, or of `default` when the key is absent.
+def _option(parser: configparser.ConfigParser, section: str, key: str, parse):
+    """`parse` of `[section] key`, or of its CONFIG_KEYS default when absent.
 
-    A missing required key or a value `parse` rejects raises a
+    A missing key without a default or a value `parse` rejects raises a
     ValidationError that names the key and the value.
     """
     if parser.has_option(section, key):
         text = parser.get(section, key)
-    elif default is None:
+    elif CONFIG_KEYS[section][key] is None:
         raise ValidationError(f"[{section}] {key} is missing")
     else:
-        text = default
+        text = CONFIG_KEYS[section][key]
     try:
         return parse(text)
     except (ValueError, OSError) as exc:
         raise ValidationError(f"[{section}] {key} = {text!r}: {exc}") from None
+
+
+def _refuse_unknown(parser: configparser.ConfigParser) -> None:
+    """Raise a ValidationError on the first section or key not in CONFIG_KEYS."""
+    sections = parser.sections()
+    if parser.defaults():  # a [DEFAULT] section, which configparser keeps apart
+        sections.insert(0, parser.default_section)
+    for section in sections:
+        if section not in CONFIG_KEYS:
+            raise ValidationError(
+                f"unknown section [{section}]; known sections: "
+                + ", ".join(f"[{name}]" for name in CONFIG_KEYS)
+            )
+        for key in parser[section]:
+            if key not in CONFIG_KEYS[section]:
+                raise ValidationError(
+                    f"unknown key [{section}] {key}; known keys of [{section}]: "
+                    + ", ".join(CONFIG_KEYS[section])
+                )
 
 
 def load_config(path: str | Path, seed_override: int | None = None) -> ExperimentConfig:
@@ -138,8 +164,8 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
         elif parser.get("chain", "generator", fallback=None) == "seeded":
             nx = _option(parser, "chain", "x_size", int)
             ny = _option(parser, "chain", "y_size", int)
-            floor = _option(parser, "chain", "floor", float, "0.15")
-            gen_seed = _option(parser, "chain", "generator_seed", int, "314159")
+            floor = _option(parser, "chain", "floor", float)
+            gen_seed = _option(parser, "chain", "generator_seed", int)
             rng = np.random.default_rng(gen_seed)
             probs = rng.random((ny, nx)) + floor
             joint = JointPmf(
@@ -152,11 +178,11 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
 
         t_x = _option(parser, "channel_x", "t", parse_matrix)
         t_y = _option(parser, "channel_y", "t", parse_matrix)
-        seed = (_option(parser, "sampling", "seed", int, "0") if seed_override is None
+        seed = (_option(parser, "sampling", "seed", int) if seed_override is None
                 else seed_override)
         # every draw comes from the one stream of its seed; an old multi-worker
         # config would silently give other numbers, so it is refused
-        workers = _option(parser, "sampling", "workers", int, "1")
+        workers = _option(parser, "sampling", "workers", int)
         if workers != 1:
             raise ValidationError(
                 f"[sampling] workers = {workers}: only 1 is accepted "
@@ -168,20 +194,21 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
             joint=joint,
             t_x=t_x,
             t_y=t_y,
-            eta1_grid=_option(parser, "channel_x", "eta_grid", _floats, "0.0"),
-            eta2_grid=_option(parser, "channel_y", "eta_grid", _floats, "0.0"),
-            attribute_size=_option(parser, "ensemble", "attribute_size", int, "3"),
-            rho=_option(parser, "ensemble", "rho", float, "1.0"),
-            rejection_cap=_option(parser, "ensemble", "rejection_cap", int, "1000"),
-            epsilon_grid=_option(parser, "sweep", "epsilon", _floats, "0.05"),
-            k_grid=_option(parser, "sweep", "k", _ints, "1"),
-            s_grid=_option(parser, "sweep", "s", _floats, "0.0"),
-            n_configs=_option(parser, "sampling", "n_configs", int, "100"),
-            delta_samples=_option(parser, "sampling", "delta_samples", int, "20000"),
+            eta1_grid=_option(parser, "channel_x", "eta_grid", _floats),
+            eta2_grid=_option(parser, "channel_y", "eta_grid", _floats),
+            attribute_size=_option(parser, "ensemble", "attribute_size", int),
+            rho=_option(parser, "ensemble", "rho", float),
+            rejection_cap=_option(parser, "ensemble", "rejection_cap", int),
+            epsilon_grid=_option(parser, "sweep", "epsilon", _floats),
+            k_grid=_option(parser, "sweep", "k", _ints),
+            s_grid=_option(parser, "sweep", "s", _floats),
+            n_configs=_option(parser, "sampling", "n_configs", int),
+            delta_samples=_option(parser, "sampling", "delta_samples", int),
             seed=seed,
             config_hash=digest,
             raw_text=raw,
         )
+        _refuse_unknown(parser)
     except configparser.Error as exc:  # a syntax or an interpolation error
         raise ValidationError(f"{path}: {exc}") from None
     finally:
@@ -381,20 +408,24 @@ def _read_journal(journal: Path, cfg_hash: str, seed: int) -> dict[str, dict]:
     """Rows of a journal of this (config_hash, seed), by sweep_id.
 
     A torn last line (one cut before its newline) is cut from the file, so
-    its point is computed again.  Rows of another (config_hash, seed) raise.
+    its point is computed again.  A line that is not a JSON object holding
+    every SIM_COLUMNS key, and rows of another (config_hash, seed), raise.
     """
     data = journal.read_bytes()
     complete = data.rfind(b"\n") + 1
     done: dict[str, dict] = {}
+    columns = set(SIM_COLUMNS.split(","))
     for number, line in enumerate(data[:complete].decode().splitlines(), 1):
         if not line.strip():
             continue
         try:
             row = json.loads(line)
         except json.JSONDecodeError:
+            row = None
+        if not isinstance(row, dict) or not columns <= row.keys():
             raise ValidationError(
                 f"{journal} line {number} is not a journal row; rerun with --fresh"
-            ) from None
+            )
         found = (row.get("config_hash"), row.get("seed"))
         if found != (cfg_hash, seed):
             raise ValidationError(
@@ -409,6 +440,9 @@ def _read_journal(journal: Path, cfg_hash: str, seed: int) -> dict[str, dict]:
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config, args.seed)
+    # every row reports standard errors over the configurations
+    if cfg.n_configs < 2:
+        raise ValidationError(f"[sampling] n_configs = {cfg.n_configs}: simulate needs >= 2")
     out = Path(args.out)
     _prepare_out(out, cfg)
     journal = out / "simulate.partial.jsonl"

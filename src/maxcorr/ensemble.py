@@ -87,6 +87,8 @@ class AttributeEnsembleSpec:
             raise ValidationError("rho must be in (0, 1]")
         if not 0 <= self.anisotropy < np.inf:  # NaN fails both comparisons
             raise ValidationError("anisotropy must be finite and >= 0")
+        if self.rejection_cap < 0:
+            raise ValidationError(f"rejection_cap = {self.rejection_cap}: must be >= 0")
         if self.prior is None:
             labels = tuple(f"w{j}" for j in range(self.attribute_size))
             object.__setattr__(self, "prior", uniform_pmf(labels))
@@ -202,7 +204,6 @@ def information_ensemble(spec: AttributeEnsembleSpec) -> MatrixEnsemble:
         n=spec.base.size,
         m=spec.attribute_size,
         sample_block=lambda rng, count: _accepted_block(spec, rng, count),
-        name=f"information_ensemble(s={spec.anisotropy}, rho={spec.rho})",
     )
 
 

@@ -66,7 +66,6 @@ class MatrixEnsemble:
     n: int
     m: int
     sample_block: Callable[[np.random.Generator, int], np.ndarray]
-    name: str = ""
     declared_delta: float | None = None
 
     def sample(self, count: int, seed: int) -> np.ndarray:
@@ -80,17 +79,9 @@ class MatrixEnsemble:
         block = np.asarray(self.sample_block(seed_rng(seed), count), dtype=float)
         if block.shape != (count, self.n, self.m):
             raise ValidationError(
-                f"sampler for {self.name!r} returned shape {block.shape}, "
-                f"expected ({count}, {self.n}, {self.m})"
+                f"sampler returned shape {block.shape}, expected ({count}, {self.n}, {self.m})"
             )
         return block
-
-
-def gaussian_iid(n: int, m: int) -> MatrixEnsemble:
-    return MatrixEnsemble(
-        n, m, lambda rng, c: rng.standard_normal((c, n, m)),
-        name=f"gaussian_iid({n}x{m})",
-    )
 
 
 def entry_variances(variances: np.ndarray) -> MatrixEnsemble:
@@ -102,7 +93,6 @@ def entry_variances(variances: np.ndarray) -> MatrixEnsemble:
     n, m = v.shape
     return MatrixEnsemble(
         n, m, lambda rng, c: sd[None, :, :] * rng.standard_normal((c, n, m)),
-        name=f"entry_variances({n}x{m})",
         declared_delta=float(v.max() - v.min()),
     )
 
@@ -113,45 +103,6 @@ def variance_bump(n: int, m: int, sigma2: float) -> MatrixEnsemble:
     v = np.ones((n, m))
     v[0, 0] = sigma2
     return entry_variances(v)
-
-
-def constant(matrix: np.ndarray) -> MatrixEnsemble:
-    a = np.asarray(matrix, dtype=float)
-    return MatrixEnsemble(
-        a.shape[0], a.shape[1],
-        lambda rng, c: np.broadcast_to(a, (c,) + a.shape).copy(),
-        name="constant", declared_delta=None,
-    )
-
-
-def scaled_rank_one(u: np.ndarray, v: np.ndarray) -> MatrixEnsemble:
-    """A = g * u v^T with scalar g ~ N(0, 1): maximally correlated entries."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    outer = np.outer(u, v)
-    return MatrixEnsemble(
-        u.size, v.size,
-        lambda rng, c: rng.standard_normal(c)[:, None, None] * outer,
-        name="scaled_rank_one",
-    )
-
-
-def conjugated(ens: MatrixEnsemble, q1: np.ndarray, q2: np.ndarray) -> MatrixEnsemble:
-    q1 = np.asarray(q1, dtype=float)
-    q2 = np.asarray(q2, dtype=float)
-    return MatrixEnsemble(
-        ens.n, ens.m,
-        lambda rng, c: q1.T @ ens.sample_block(rng, c) @ q2,
-        name=f"conjugated({ens.name})", declared_delta=ens.declared_delta,
-    )
-
-
-def scaled(ens: MatrixEnsemble, c: float) -> MatrixEnsemble:
-    return MatrixEnsemble(
-        ens.n, ens.m,
-        lambda rng, count: c * ens.sample_block(rng, count),
-        name=f"scaled({ens.name}, {c})",
-    )
 
 
 def _as_block(block) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from maxcorr.model import JointPmf, make_channel
+from maxcorr.symmetry import MatrixEnsemble
 
 
 @pytest.fixture
@@ -43,6 +44,44 @@ def identity_channel(labels):
 def product_joint(px, py):
     """The joint of independent X ~ px and Y ~ py."""
     return JointPmf(px.labels, py.labels, np.outer(py.probs, px.probs))
+
+
+def gaussian_iid(n, m):
+    """Independent standard normal entries: an exactly symmetric ensemble."""
+    return MatrixEnsemble(n, m, lambda rng, c: rng.standard_normal((c, n, m)))
+
+
+def constant(matrix):
+    """The deterministic ensemble A = `matrix`."""
+    a = np.asarray(matrix, dtype=float)
+    return MatrixEnsemble(
+        a.shape[0], a.shape[1], lambda rng, c: np.broadcast_to(a, (c,) + a.shape).copy()
+    )
+
+
+def scaled_rank_one(u, v):
+    """A = g * u v^T with scalar g ~ N(0, 1): maximally correlated entries."""
+    outer = np.outer(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    return MatrixEnsemble(
+        *outer.shape, lambda rng, c: rng.standard_normal(c)[:, None, None] * outer
+    )
+
+
+def conjugated(ens, q1, q2):
+    """Q1^T A Q2 for A ~ `ens`, drawing the same normals as `ens`."""
+    q1 = np.asarray(q1, dtype=float)
+    q2 = np.asarray(q2, dtype=float)
+    return MatrixEnsemble(
+        ens.n, ens.m, lambda rng, c: q1.T @ ens.sample_block(rng, c) @ q2,
+        declared_delta=ens.declared_delta,
+    )
+
+
+def scaled(ens, c):
+    """c * A for A ~ `ens`, drawing the same normals as `ens`."""
+    return MatrixEnsemble(
+        ens.n, ens.m, lambda rng, count: c * ens.sample_block(rng, count)
+    )
 
 
 _LAPACK_SVD = np.linalg.svd

@@ -12,6 +12,7 @@ from functools import partial
 import numpy as np
 
 from conftest import (
+    conjugated,
     identity_channel,
     product_joint,
     random_perturbation_t,
@@ -38,7 +39,7 @@ from maxcorr.model import (
     make_channel,
     uniform_pmf,
 )
-from maxcorr.symmetry import conjugated, delta_report, entry_variances
+from maxcorr.symmetry import delta_report, entry_variances
 
 T4 = np.array([
     [-0.75, 0.25, 0.25, 0.25],

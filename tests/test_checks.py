@@ -4,11 +4,11 @@ something."""
 
 import numpy as np
 
-from conftest import random_perturbation_t, random_positive_joint
+from conftest import gaussian_iid, random_perturbation_t, random_positive_joint
 from maxcorr import checks
 from maxcorr.ensemble import AttributeEnsembleSpec, sample_configuration
 from maxcorr.model import JointPmf, Pmf, make_channel
-from maxcorr.symmetry import gaussian_iid, variance_bump
+from maxcorr.symmetry import variance_bump
 
 T2 = np.array([[-1.0, 1.0], [1.0, -1.0]])
 

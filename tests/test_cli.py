@@ -129,6 +129,12 @@ class TestConfig:
          ("[channel_x] t", "row 1 has 3")),
         ("exp.ini", "[channel_x]", "[channel_z]", ("[channel_x] t", "missing")),
         ("exp.ini", "seed = 3", "seed = 3\nworkers = 4", ("[sampling] workers = 4", "only 1")),
+        ("exp.ini", "[sweep]", "[sweeps]", ("unknown section [sweeps]", "[sweep], [sampling]")),
+        ("exp.ini", "n_configs = 20", "n_config = 20",
+         ("unknown key [sampling] n_config", "n_configs, delta_samples, seed, workers")),
+        ("exp.ini", "[chain]", "[DEFAULT]\nrho = 0.5\n\n[chain]", ("unknown section [DEFAULT]",)),
+        ("exp.ini", "rho = 0.5", "rho = 0.5\nrejection_cap = -1",
+         ("rejection_cap = -1", ">= 0", "epsilon = 0.05")),
         ("exp.ini", "seed = 3", "seed = 3\nseed = 5", ("'seed'", "'sampling'")),
         ("exp.ini", "joint = joint.txt", "joint = absent.txt", ("[chain] joint", "absent.txt")),
         ("exp.ini", "seed = 3", "seed = 3%", ("exp.ini", "'%' must be followed")),
@@ -138,7 +144,8 @@ class TestConfig:
          ("[chain] joint", "probs", "row 2 has 4 entries, row 1 has 3")),
         ("joint.txt", "joint v1", "joint v2", ("[chain] joint", "expected 'joint v1'")),
     ], ids=["non-numeric-int", "zero-configs", "one-delta-sample", "non-numeric-matrix", "ragged-matrix", "missing-section",
-            "workers", "duplicate-key", "missing-joint-file", "interpolation",
+            "workers", "misspelt-section", "misspelt-key", "default-section",
+            "negative-rejection-cap", "duplicate-key", "missing-joint-file", "interpolation",
             "missing-config-file", "joint-without-x-labels", "ragged-joint-row",
             "wrong-joint-kind"])
     def test_malformed_value_named_in_error_record(self, tmp_path, capsys, name, old, new,
@@ -150,12 +157,38 @@ class TestConfig:
         else:
             assert old in target.read_text()
             target.write_text(target.read_text().replace(old, new, 1))
-        rc = main(["features", "--config", str(path), "--out", str(tmp_path / "o")])
-        assert rc == 1
-        record = json.loads((tmp_path / "o" / "error.json").read_text())
-        assert record["error"] == "ValidationError"
-        for needle in needles:
-            assert needle in record["message"]
+        for command in ("features", "simulate"):
+            out = tmp_path / command
+            assert main([command, "--config", str(path), "--out", str(out)]) == 1
+            record = json.loads((out / "error.json").read_text())
+            assert record["error"] == "ValidationError"
+            for needle in needles:
+                assert needle in record["message"]
+            assert [p.name for p in out.iterdir()] == ["error.json"]
+
+    @pytest.mark.parametrize("path", [DEMO, REPO / "perfbench" / "configs" / "demo.ini"],
+                             ids=["demo", "perfbench-demo"])
+    def test_committed_configs_load_unchanged(self, path):
+        # the key check refuses nothing the committed demo configs set
+        cfg = load_config(path)
+        assert (cfg.eta1_grid, cfg.eta2_grid, cfg.epsilon_grid, cfg.k_grid, cfg.s_grid) == (
+            (0.0, 0.05), (0.0,), (0.05,), (1, 2), (0.0,))
+        assert (cfg.attribute_size, cfg.rho, cfg.rejection_cap, cfg.n_configs,
+                cfg.delta_samples, cfg.seed) == (3, 0.5, 1000, 60, 20000, 0)
+        assert cfg.joint.x_labels == ("a", "b", "c", "d")
+
+    def test_readme_config_block_lists_config_keys(self):
+        # README's ```ini block (commented keys included) is the documented format
+        readme = (REPO / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        listed: dict[str, list[str]] = {}
+        for line in block.splitlines():
+            line = line.lstrip("# ")
+            if line.startswith("["):
+                section = listed.setdefault(line.strip("[]"), [])
+            elif "=" in line and line[0].isalpha():
+                section.append(line.split("=", 1)[0].strip())
+        assert listed == {name: list(keys) for name, keys in cli.CONFIG_KEYS.items()}
 
 
 class TestCliCommands:
@@ -333,7 +366,7 @@ class TestCliCommands:
         original = MatrixEnsemble.sample
 
         def counting(self, *args, **kwargs):
-            calls.append((self.name, args, tuple(sorted(kwargs.items()))))
+            calls.append((self.sample_block, args, tuple(sorted(kwargs.items()))))
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(MatrixEnsemble, "sample", counting)
@@ -557,12 +590,16 @@ class TestSimulateJournal:
         assert simulate(path, out) == 0
         assert "(0 computed)" in capsys.readouterr().out
         assert (out / "simulate.csv").read_bytes() == csv
-        # a complete line that is not JSON is refused, not skipped
-        journal.write_text(rows[0] + "not json\n" + rows[1])
-        assert simulate(path, out) == 1
-        record = json.loads((out / "error.json").read_text())
-        assert record["error"] == "ValidationError"
-        assert "line 2 is not a journal row; rerun with --fresh" in record["message"]
+        # a complete line that is not a JSON object holding every column is
+        # refused, not skipped
+        short = json.loads(rows[1])
+        del short["e_us"]
+        for bad in ("not json", "1", json.dumps(short)):
+            journal.write_text(rows[0] + bad + "\n" + rows[1])
+            assert simulate(path, out) == 1
+            record = json.loads((out / "error.json").read_text())
+            assert record["error"] == "ValidationError"
+            assert "line 2 is not a journal row; rerun with --fresh" in record["message"]
 
     def test_single_configuration_refused(self, tmp_path, capsys):
         # one configuration has no standard error, so simulate refuses it;
@@ -574,8 +611,9 @@ class TestSimulateJournal:
         assert simulate(path, out) == 1
         record = json.loads((out / "error.json").read_text())
         assert record["error"] == "ValidationError"
-        assert "n_configs" in record["message"]
+        assert "[sampling] n_configs = 1: simulate needs >= 2" in record["message"]
         assert not (out / "simulate.csv").exists()
+        assert not (out / "simulate.partial.jsonl").exists()
 
     def test_torn_last_line_recomputed(self, tmp_path, capsys):
         path = tiny_config(tmp_path, k="1 2")  # 2 points

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import conjugated, constant, gaussian_iid, scaled, scaled_rank_one
 from maxcorr import symmetry
 from maxcorr.cli import load_config
 from maxcorr.ensemble import AttributeEnsembleSpec, information_ensemble
@@ -13,17 +14,12 @@ from maxcorr.symmetry import (
     MatrixEnsemble,
     SecondMomentForm,
     _gamma,
-    conjugated,
-    constant,
     delta_report,
     entry_variances,
-    gaussian_iid,
     moment_symmetry_report,
     projection_bound_check,
     propagation_check,
     rank_one_range,
-    scaled,
-    scaled_rank_one,
     second_moment_form,
     variance_bump,
 )

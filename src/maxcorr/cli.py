@@ -22,7 +22,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from itertools import product
 from pathlib import Path
 
@@ -102,12 +102,15 @@ class ExperimentConfig:
         )
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split())
+def _grid(text: str, kind) -> tuple:
+    values = tuple(kind(v) for v in text.split())
+    if not values:  # an empty axis would sweep no point
+        raise ValueError("needs at least one value")
+    return values
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split())
+_floats = functools.partial(_grid, kind=float)
+_ints = functools.partial(_grid, kind=int)
 
 
 def _option(parser: configparser.ConfigParser, section: str, key: str, parse):
@@ -159,6 +162,9 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
     try:
         parser.read_string(raw)
         if parser.has_option("chain", "joint"):
+            for key in CONFIG_KEYS["chain"]:
+                if key != "joint" and parser.has_option("chain", key):
+                    raise ValidationError(f"[chain] {key} is set next to joint, which ignores it")
             joint = _option(parser, "chain", "joint",
                             lambda name: load_joint((path.parent / name).read_text()))
         elif parser.get("chain", "generator", fallback=None) == "seeded":
@@ -250,10 +256,12 @@ def _write_text(path: Path, body: str, cfg_hash: str, seed: int) -> None:
     path.write_text(lines + body)
 
 
-def _prepare_out(out: Path, cfg: ExperimentConfig | None) -> None:
+def _prepare_out(out: str, cfg: ExperimentConfig | None) -> Path:
+    out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     if cfg is not None:
         (out / "config.echo.ini").write_text(cfg.raw_text)
+    return out
 
 
 def _f(x: float) -> str:
@@ -266,8 +274,7 @@ def _f(x: float) -> str:
 
 
 def cmd_ingest(args) -> int:
-    out = Path(args.out)
-    _prepare_out(out, None)
+    out = _prepare_out(args.out, None)
     path = Path(args.samples)
     try:
         data = path.read_bytes()
@@ -299,8 +306,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_features(args) -> int:
     cfg = load_config(args.config, args.seed)
-    out = Path(args.out)
-    _prepare_out(out, cfg)
+    out = _prepare_out(args.out, cfg)
     k = args.k if args.k is not None else cfg.k_grid[-1]
     joint = cfg.joint
     cdm = canonical_dependence_matrix(joint)
@@ -329,29 +335,32 @@ def cmd_features(args) -> int:
     return 0
 
 
+SYMMETRY_COLUMNS = (
+    "epsilon,s,side,delta_hat,delta_stderr,mean_norm,mean_norm_bar,"
+    "max_moment_spread,max_moment_spread_bar,max_cross_covariance,max_cross_covariance_bar"
+)
+
+
+def _delta_block(cfg: ExperimentConfig, side: str, eps: float, s: float) -> np.ndarray:
+    """The `delta_samples` draws behind side x's (stream (seed, 10)) or side y's
+    (stream (seed, 11)) delta at (eps, s); a `simulate` row keeps the larger delta."""
+    return information_ensemble(cfg.ensemble(side, eps, s)).sample(
+        cfg.delta_samples, seed=(cfg.seed, 10 if side == "x" else 11))
+
+
 def cmd_symmetry(args) -> int:
     cfg = load_config(args.config, args.seed)
-    out = Path(args.out)
-    _prepare_out(out, cfg)
-    samples = cfg.delta_samples if args.samples is None else args.samples
-    eps = cfg.epsilon_grid[0]
-    s = args.anisotropy
-    spec = cfg.ensemble(args.side, eps, s)
-    block = information_ensemble(spec).sample(samples, seed=cfg.seed)
-    rep = delta_report(block)
-    lem = moment_symmetry_report(block)
-    body = (
-        f"side: {args.side}\nanisotropy: {_f(s)}\nepsilon: {_f(eps)}\n"
-        f"samples: {samples}\n"
-        f"delta_hat: {_f(rep.delta)}\ndelta_stderr: {_f(rep.stderr)}\n"
-        f"mean_norm: {_f(lem.mean_norm)}\nmean_norm_bar: {_f(lem.mean_norm_bar)}\n"
-        f"max_moment_spread: {_f(lem.max_moment_spread)}\n"
-        f"max_moment_spread_bar: {_f(lem.max_moment_spread_bar)}\n"
-        f"max_cross_covariance: {_f(lem.max_cross_covariance)}\n"
-        f"max_cross_covariance_bar: {_f(lem.max_cross_covariance_bar)}\n"
-    )
-    _write_text(out / "symmetry.txt", body, cfg.config_hash, cfg.seed)
-    print(f"delta_hat = {rep.delta:.6g} +- {rep.stderr:.2g} -> {out}")
+    out = _prepare_out(args.out, cfg)
+    rows = [SYMMETRY_COLUMNS]
+    for eps, s in product(cfg.epsilon_grid, cfg.s_grid):
+        for side in ("x", "y"):
+            block = _delta_block(cfg, side, eps, s)
+            rep = delta_report(block)
+            # MomentSymmetryReport declares its fields in the column order
+            values = (rep.delta, rep.stderr, *astuple(moment_symmetry_report(block)))
+            rows.append(",".join([_f(eps), _f(s), side, *map(_f, values)]))
+    _write_text(out / "symmetry.csv", "\n".join(rows) + "\n", cfg.config_hash, cfg.seed)
+    print(f"wrote {len(rows) - 1} delta rows to {out / 'symmetry.csv'}")
     return 0
 
 
@@ -365,17 +374,10 @@ SIM_COLUMNS = (
 def _simulate_point(cfg: ExperimentConfig, point_id: str, eps: float, k: int, s: float,
                     chan_x: Channel, chan_y: Channel, cdm: CdmMatrix) -> dict:
     """One sweep row; `cdm` is that of the joint seen through (chan_x, chan_y)."""
-    mu_u = cfg.ensemble("x", eps, s)
-    mu_v = cfg.ensemble("y", eps, s)
-    d_u = delta_report(information_ensemble(mu_u).sample(
-        cfg.delta_samples, seed=(cfg.seed, 10))).delta
-    d_v = delta_report(information_ensemble(mu_v).sample(
-        cfg.delta_samples, seed=(cfg.seed, 11))).delta
-    delta_hat = max(d_u, d_v)
+    delta_hat = max(delta_report(_delta_block(cfg, side, eps, s)).delta for side in "xy")
     f, g = select_features(cdm, k)
-    rep = average_exponents(
-        mu_u, mu_v, cfg.joint, chan_x, chan_y, f, g, cfg.n_configs, (cfg.seed, 12),
-    )
+    rep = average_exponents(cfg.ensemble("x", eps, s), cfg.ensemble("y", eps, s), cfg.joint,
+                            chan_x, chan_y, f, g, cfg.n_configs, (cfg.seed, 12))
     bound, residual = exponent_bound(eps, k, cdm.sigmas, rep.c_u, rep.c_v, delta_hat,
                                      chan_x.eta, chan_y.eta)
     return {
@@ -443,8 +445,7 @@ def cmd_simulate(args) -> int:
     # every row reports standard errors over the configurations
     if cfg.n_configs < 2:
         raise ValidationError(f"[sampling] n_configs = {cfg.n_configs}: simulate needs >= 2")
-    out = Path(args.out)
-    _prepare_out(out, cfg)
+    out = _prepare_out(args.out, cfg)
     journal = out / "simulate.partial.jsonl"
     done = {}
     if journal.exists() and not args.fresh:
@@ -544,8 +545,7 @@ def _verify_checks(cfg: ExperimentConfig) -> list[checks.Check]:
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config, args.seed)
-    out = Path(args.out)
-    _prepare_out(out, cfg)
+    out = _prepare_out(args.out, cfg)
     results = _verify_checks(cfg)
     lines = []
     for check in results:
@@ -593,11 +593,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, help="ignored: features runs no pool")
     p.set_defaults(func=cmd_features)
 
-    p = sub.add_parser("symmetry", help="ensemble -> delta_hat + moment reports")
+    p = sub.add_parser("symmetry", help="sweep ensembles -> delta_hat + moment reports")
     common(p)
-    p.add_argument("--samples", type=int, default=None, help="override delta_samples")
-    p.add_argument("--anisotropy", type=float, default=0.0)
-    p.add_argument("--side", choices=("x", "y"), default="x")
     p.set_defaults(func=cmd_symmetry)
 
     p = sub.add_parser("simulate", help="full exponent sweep -> CSV")

@@ -13,7 +13,6 @@ import pytest
 
 from maxcorr import cli, dependence, exponent, model
 from maxcorr.cli import OUT_ROOT_ENV, build_parser, load_config, main
-from maxcorr.ensemble import information_ensemble
 from maxcorr.errors import ValidationError
 from maxcorr.symmetry import delta_report, moment_symmetry_report
 
@@ -60,6 +59,30 @@ seed = 3
 """
     path = tmp_path / "exp.ini"
     path.write_text(cfg)
+    return path
+
+
+def grid_config(tmp_path):
+    """tiny_config swept over two epsilon and two s values."""
+    path = tiny_config(tmp_path, n_configs=4, delta_samples=500)
+    text = path.read_text().replace("epsilon = 0.05", "epsilon = 0.05 0.1")
+    path.write_text(text.replace("s = 0.0", "s = 0.0 0.4"))
+    return path
+
+
+def seeded_config(tmp_path, x_size=3, y_size=4, extra=""):
+    """A config whose [chain] is a seeded random joint of the given sizes."""
+    def t(n):  # T = J/n - I
+        return "\n".join("    " + " ".join(repr(1.0 / n - (i == j)) for j in range(n))
+                         for i in range(n))
+
+    sizes = f"x_size = {x_size}\n" + ("" if y_size is None else f"y_size = {y_size}\n")
+    path = tmp_path / "seeded.ini"
+    path.write_text(
+        f"[chain]\ngenerator = seeded\n{sizes}{extra}\n"
+        f"[channel_x]\nt =\n{t(x_size)}\n\n[channel_y]\nt =\n{t(y_size or 1)}\n\n"
+        "[sweep]\nk = 1 2\n\n[sampling]\nn_configs = 4\ndelta_samples = 200\n"
+    )
     return path
 
 
@@ -143,11 +166,16 @@ class TestConfig:
         ("joint.txt", " 0.090228508938800953\n", "\n",
          ("[chain] joint", "probs", "row 2 has 4 entries, row 1 has 3")),
         ("joint.txt", "joint v1", "joint v2", ("[chain] joint", "expected 'joint v1'")),
+        ("exp.ini", "epsilon = 0.05", "epsilon =", ("[sweep] epsilon = ''", "at least one value")),
+        ("exp.ini", "eta_grid = 0.0", "eta_grid =",
+         ("[channel_x] eta_grid = ''", "at least one value")),
+        ("exp.ini", "joint = joint.txt", "joint = joint.txt\nx_size = 16",
+         ("[chain] x_size", "next to joint")),
     ], ids=["non-numeric-int", "zero-configs", "one-delta-sample", "non-numeric-matrix", "ragged-matrix", "missing-section",
             "workers", "misspelt-section", "misspelt-key", "default-section",
             "negative-rejection-cap", "duplicate-key", "missing-joint-file", "interpolation",
             "missing-config-file", "joint-without-x-labels", "ragged-joint-row",
-            "wrong-joint-kind"])
+            "wrong-joint-kind", "empty-epsilon", "empty-eta-grid", "joint-with-generator-key"])
     def test_malformed_value_named_in_error_record(self, tmp_path, capsys, name, old, new,
                                                    needles):
         path = tiny_config(tmp_path)
@@ -157,7 +185,7 @@ class TestConfig:
         else:
             assert old in target.read_text()
             target.write_text(target.read_text().replace(old, new, 1))
-        for command in ("features", "simulate"):
+        for command in ("features", "simulate", "symmetry", "verify"):
             out = tmp_path / command
             assert main([command, "--config", str(path), "--out", str(out)]) == 1
             record = json.loads((out / "error.json").read_text())
@@ -176,6 +204,23 @@ class TestConfig:
         assert (cfg.attribute_size, cfg.rho, cfg.rejection_cap, cfg.n_configs,
                 cfg.delta_samples, cfg.seed) == (3, 0.5, 1000, 60, 20000, 0)
         assert cfg.joint.x_labels == ("a", "b", "c", "d")
+
+    def test_seeded_generator(self, tmp_path, capsys):
+        cfg = load_config(seeded_config(tmp_path))
+        assert cfg.joint.probs.shape == (4, 3)
+        assert cfg.joint.x_labels == ("x0", "x1", "x2")
+        assert cfg.joint.y_labels == ("y0", "y1", "y2", "y3")
+        # the joint is a function of generator_seed alone
+        assert np.array_equal(load_config(seeded_config(tmp_path)).joint.probs, cfg.joint.probs)
+        other = load_config(seeded_config(tmp_path, extra="generator_seed = 7"))
+        assert not np.array_equal(other.joint.probs, cfg.joint.probs)
+        with pytest.raises(ValidationError, match=r"^\[chain\] y_size is missing$"):
+            load_config(seeded_config(tmp_path, y_size=None))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(seeded_config(tmp_path)), "--out", str(out)]) == 0
+        lines = (out / "simulate.csv").read_text().splitlines()
+        assert [line.split(",")[:3] for line in lines[3:]] == [
+            ["0000", "0.050000000000000003", "1"], ["0001", "0.050000000000000003", "2"]]
 
     def test_readme_config_block_lists_config_keys(self):
         # README's ```ini block (commented keys included) is the documented format
@@ -197,10 +242,14 @@ class TestCliCommands:
             main(["features", "--config", str(DEMO), "--no-such-flag"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("command", ["symmetry", "verify"])
-    def test_jobs_rejected_where_unread(self, command, capsys):
+    # symmetry takes N, s and both sides from the config, so it has no such flags
+    @pytest.mark.parametrize("command, flag, value", [
+        ("symmetry", "--jobs", "2"), ("verify", "--jobs", "2"), ("symmetry", "--samples", "4000"),
+        ("symmetry", "--anisotropy", "0.4"), ("symmetry", "--side", "y"),
+    ], ids=["symmetry", "verify", "symmetry-samples", "symmetry-anisotropy", "symmetry-side"])
+    def test_jobs_rejected_where_unread(self, command, flag, value, capsys):
         with pytest.raises(SystemExit) as exc:
-            main([command, "--config", str(DEMO), "--jobs", "2"])
+            main([command, "--config", str(DEMO), flag, value])
         assert exc.value.code == 2
 
     def test_error_record_on_bad_config(self, tmp_path, capsys):
@@ -305,58 +354,61 @@ class TestCliCommands:
         assert (tmp_path / "o" / "config.echo.ini").read_text() == DEMO.read_text()
 
     def test_symmetry_outputs(self, tmp_path, capsys):
-        path = tiny_config(tmp_path)
-        rc = main([
-            "symmetry", "--config", str(path), "--samples", "4000",
-            "--out", str(tmp_path / "o"),
-        ])
-        assert rc == 0
-        body = (tmp_path / "o" / "symmetry.txt").read_text()
-        values = dict(line.split(": ", 1) for line in body.splitlines() if not line.startswith("#"))
+        path = grid_config(tmp_path)
+        assert main(["symmetry", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        lines = (tmp_path / "o" / "symmetry.csv").read_text().splitlines()
         cfg = load_config(path)
-        block = information_ensemble(cfg.ensemble("x", cfg.epsilon_grid[0], 0.0)).sample(
-            4000, seed=cfg.seed)
-        rep = delta_report(block)
-        lem = moment_symmetry_report(block)
-        assert float(values["delta_hat"]) == rep.delta
-        assert float(values["delta_stderr"]) == rep.stderr
-        assert float(values["mean_norm"]) == lem.mean_norm
-        assert float(values["max_moment_spread"]) == lem.max_moment_spread
-        assert float(values["max_cross_covariance"]) == lem.max_cross_covariance
+        assert lines[:3] == [f"# config_hash: {cfg.config_hash}", "# seed: 3", cli.SYMMETRY_COLUMNS]
+        grid = [(eps, s, side) for eps in (0.05, 0.1) for s in (0.0, 0.4) for side in "xy"]
+        assert len(lines) == 3 + len(grid)
+        for (eps, s, side), line in zip(grid, lines[3:]):
+            cells = dict(zip(cli.SYMMETRY_COLUMNS.split(","), line.split(",")))
+            assert (float(cells["epsilon"]), float(cells["s"]), cells["side"]) == (eps, s, side)
+            block = cli._delta_block(cfg, side, eps, s)
+            rep, lem = delta_report(block), moment_symmetry_report(block)
+            assert float(cells["delta_hat"]) == rep.delta
+            assert float(cells["delta_stderr"]) == rep.stderr
+            for name in cli.SYMMETRY_COLUMNS.split(",")[5:]:
+                assert float(cells[name]) == getattr(lem, name)
 
     def test_symmetry_writes_one_file_per_result(self, tmp_path, capsys):
         path = tiny_config(tmp_path)
         out = tmp_path / "o"
-        main(["symmetry", "--config", str(path), "--samples", "4000", "--out", str(out)])
-        assert {p.name for p in out.iterdir()} == {"config.echo.ini", "symmetry.txt"}
-
-    def test_symmetry_zero_samples_rejected(self, tmp_path, capsys):
-        path = tiny_config(tmp_path)
-        rc = main(["symmetry", "--config", str(path), "--samples", "0",
-                   "--out", str(tmp_path / "o")])
-        assert rc == 1
-        record = json.loads((tmp_path / "o" / "error.json").read_text())
-        assert record["message"] == "count must be >= 1"
+        main(["symmetry", "--config", str(path), "--out", str(out)])
+        assert {p.name for p in out.iterdir()} == {"config.echo.ini", "symmetry.csv"}
 
     def test_symmetry_draws_once(self, tmp_path, capsys, monkeypatch):
-        # delta_hat and the moment report are statistics of one drawn block
+        # delta_hat and the moment report of a row are statistics of one drawn block
         from maxcorr.symmetry import MatrixEnsemble
 
         calls = []
         original = MatrixEnsemble.sample
 
         def counting(self, *args, **kwargs):
-            calls.append(args)
+            calls.append((self.sample_block, args, tuple(sorted(kwargs.items()))))
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(MatrixEnsemble, "sample", counting)
-        path = tiny_config(tmp_path)
-        rc = main([
-            "symmetry", "--config", str(path), "--samples", "4000",
-            "--out", str(tmp_path / "o"),
-        ])
-        assert rc == 0
-        assert len(calls) == 1
+        assert main(["symmetry", "--config", str(grid_config(tmp_path)),
+                     "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 2 * 2 * 2  # (epsilon, s, side)
+        assert len(set(calls)) == len(calls)
+
+    def test_symmetry_delta_is_simulate_delta(self, tmp_path, capsys):
+        # simulate's delta_hat is the larger of the two sides' symmetry.csv
+        # delta_hat at its (epsilon, s), down to the last digit
+        path = grid_config(tmp_path)
+        assert main(["symmetry", "--config", str(path), "--out", str(tmp_path / "y")]) == 0
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
+        deltas = {}
+        for line in (tmp_path / "y" / "symmetry.csv").read_text().splitlines()[3:]:
+            eps, s, _, delta = line.split(",")[:4]
+            deltas.setdefault((eps, s), []).append(delta)
+        rows = (tmp_path / "s" / "simulate.csv").read_text().splitlines()[3:]
+        assert len(rows) == len(deltas) == 4
+        for row in rows:
+            cells = dict(zip(cli.SIM_COLUMNS.split(","), row.split(",")))
+            assert cells["delta_hat"] == max(deltas[cells["epsilon"], cells["s"]], key=float)
 
     def test_verify_draws_seed_block_once(self, tmp_path, capsys, monkeypatch):
         # delta_hat and the first projection-bound trial share the seed block

@@ -4,9 +4,11 @@ Config files use INI syntax (configparser); matrices are whitespace-separated
 rows on indented continuation lines.  CONFIG_KEYS declares every section and
 key with its default; any other section or key is refused.
 
-Every emitted file starts with `# config_hash:` and `# seed:` comment lines;
-floats are serialized with 17 significant digits and rows are sorted, so a
-rerun with identical (config, seed) is byte-identical.  `simulate` journals
+Every result file is written by `_write_text` or `_write_csv`, so it starts
+with `# config_hash:` and `# seed:` comment lines; floats are serialized with
+17 significant digits and rows are sorted, so a rerun with identical
+(config, seed) is byte-identical.  `ingest`'s joint.txt carries the sample
+file's digest as `# config_hash:` and a `# records:` line.  `simulate` journals
 each finished sweep point to simulate.partial.jsonl and resumes from it;
 journal rows carry their (config_hash, seed) and are never reused under
 another pair.
@@ -22,7 +24,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from itertools import product
 from pathlib import Path
 
@@ -46,7 +48,7 @@ from .model import (
     make_channel,
     parse_matrix,
 )
-from .symmetry import delta_report, moment_symmetry_report
+from .symmetry import MomentSymmetryReport, delta_report, moment_symmetry_report
 
 OUT_ROOT_ENV = "MAXCORR_OUT_ROOT"
 
@@ -220,6 +222,9 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
     finally:
         parser.clear()
         parser.defaults().clear()
+    if cfg.seed < 0:  # SeedSequence takes no negative entropy
+        source = "[sampling] seed" if seed_override is None else "--seed"
+        raise ValidationError(f"{source} = {cfg.seed}: must be >= 0")
     for key, least in (("n_configs", 1), ("delta_samples", 2)):
         value = getattr(cfg, key)
         if value < least:
@@ -247,13 +252,19 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
     return cfg
 
 
-def _header(cfg_hash: str, seed: int) -> list[str]:
-    return [f"config_hash: {cfg_hash}", f"seed: {seed}"]
+def _write_text(path: Path, lines: list[str], cfg: ExperimentConfig) -> None:
+    """The `# config_hash:` and `# seed:` lines of `cfg`, then `lines`."""
+    head = [f"# config_hash: {cfg.config_hash}", f"# seed: {cfg.seed}"]
+    path.write_text("".join(f"{line}\n" for line in (*head, *lines)))
 
 
-def _write_text(path: Path, body: str, cfg_hash: str, seed: int) -> None:
-    lines = "".join(f"# {h}\n" for h in _header(cfg_hash, seed))
-    path.write_text(lines + body)
+def _write_csv(path: Path, columns: list[str], rows: list, cfg: ExperimentConfig) -> None:
+    """A header line of `columns`, then one line per row of values: a str as
+    it is, an int through str, anything else through FLOAT_FMT."""
+    def cell(v) -> str:
+        return v if isinstance(v, str) else str(v) if isinstance(v, int) else FLOAT_FMT % v
+
+    _write_text(path, [",".join(columns), *(",".join(map(cell, row)) for row in rows)], cfg)
 
 
 def _prepare_out(out: str, cfg: ExperimentConfig | None) -> Path:
@@ -264,16 +275,14 @@ def _prepare_out(out: str, cfg: ExperimentConfig | None) -> Path:
     return out
 
 
-def _f(x: float) -> str:
-    return FLOAT_FMT % x
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
 def cmd_ingest(args) -> int:
+    if not args.delimiter:
+        raise ValidationError("--delimiter '': needs at least one character")
     out = _prepare_out(args.out, None)
     path = Path(args.samples)
     try:
@@ -298,7 +307,7 @@ def cmd_ingest(args) -> int:
     joint = joint_from_samples(pairs, x_alpha, y_alpha)
     digest = hashlib.sha256(data).hexdigest()[:16]
     (out / "joint.txt").write_text(
-        dump_joint(joint, header=_header(digest, args.seed) + [f"records: {len(pairs)}"])
+        dump_joint(joint, header=[f"config_hash: {digest}", f"records: {len(pairs)}"])
     )
     print(f"wrote {out / 'joint.txt'} ({len(pairs)} records)")
     return 0
@@ -311,34 +320,18 @@ def cmd_features(args) -> int:
     joint = cfg.joint
     cdm = canonical_dependence_matrix(joint)
     f, g = select_features(cdm, k)
-    sigma_body = "".join(
-        f"sigma {i}: {_f(s)}\n" for i, s in enumerate(cdm.sigmas)
-    )
-    _write_text(out / "sigmas.txt", sigma_body, cfg.config_hash, cfg.seed)
-
-    rows = [
-        "index,sigma,"
-        + ",".join(f"f_{lab}" for lab in joint.x_labels)
-        + ","
-        + ",".join(f"g_{lab}" for lab in joint.y_labels)
-    ]
-    for i in range(k):
-        rows.append(
-            ",".join(
-                [str(i), _f(cdm.sigmas[i])]
-                + [_f(v) for v in f.h[:, i]]
-                + [_f(v) for v in g.h[:, i]]
-            )
-        )
-    _write_text(out / "features.csv", "\n".join(rows) + "\n", cfg.config_hash, cfg.seed)
+    _write_text(out / "sigmas.txt",
+                [f"sigma {i}: {FLOAT_FMT % s}" for i, s in enumerate(cdm.sigmas)], cfg)
+    columns = ["index", "sigma", *(f"f_{lab}" for lab in joint.x_labels),
+               *(f"g_{lab}" for lab in joint.y_labels)]
+    rows = [(i, cdm.sigmas[i], *f.h[:, i], *g.h[:, i]) for i in range(k)]
+    _write_csv(out / "features.csv", columns, rows, cfg)
     print(f"wrote features (k={k}) and sigma profile to {out}")
     return 0
 
 
-SYMMETRY_COLUMNS = (
-    "epsilon,s,side,delta_hat,delta_stderr,mean_norm,mean_norm_bar,"
-    "max_moment_spread,max_moment_spread_bar,max_cross_covariance,max_cross_covariance_bar"
-)
+SYMMETRY_COLUMNS = ",".join(["epsilon", "s", "side", "delta_hat", "delta_stderr",
+                             *(field.name for field in fields(MomentSymmetryReport))])
 
 
 def _delta_block(cfg: ExperimentConfig, side: str, eps: float, s: float) -> np.ndarray:
@@ -351,16 +344,15 @@ def _delta_block(cfg: ExperimentConfig, side: str, eps: float, s: float) -> np.n
 def cmd_symmetry(args) -> int:
     cfg = load_config(args.config, args.seed)
     out = _prepare_out(args.out, cfg)
-    rows = [SYMMETRY_COLUMNS]
+    rows = []
     for eps, s in product(cfg.epsilon_grid, cfg.s_grid):
         for side in ("x", "y"):
             block = _delta_block(cfg, side, eps, s)
             rep = delta_report(block)
-            # MomentSymmetryReport declares its fields in the column order
-            values = (rep.delta, rep.stderr, *astuple(moment_symmetry_report(block)))
-            rows.append(",".join([_f(eps), _f(s), side, *map(_f, values)]))
-    _write_text(out / "symmetry.csv", "\n".join(rows) + "\n", cfg.config_hash, cfg.seed)
-    print(f"wrote {len(rows) - 1} delta rows to {out / 'symmetry.csv'}")
+            rows.append((eps, s, side, rep.delta, rep.stderr,
+                         *astuple(moment_symmetry_report(block))))
+    _write_csv(out / "symmetry.csv", SYMMETRY_COLUMNS.split(","), rows, cfg)
+    print(f"wrote {len(rows)} delta rows to {out / 'symmetry.csv'}")
     return 0
 
 
@@ -380,30 +372,11 @@ def _simulate_point(cfg: ExperimentConfig, point_id: str, eps: float, k: int, s:
                             chan_x, chan_y, f, g, cfg.n_configs, (cfg.seed, 12))
     bound, residual = exponent_bound(eps, k, cdm.sigmas, rep.c_u, rep.c_v, delta_hat,
                                      chan_x.eta, chan_y.eta)
-    return {
-        "sweep_id": point_id, "config_hash": cfg.config_hash, "seed": cfg.seed,
-        "epsilon": eps, "k": k, "eta1": chan_x.eta, "eta2": chan_y.eta, "s": s,
-        "delta_hat": delta_hat,
-        "e_us": rep.e_u_s, "e_vs": rep.e_v_s, "e_ut": rep.e_u_t, "e_vt": rep.e_v_t,
-        "bound_us": bound[0], "bound_vs": bound[1],
-        "bound_ut": bound[2], "bound_vt": bound[3],
-        "residual_budget": residual,
-        "stderr_us": rep.stderr_u_s, "stderr_vs": rep.stderr_v_s,
-        "stderr_ut": rep.stderr_u_t, "stderr_vt": rep.stderr_v_t,
-    }
-
-
-def _row_to_csv(row: dict) -> str:
-    cells = []
-    for col in SIM_COLUMNS.split(","):
-        v = row[col]
-        if col == "sweep_id":
-            cells.append(str(v))
-        elif col == "k":
-            cells.append(str(int(v)))
-        else:
-            cells.append(_f(float(v)))
-    return ",".join(cells)
+    # the exponents, the bound, the stderrs and SIM_COLUMNS share one
+    # component order: (U|S, V|S, U|T, V|T)
+    values = (point_id, eps, k, chan_x.eta, chan_y.eta, s, delta_hat, *rep.exponents,
+              *bound, residual, *rep.stderrs)
+    return dict(zip(SIM_COLUMNS.split(","), values), config_hash=cfg.config_hash, seed=cfg.seed)
 
 
 def _read_journal(journal: Path, cfg_hash: str, seed: int) -> dict[str, dict]:
@@ -474,13 +447,12 @@ def cmd_simulate(args) -> int:
             os.fsync(fh.fileno())
             done[row["sweep_id"]] = row
 
-        jobs = max(1, args.jobs)
-        if jobs == 1 or len(todo) <= 1:
+        if args.jobs == 1 or len(todo) <= 1:
             for p in todo:
                 record(_simulate_point(cfg, *p))
         else:
             failure = None
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
+            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
                 futures = [pool.submit(_simulate_point, cfg, *p) for p in todo]
                 try:
                     # a failed point must not cost the rows of points finishing after it
@@ -500,9 +472,9 @@ def cmd_simulate(args) -> int:
             if failure is not None:
                 raise failure
 
-    rows = [done[p[0]] for p in points]
-    body = SIM_COLUMNS + "\n" + "\n".join(_row_to_csv(r) for r in rows) + "\n"
-    _write_text(out / "simulate.csv", body, cfg.config_hash, cfg.seed)
+    columns = SIM_COLUMNS.split(",")
+    rows = [[done[p[0]][col] for col in columns] for p in points]
+    _write_csv(out / "simulate.csv", columns, rows, cfg)
     print(f"wrote {len(rows)} sweep rows ({len(todo)} computed) to {out / 'simulate.csv'}")
     return 0
 
@@ -552,8 +524,15 @@ def cmd_verify(args) -> int:
         line = f"{'PASS' if check.ok else 'FAIL'}  {check.name:<26} {check.detail}"
         print(line)
         lines.append(line)
-    _write_text(out / "verify.txt", "\n".join(lines) + "\n", cfg.config_hash, cfg.seed)
+    _write_text(out / "verify.txt", lines, cfg)
     return 0 if all(check.ok for check in results) else 1
+
+
+def _jobs(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
 
 
 @functools.cache
@@ -581,7 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--header", action="store_true", help="skip a header line")
     p.add_argument("--x-alphabet", default="", help="comma list; inferred if omitted")
     p.add_argument("--y-alphabet", default="", help="comma list; inferred if omitted")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_ingest)
 
@@ -599,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="full exponent sweep -> CSV")
     common(p)
-    p.add_argument("--jobs", type=int, default=1, help="sweep-level worker pool size")
+    p.add_argument("--jobs", type=_jobs, default=1, help="sweep-level worker pool size (>= 1)")
     p.add_argument("--fresh", action="store_true", help="ignore an existing journal")
     p.set_defaults(func=cmd_simulate)
 

@@ -171,11 +171,13 @@ class TestConfig:
          ("[channel_x] eta_grid = ''", "at least one value")),
         ("exp.ini", "joint = joint.txt", "joint = joint.txt\nx_size = 16",
          ("[chain] x_size", "next to joint")),
+        ("exp.ini", "seed = 3", "seed = -1", ("[sampling] seed = -1", ">= 0")),
     ], ids=["non-numeric-int", "zero-configs", "one-delta-sample", "non-numeric-matrix", "ragged-matrix", "missing-section",
             "workers", "misspelt-section", "misspelt-key", "default-section",
             "negative-rejection-cap", "duplicate-key", "missing-joint-file", "interpolation",
             "missing-config-file", "joint-without-x-labels", "ragged-joint-row",
-            "wrong-joint-kind", "empty-epsilon", "empty-eta-grid", "joint-with-generator-key"])
+            "wrong-joint-kind", "empty-epsilon", "empty-eta-grid", "joint-with-generator-key",
+            "negative-seed"])
     def test_malformed_value_named_in_error_record(self, tmp_path, capsys, name, old, new,
                                                    needles):
         path = tiny_config(tmp_path)
@@ -193,6 +195,14 @@ class TestConfig:
             for needle in needles:
                 assert needle in record["message"]
             assert [p.name for p in out.iterdir()] == ["error.json"]
+
+    def test_negative_seed_flag_named_in_error_record(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(DEMO), "--seed", "-1", "--out", str(out)]) == 1
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "ValidationError"
+        assert "--seed = -1" in record["message"] and ">= 0" in record["message"]
+        assert [p.name for p in out.iterdir()] == ["error.json"]
 
     @pytest.mark.parametrize("path", [DEMO, REPO / "perfbench" / "configs" / "demo.ini"],
                              ids=["demo", "perfbench-demo"])
@@ -235,6 +245,14 @@ class TestConfig:
                 section.append(line.split("=", 1)[0].strip())
         assert listed == {name: list(keys) for name, keys in cli.CONFIG_KEYS.items()}
 
+    def test_readme_file_formats_list_result_columns(self):
+        # README's "File formats" block states each CSV's header line verbatim
+        readme = (REPO / "README.md").read_text()
+        block = readme.split("## File formats", 1)[1].split("```\n", 2)[1]
+        listed = dict(line.split(None, 1) for line in block.splitlines())
+        assert listed["simulate.csv"] == cli.SIM_COLUMNS
+        assert listed["symmetry.csv"] == cli.SYMMETRY_COLUMNS
+
 
 class TestCliCommands:
     def test_unknown_flag_exits_2(self, capsys):
@@ -242,11 +260,14 @@ class TestCliCommands:
             main(["features", "--config", str(DEMO), "--no-such-flag"])
         assert exc.value.code == 2
 
-    # symmetry takes N, s and both sides from the config, so it has no such flags
+    # symmetry takes N, s and both sides from the config, so it has no such flags;
+    # simulate runs at least one job
     @pytest.mark.parametrize("command, flag, value", [
         ("symmetry", "--jobs", "2"), ("verify", "--jobs", "2"), ("symmetry", "--samples", "4000"),
         ("symmetry", "--anisotropy", "0.4"), ("symmetry", "--side", "y"),
-    ], ids=["symmetry", "verify", "symmetry-samples", "symmetry-anisotropy", "symmetry-side"])
+        ("simulate", "--jobs", "0"), ("simulate", "--jobs", "-3"),
+    ], ids=["symmetry", "verify", "symmetry-samples", "symmetry-anisotropy", "symmetry-side",
+            "simulate-zero-jobs", "simulate-negative-jobs"])
     def test_jobs_rejected_where_unread(self, command, flag, value, capsys):
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", str(DEMO), flag, value])
@@ -268,8 +289,11 @@ class TestCliCommands:
         assert rc == 0
         from maxcorr.model import load_joint
 
-        joint = load_joint((tmp_path / "o" / "joint.txt").read_text())
-        assert joint.probs[0, 0] == 0.5
+        text = (tmp_path / "o" / "joint.txt").read_text()
+        # ingest draws nothing, so its header has no seed line
+        assert text.startswith("# config_hash: ")
+        assert text.splitlines()[1:3] == ["# records: 4", "joint v1"]
+        assert load_joint(text).probs[0, 0] == 0.5
 
     def test_ingest_declared_alphabets(self, tmp_path, capsys):
         samples = tmp_path / "s.csv"
@@ -307,6 +331,14 @@ class TestCliCommands:
         assert record["error"] == "ValidationError"
         assert "cannot decode samples" in record["message"]
         assert "latin1.csv" in record["message"]
+        # an empty delimiter, which no split accepts
+        samples = tmp_path / "s.csv"
+        samples.write_text("a,w\nb,x\n")
+        rc = main(["ingest", str(samples), "--delimiter", "", "--out", str(tmp_path / "m")])
+        assert rc == 1
+        record = json.loads((tmp_path / "m" / "error.json").read_text())
+        assert record["error"] == "ValidationError"
+        assert "--delimiter" in record["message"]
 
     def test_features_match_golden_oracle(self, tmp_path, capsys):
         rc = main([

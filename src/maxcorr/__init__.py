@@ -24,6 +24,7 @@ from .errors import (
 )
 from .exponent import (
     ExponentReport,
+    SideExponents,
     analytic_pairwise_exponent,
     average_exponents,
     iprojection_exponent,

@@ -235,10 +235,13 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
             raise ValidationError(f"sweep k={k} outside 1..{k_max}")
     if t_x.shape[0] != len(joint.x_labels) or t_y.shape[0] != len(joint.y_labels):
         raise ValidationError("channel T dimensions do not match the joint alphabets")
-    for eta in cfg.eta1_grid:
-        cfg.channel_x(eta)
-    for eta in cfg.eta2_grid:
-        cfg.channel_y(eta)
+    for name, grid, channel in (("channel_x", cfg.eta1_grid, cfg.channel_x),
+                                ("channel_y", cfg.eta2_grid, cfg.channel_y)):
+        for eta in grid:
+            try:
+                channel(eta)
+            except ValidationError as exc:
+                raise ValidationError(f"[{name}] eta_grid = {eta!r}: {exc}") from None
     # AttributeEnsembleSpec owns the ensemble rules; a sweep value it
     # rejects fails here, before any point runs or is journaled
     for eps, s in product(cfg.epsilon_grid, cfg.s_grid):
@@ -370,7 +373,7 @@ def _simulate_point(cfg: ExperimentConfig, point_id: str, eps: float, k: int, s:
     f, g = select_features(cdm, k)
     rep = average_exponents(cfg.ensemble("x", eps, s), cfg.ensemble("y", eps, s), cfg.joint,
                             chan_x, chan_y, f, g, cfg.n_configs, (cfg.seed, 12))
-    bound, residual = exponent_bound(eps, k, cdm.sigmas, rep.c_u, rep.c_v, delta_hat,
+    bound, residual = exponent_bound(eps, k, cdm.sigmas, rep.u.c, rep.v.c, delta_hat,
                                      chan_x.eta, chan_y.eta)
     # the exponents, the bound, the stderrs and SIM_COLUMNS share one
     # component order: (U|S, V|S, U|T, V|T)

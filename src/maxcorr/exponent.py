@@ -8,14 +8,15 @@ Three routes to the same exponent, in increasing cost and exactness:
   nearest-centroid rule, via I-projections onto its decision hyperplane.
 * ``mc_error_curve`` - direct simulation of the test with a slope fit.
 
-``average_exponents`` runs the full pipeline: sample attribute
-configurations, push them through the channels and across the chain,
-score the least-distinguishable pair of each configuration, and average.
-Configurations are pushed and scored as stacked (C, |Z|, |W|) arrays of
-at most ``ensemble.CHUNK`` (512) rows, as `configuration_stream`
-validates them; only the oracle's I-projection runs per configuration.
-Its report carries the constants C_U and C_V; ``exponent_bound`` combines
-them with the spectrum of the CDM the features were selected from.
+``average_exponents`` runs the full pipeline one attribute side at a time:
+sample configurations of U (on X) or V (on Y), score the
+least-distinguishable pair of each on its own variable (near) and, pushed
+across the chain, on the other (far), and average.  Configurations are
+pushed and scored as stacked (C, |Z|, |W|) arrays of at most
+``ensemble.CHUNK`` (512) rows, as `configuration_stream` validates them;
+only the oracle's I-projection runs per configuration.  Each side also
+carries its constant, C_U or C_V; ``exponent_bound`` combines them with
+the spectrum of the CDM the features were selected from.
 All decision rules are nearest-centroid on the empirical feature mean
 (midpoint hyperplane); exponents are in nats per sample.
 """
@@ -202,6 +203,10 @@ def mc_error_curve(
     bad_n = [int(v) for v in n_grid if int(v) < 1]
     if bad_n:
         raise ValidationError(f"n_grid entries must be >= 1, got {bad_n}")
+    sizes, counts = np.unique([int(v) for v in n_grid], return_counts=True)
+    if (counts > 1).any():
+        raise ValidationError(
+            f"n_grid entries must be distinct, repeated: {sizes[counts > 1].tolist()}")
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     if max_trials is None:
@@ -310,34 +315,38 @@ def exponent_bound(
 
 
 @dataclass(frozen=True)
-class ExponentReport:
-    """The four averaged exponents, their standard errors and the constants."""
+class SideExponents:
+    """One attribute side: its near and far exponents (U|S and U|T for U,
+    V|T and V|S for V), its constant C_U or C_V, and their standard errors."""
 
-    e_u_s: float
-    e_v_s: float
-    e_u_t: float
-    e_v_t: float
-    stderr_u_s: float
-    stderr_v_s: float
-    stderr_u_t: float
-    stderr_v_t: float
-    c_u: float
-    c_v: float
-    stderr_c_u: float
-    stderr_c_v: float
+    near: float
+    far: float
+    c: float
+    stderr_near: float
+    stderr_far: float
+    stderr_c: float
 
     def __post_init__(self):
-        values = (self.e_u_s, self.e_v_s, self.e_u_t, self.e_v_t)
-        if min(values) < 0:
+        if min(self.near, self.far) < 0:
             raise ValidationError("exponents must be nonnegative")
 
+
+@dataclass(frozen=True)
+class ExponentReport:
+    """The U and V sides of the four averaged exponents."""
+
+    u: SideExponents
+    v: SideExponents
+
+    # exchanging (X, U, eta1) with (Y, V, eta2) exchanges u and v, so
+    # U|S <-> V|T and V|S <-> U|T in the (U|S, V|S, U|T, V|T) order below
     @property
     def exponents(self) -> tuple[float, float, float, float]:
-        return (self.e_u_s, self.e_v_s, self.e_u_t, self.e_v_t)
+        return (self.u.near, self.v.far, self.u.far, self.v.near)
 
     @property
     def stderrs(self) -> tuple[float, float, float, float]:
-        return (self.stderr_u_s, self.stderr_v_s, self.stderr_u_t, self.stderr_v_t)
+        return (self.u.stderr_near, self.v.stderr_far, self.u.stderr_far, self.v.stderr_near)
 
 
 def _least_pair(proj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -353,6 +362,43 @@ def _least_pair(proj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return float(values.mean()), float(values.std(ddof=1)) / np.sqrt(values.size)
+
+
+def _score(fs: FeatureSet, cond_hat: np.ndarray, epsilon: float,
+           oracle: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The least pair's score of each (|Z|, |W|) matrix of `cond_hat` under
+    the features `fs`, and the information matrices it was read from."""
+    phi = information_phi(cond_hat, fs.base.probs, epsilon)
+    val, i, j = _least_pair(feature_vectors(fs).T @ phi)
+    if oracle:
+        labels = fs.base.labels
+        return np.array([
+            iprojection_exponent(Pmf(labels, c[:, a]), Pmf(labels, c[:, b]), fs)
+            for c, a, b in zip(cond_hat, i, j)
+        ]), phi
+    return epsilon**2 / 8.0 * val, phi
+
+
+def _side_exponents(mu: AttributeEnsembleSpec, near: tuple[Channel, FeatureSet],
+                    far: tuple[Channel, FeatureSet], cross: np.ndarray, n_configs: int,
+                    seed: tuple, *, oracle: bool = False) -> SideExponents:
+    """Average the near and far scores of `n_configs` configurations of
+    `mu`, drawn from stream `seed`, and C = E ||Phi^(Zh|W)||_F^2 / (4 |Z| |W|).
+
+    `mu` is an attribute W of the near variable Z that reaches the far one
+    through `cross`, the clean P(far | near).  `near` and `far` are
+    (channel, features) pairs, the features on the noisy marginals."""
+    (near_chan, near_fs), (far_chan, far_fs) = near, far
+    out = np.empty((3, n_configs))
+    conds = configuration_stream(mu, n_configs, seed=seed)
+    for start in range(0, n_configs, CHUNK):
+        rows = slice(start, start + CHUNK)
+        out[0, rows], phi_near = _score(near_fs, near_chan.P @ conds[rows], mu.epsilon, oracle)
+        out[1, rows], _ = _score(far_fs, far_chan.P @ (cross @ conds[rows]), mu.epsilon, oracle)
+        out[2, rows] = (phi_near**2).sum(axis=(1, 2))
+    (e_near, se_near), (e_far, se_far), (frob, se_frob) = (_mean_se(row) for row in out)
+    d = 4.0 * near_fs.base.size * mu.attribute_size
+    return SideExponents(e_near, e_far, frob / d, se_near, se_far, se_frob / d)
 
 
 def average_exponents(
@@ -391,7 +437,6 @@ def average_exponents(
         raise ValidationError("mu_u and mu_v must share one epsilon")
     if f.k != g.k:
         raise ValidationError("f and g must have the same number of features")
-    epsilon = mu_u.epsilon
 
     px, py = joint.marginal_x(), joint.marginal_y()
     require_marginal("mu_u ensemble", mu_u.base, px)
@@ -399,54 +444,10 @@ def average_exponents(
     require_marginal("f ensemble", f.base, chan_x.apply(px))
     require_marginal("g ensemble", g.base, chan_y.apply(py))
 
-    y_given_x = joint.conditional_y_given_x()
-    x_given_y = joint.conditional_x_given_y()
-    # per variable: its channel, features (on the noisy marginal) and feature vectors
-    x_side = (chan_x.P, f, feature_vectors(f))
-    y_side = (chan_y.P, g, feature_vectors(g))
-
-    def score(side, cond_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The least pair's score of each configuration, and the information
-        matrices of `cond_hat` it was read from."""
-        _, fs, psi = side
-        phi = information_phi(cond_hat, fs.base.probs, epsilon)
-        val, i, j = _least_pair(psi.T @ phi)
-        if oracle:
-            labels = fs.base.labels
-            return np.array([
-                iprojection_exponent(Pmf(labels, c[:, a]), Pmf(labels, c[:, b]), fs)
-                for c, a, b in zip(cond_hat, i, j)
-            ]), phi
-        return epsilon**2 / 8.0 * val, phi
-
-    def scores(mu, stream, near, far, cross: np.ndarray) -> np.ndarray:
-        """Rows: the near score, the far score and the near ||Phi||_F^2 of
-        each configuration of `mu`, an attribute of the near variable that
-        reaches the far one through `cross`."""
-        out = np.empty((3, n_configs))
-        conds = configuration_stream(mu, n_configs, seed=(seed, stream))
-        for start in range(0, n_configs, CHUNK):
-            rows = slice(start, start + CHUNK)
-            out[0, rows], phi_near = score(near, near[0] @ conds[rows])
-            out[1, rows], _ = score(far, far[0] @ (cross @ conds[rows]))
-            out[2, rows] = (phi_near**2).sum(axis=(1, 2))
-        return out
-
-    u_s, u_t, u_frob = scores(mu_u, 0, x_side, y_side, y_given_x)
-    v_t, v_s, v_frob = scores(mu_v, 1, y_side, x_side, x_given_y)
-
-    e_u_s, se_u_s = _mean_se(u_s)
-    e_u_t, se_u_t = _mean_se(u_t)
-    e_v_s, se_v_s = _mean_se(v_s)
-    e_v_t, se_v_t = _mean_se(v_t)
-    # C_U = E ||Phi^(Xh|U)||_F^2 / (4 |X| |U|), and likewise C_V on the Y side
-    du = 4.0 * px.size * mu_u.attribute_size
-    dv = 4.0 * py.size * mu_v.attribute_size
-    frob_u, se_frob_u = _mean_se(u_frob)
-    frob_v, se_frob_v = _mean_se(v_frob)
+    x_side, y_side = (chan_x, f), (chan_y, g)
     return ExponentReport(
-        e_u_s=e_u_s, e_v_s=e_v_s, e_u_t=e_u_t, e_v_t=e_v_t,
-        stderr_u_s=se_u_s, stderr_v_s=se_v_s, stderr_u_t=se_u_t, stderr_v_t=se_v_t,
-        c_u=frob_u / du, c_v=frob_v / dv,
-        stderr_c_u=se_frob_u / du, stderr_c_v=se_frob_v / dv,
+        u=_side_exponents(mu_u, x_side, y_side, joint.conditional_y_given_x(),
+                          n_configs, (seed, 0), oracle=oracle),
+        v=_side_exponents(mu_v, y_side, x_side, joint.conditional_x_given_y(),
+                          n_configs, (seed, 1), oracle=oracle),
     )

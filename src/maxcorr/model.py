@@ -31,6 +31,10 @@ def _check_labels(labels: Sequence[str]) -> tuple[str, ...]:
     labels = tuple(str(x) for x in labels)
     if len(labels) == 0:
         raise ValidationError("alphabet is empty")
+    # joint files separate labels by whitespace, so such a label cannot round-trip
+    bad = [lab for lab in labels if lab.split() != [lab]]
+    if bad:
+        raise ValidationError(f"labels {bad} are empty or hold whitespace")
     if len(set(labels)) != len(labels):
         raise ValidationError(f"duplicate labels in alphabet: {labels}")
     return labels
@@ -146,7 +150,7 @@ class Channel:
         n = len(self.labels)
         if t.shape != (n, n):
             raise ValidationError(f"T shape {t.shape}, expected ({n}, {n})")
-        if self.eta < 0:
+        if not self.eta >= 0:  # NaN fails every comparison
             raise ValidationError("eta must be >= 0")
         col_sums = t.sum(axis=0)
         if np.max(np.abs(col_sums)) > MASS_TOL * max(1.0, float(np.abs(t).max())):

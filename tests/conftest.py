@@ -172,7 +172,7 @@ def loop_average_exponents(mu_u, mu_v, joint, chan_x, chan_y, f, g, n_configs, s
                            *, oracle=False):
     """Per-configuration reference for exponent.average_exponents: one 2-D
     Configuration per draw of the loop sampler, scored one at a time."""
-    from maxcorr.exponent import ExponentReport, iprojection_exponent
+    from maxcorr.exponent import ExponentReport, SideExponents, iprojection_exponent
     from maxcorr.geometry import (
         InformationMatrix,
         config_from_information_matrix,
@@ -221,14 +221,10 @@ def loop_average_exponents(mu_u, mu_v, joint, chan_x, chan_y, f, g, n_configs, s
     def mean_se(values):
         return float(values.mean()), float(values.std(ddof=1)) / np.sqrt(values.size)
 
-    (e_u_s, se_u_s), (e_u_t, se_u_t) = mean_se(u_s), mean_se(u_t)
-    (e_v_s, se_v_s), (e_v_t, se_v_t) = mean_se(v_s), mean_se(v_t)
-    du = 4.0 * px.size * mu_u.attribute_size
-    dv = 4.0 * py.size * mu_v.attribute_size
-    (frob_u, se_frob_u), (frob_v, se_frob_v) = mean_se(u_frob), mean_se(v_frob)
-    return ExponentReport(
-        e_u_s=e_u_s, e_v_s=e_v_s, e_u_t=e_u_t, e_v_t=e_v_t,
-        stderr_u_s=se_u_s, stderr_v_s=se_v_s, stderr_u_t=se_u_t, stderr_v_t=se_v_t,
-        c_u=frob_u / du, c_v=frob_v / dv,
-        stderr_c_u=se_frob_u / du, stderr_c_v=se_frob_v / dv,
-    )
+    def side(near, far, frob, d):
+        (e_near, se_near), (e_far, se_far), (c, se_c) = map(mean_se, (near, far, frob))
+        return SideExponents(near=e_near, far=e_far, c=c / d,
+                             stderr_near=se_near, stderr_far=se_far, stderr_c=se_c / d)
+
+    return ExponentReport(u=side(u_s, u_t, u_frob, 4.0 * px.size * mu_u.attribute_size),
+                          v=side(v_t, v_s, v_frob, 4.0 * py.size * mu_v.attribute_size))

@@ -208,7 +208,7 @@ def test_criterion_08_svd_optimality_ordering():
             raw = np.random.default_rng((seed, k, 5)).normal(size=(4, k))
             f_rnd = normalize_features(raw, joint.marginal_x())
             rep_rnd = average_exponents(mu_u, mu_v, joint, cx, cy, f_rnd, g_svd, 40, seed)
-            wins += rep_svd.e_v_s >= rep_rnd.e_v_s
+            wins += rep_svd.v.far >= rep_rnd.v.far
         counts[k] = wins
     ok = all(v >= 95 for v in counts.values())
     _report(8, ok, f"SVD wins over random features: "
@@ -228,7 +228,7 @@ def test_criterion_09_constant_free_ratio():
     for k in (1, 2):
         f, g = select_features(cdm, k)
         rep = average_exponents(mu_u, mu_v, joint, cx, cy, f, g, 400, 12345)
-        ratio = rep.e_u_t / rep.e_u_s
+        ratio = rep.u.far / rep.u.near
         target = float(np.sum(cdm.sigmas[:k] ** 2)) / k
         gaps[k] = abs(ratio - target) / target
     ok = d_hat <= 0.05 and all(v <= 0.10 for v in gaps.values())
@@ -259,7 +259,7 @@ def test_criterion_10_residual_robustness_trend():
     f0, g0 = select_features(cdm0, k)
     rep0 = average_exponents(mu(joint.marginal_x(), 0), mu(joint.marginal_y(), 0),
                              joint, cx0, cy0, f0, g0, 300, 777)
-    bound0, _ = exponent_bound(eps, k, cdm0.sigmas, rep0.c_u, rep0.c_v,
+    bound0, _ = exponent_bound(eps, k, cdm0.sigmas, rep0.u.c, rep0.v.c,
                                0.0, cx0.eta, cy0.eta)
 
     targets_and_s = [(0.05, 0.0), (0.10, 0.4), (0.20, 0.8)]

@@ -172,12 +172,13 @@ class TestConfig:
         ("exp.ini", "joint = joint.txt", "joint = joint.txt\nx_size = 16",
          ("[chain] x_size", "next to joint")),
         ("exp.ini", "seed = 3", "seed = -1", ("[sampling] seed = -1", ">= 0")),
+        ("exp.ini", "eta_grid = 0.0", "eta_grid = nan", ("[channel_x] eta_grid = nan", ">= 0")),
     ], ids=["non-numeric-int", "zero-configs", "one-delta-sample", "non-numeric-matrix", "ragged-matrix", "missing-section",
             "workers", "misspelt-section", "misspelt-key", "default-section",
             "negative-rejection-cap", "duplicate-key", "missing-joint-file", "interpolation",
             "missing-config-file", "joint-without-x-labels", "ragged-joint-row",
             "wrong-joint-kind", "empty-epsilon", "empty-eta-grid", "joint-with-generator-key",
-            "negative-seed"])
+            "negative-seed", "nan-eta"])
     def test_malformed_value_named_in_error_record(self, tmp_path, capsys, name, old, new,
                                                    needles):
         path = tiny_config(tmp_path)
@@ -339,6 +340,15 @@ class TestCliCommands:
         record = json.loads((tmp_path / "m" / "error.json").read_text())
         assert record["error"] == "ValidationError"
         assert "--delimiter" in record["message"]
+        # labels a joint file cannot hold, which load_joint would not read back:
+        # one with whitespace from the samples, and an empty declared one
+        samples.write_text("a,w\na b,x\n")
+        for argv, needle in (([], "['a b']"), (["--x-alphabet", "a,,b"], "['']")):
+            out = tmp_path / f"w{len(argv)}"
+            assert main(["ingest", str(samples), *argv, "--out", str(out)]) == 1
+            record = json.loads((out / "error.json").read_text())
+            assert record["error"] == "ValidationError"
+            assert needle in record["message"] and "whitespace" in record["message"]
 
     def test_features_match_golden_oracle(self, tmp_path, capsys):
         rc = main([

@@ -21,7 +21,9 @@ from maxcorr.exponent import (
     MC_TIE_TOL,
     RESIDUAL_SLACK,
     ExponentReport,
+    SideExponents,
     _least_pair,
+    _side_exponents,
     analytic_pairwise_exponent,
     average_exponents,
     iprojection_exponent,
@@ -242,7 +244,10 @@ class TestMcErrorCurve:
         ([0, 100], 1000, r"n_grid .*\[0\]"),
         ([100, 200], -3, "trials .*-3"),
         ([100, 200], 0, "trials .*0"),
-    ], ids=["negative-n", "zero-n", "negative-trials", "zero-trials"])
+        ([50, 50], 1000, r"distinct, repeated: \[50\]"),
+        ([80, 50, 80, 50, 120], 1000, r"distinct, repeated: \[50, 80\]"),
+    ], ids=["negative-n", "zero-n", "negative-trials", "zero-trials", "repeated-n",
+            "repeated-n-unsorted"])
     def test_bad_input_named(self, n_grid, trials, needle):
         with pytest.raises(ValidationError, match=needle):
             mc_error_curve(P06, P04, FS2, n_grid, trials, seed=1)
@@ -307,6 +312,17 @@ class TestExponentBound:
         with pytest.raises(ValidationError, match="c_u, c_v"):
             exponent_bound(0.1, 1, np.array([0.5]), c_u, c_v, 0.0, 0.0, 0.0)
 
+    def test_exchange(self):
+        # exchanging (X, U, eta1) with (Y, V, eta2) swaps C_U with C_V and
+        # reverses the (U|S, V|S, U|T, V|T) order
+        sig = np.array([0.6, 0.3, 0.1])
+        bound, residual = exponent_bound(0.1, 2, sig, 0.5, 0.4, 0.2, 0.05, 0.3)
+        swapped, swapped_residual = exponent_bound(0.1, 2, sig, 0.4, 0.5, 0.2, 0.3, 0.05)
+        assert swapped.tolist() == bound[::-1].tolist()
+        assert swapped_residual == residual
+        # negative control: with C_U != C_V the unswapped call is not reversed
+        assert bound.tolist() != bound[::-1].tolist()
+
     def test_ratio_prediction_is_constant_free(self):
         sig = np.array([0.6, 0.3, 0.1])
         for k in (1, 2, 3):
@@ -328,7 +344,7 @@ class TestAverageExponents:
         mu_v = AttributeEnsembleSpec(base=joint.marginal_y(), attribute_size=2, epsilon=0.05)
         f, g = select_features(canonical_dependence_matrix(joint), 3)
         rep = average_exponents(mu_u, mu_v, joint, cx, cy, f, g, 800, 555)
-        ratio = rep.e_u_s / (rep.c_u * 0.05**2 * 3)
+        ratio = rep.u.near / (rep.u.c * 0.05**2 * 3)
         assert ratio == pytest.approx(8.0 / 3.0, abs=0.12)
 
     def test_cross_exponents_vanish_for_orthogonal_features(self):
@@ -349,10 +365,10 @@ class TestAverageExponents:
         mu_u = AttributeEnsembleSpec(base=joint.marginal_x(), attribute_size=3, epsilon=0.05)
         mu_v = AttributeEnsembleSpec(base=joint.marginal_y(), attribute_size=3, epsilon=0.05)
         rep = average_exponents(mu_u, mu_v, joint, cx, cy, f, g, 50, 99)
-        assert rep.e_v_s <= 1e-22
-        assert rep.e_u_t <= 1e-22
-        assert rep.e_u_s > 1e-7
-        assert rep.e_v_t > 1e-7
+        assert rep.v.far <= 1e-22
+        assert rep.u.far <= 1e-22
+        assert rep.u.near > 1e-7
+        assert rep.v.near > 1e-7
 
     def test_svd_features_beat_random(self):
         joint = demo_joint()
@@ -366,7 +382,7 @@ class TestAverageExponents:
             raw = np.random.default_rng((seed, 7)).normal(size=(4, 2))
             f_rnd = normalize_features(raw, joint.marginal_x())
             rep_rnd = average_exponents(mu_u, mu_v, joint, cx, cy, f_rnd, g_svd, 40, seed)
-            wins += rep_svd.e_v_s >= rep_rnd.e_v_s
+            wins += rep_svd.v.far >= rep_rnd.v.far
         assert wins >= 18
 
     def test_bound_with_residual_holds(self):
@@ -388,12 +404,12 @@ class TestAverageExponents:
         cdm = canonical_dependence_matrix(joint)
         f, g = select_features(cdm, 3)
         rep = average_exponents(mu_u, mu_v, joint, cx, cy, f, g, 400, 202)
-        bound, residual = exponent_bound(0.05, 3, cdm.sigmas, rep.c_u, rep.c_v, d_hat,
+        bound, residual = exponent_bound(0.05, 3, cdm.sigmas, rep.u.c, rep.v.c, d_hat,
                                          cx.eta, cy.eta)
         for val, se, bnd in zip(rep.exponents, rep.stderrs, bound):
             assert val <= bnd + residual + 3 * se
-        assert abs(rep.e_u_s - bound[0]) <= residual + 3 * rep.stderr_u_s
-        assert abs(rep.e_v_t - bound[3]) <= residual + 3 * rep.stderr_v_t
+        assert abs(rep.u.near - bound[0]) <= residual + 3 * rep.u.stderr_near
+        assert abs(rep.v.near - bound[3]) <= residual + 3 * rep.v.stderr_near
 
     def test_oracle_mode_close_to_analytic(self):
         joint = demo_joint()
@@ -424,9 +440,30 @@ class TestAverageExponents:
         args = (mu_u, mu_v, joint, cx, cy, f, g, n_configs, seed)
         rep = average_exponents(*args, oracle=oracle)
         want = loop_average_exponents(*args, oracle=oracle)
-        for fld in dataclasses.fields(ExponentReport):
-            assert getattr(rep, fld.name) == pytest.approx(
-                getattr(want, fld.name), rel=1e-12, abs=0.0), fld.name
+        for side in ("u", "v"):
+            for fld in dataclasses.fields(SideExponents):
+                assert getattr(getattr(rep, side), fld.name) == pytest.approx(
+                    getattr(getattr(want, side), fld.name), rel=1e-12, abs=0.0), (side, fld.name)
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_exchange_identity(self, rng, seed):
+        # the exchanged problem's report is this one with u and v swapped;
+        # LAPACK may factor the transposed CDM in other last bits, so the
+        # agreement is to rounding, not bit for bit
+        rep, exchanged = exchanged_reports(rng, 5, seed)
+        for got, want in ((exchanged.u, rep.v), (exchanged.v, rep.u)):
+            for fld in dataclasses.fields(SideExponents):
+                assert getattr(got, fld.name) == pytest.approx(
+                    getattr(want, fld.name), rel=1e-12, abs=0.0), fld.name
+        assert exchanged.exponents == pytest.approx(rep.exponents[::-1], rel=1e-12, abs=0.0)
+        assert exchanged.stderrs == pytest.approx(rep.stderrs[::-1], rel=1e-12, abs=0.0)
+
+    def test_exchange_identity_misses_with_the_wrong_cross(self, rng):
+        # negative control on a square joint, where both conditionals fit:
+        # the exchanged V side crosses with P(X|Y) in place of P(Y|X)
+        rep, exchanged = exchanged_reports(rng, 4, 5, wrong_v_cross=True)
+        assert exchanged.v.near == pytest.approx(rep.u.near, rel=1e-12, abs=0.0)
+        assert abs(exchanged.v.far - rep.u.far) > 1e-6 * rep.u.far
 
     def test_least_pair_ties_go_to_first_pair(self):
         # columns 0, 1, 2 on a line: (0, 1) and (1, 2) tie at 1, (0, 2) is 4;
@@ -478,7 +515,7 @@ class TestAverageExponents:
         f, g = select_features(canonical_dependence_matrix(joint), 2)
         with pytest.raises(ValidationError, match="n_configs=1"):
             average_exponents(mu_u, mu_v, joint, cx, cy, f, g, 1, 1)
-        assert average_exponents(mu_u, mu_v, joint, cx, cy, f, g, 2, 1).stderr_u_s > 0
+        assert average_exponents(mu_u, mu_v, joint, cx, cy, f, g, 2, 1).u.stderr_near > 0
 
     def test_ensemble_of_another_alphabet_rejected(self):
         joint = demo_joint()
@@ -489,6 +526,32 @@ class TestAverageExponents:
         f, g = select_features(canonical_dependence_matrix(joint), 2)
         with pytest.raises(AlphabetMismatchError, match="mu_u ensemble labels"):
             average_exponents(mu_u, mu_v, joint, cx, cy, f, g, 10, 1)
+
+
+def exchanged_reports(rng, ny, seed, *, wrong_v_cross=False):
+    """average_exponents on a noisy 4 x `ny` joint (|U| = 4, |V| = 3,
+    s = 0.3), and the report of the exchanged problem from two side calls:
+    on the transposed joint, with features from its CDM, V (on Y, stream
+    (seed, 1)) is its u side and U (on X, stream (seed, 0)) its v side."""
+    joint = JointPmf(tuple("abcd"), tuple("vwxyz")[:ny], random_positive_joint(rng, 4, ny))
+    joint_t = JointPmf(joint.y_labels, joint.x_labels, joint.probs.T)
+    cx = make_channel(random_perturbation_t(rng, 4), 0.05, joint.x_labels)
+    cy = make_channel(random_perturbation_t(rng, ny), 0.03, joint.y_labels)
+    mu_u = AttributeEnsembleSpec(base=joint.marginal_x(), attribute_size=4, epsilon=0.05,
+                                 anisotropy=0.3)
+    mu_v = AttributeEnsembleSpec(base=joint.marginal_y(), attribute_size=3, epsilon=0.05,
+                                 anisotropy=0.3)
+    f, g = select_features(canonical_dependence_matrix(apply_channels(joint, cx, cy)), 2)
+    rep = average_exponents(mu_u, mu_v, joint, cx, cy, f, g, 700, seed)
+    g_t, f_t = select_features(canonical_dependence_matrix(apply_channels(joint_t, cy, cx)), 2)
+    # the v side's cross is P(Y|X), which is the transposed joint's P(X|Y)
+    v_cross = (joint_t.conditional_y_given_x() if wrong_v_cross
+               else joint_t.conditional_x_given_y())
+    return rep, ExponentReport(
+        u=_side_exponents(mu_v, (cy, g_t), (cx, f_t), joint_t.conditional_y_given_x(),
+                          700, (seed, 1)),
+        v=_side_exponents(mu_u, (cx, f_t), (cy, g_t), v_cross, 700, (seed, 0)),
+    )
 
 
 def constants_report(mu_u, mu_v, joint, n_configs, seed):
@@ -505,8 +568,8 @@ class TestBoundConstants:
         mu_u = AttributeEnsembleSpec(base=joint.marginal_x(), attribute_size=3, epsilon=0.05)
         mu_v = AttributeEnsembleSpec(base=joint.marginal_y(), attribute_size=3, epsilon=0.05)
         est = constants_report(mu_u, mu_v, joint, 200, 31)
-        assert est.c_u <= 1.0 / 16.0
-        assert est.c_v <= 1.0 / 16.0
+        assert est.u.c <= 1.0 / 16.0
+        assert est.v.c <= 1.0 / 16.0
 
     def test_rho_scaling_quarters_cu(self):
         joint = demo_joint()
@@ -521,8 +584,8 @@ class TestBoundConstants:
             AttributeEnsembleSpec(base=joint.marginal_y(), rho=0.5, **kw),
             joint, 300, 32,
         )
-        assert est2.c_u == pytest.approx(est1.c_u / 4.0, rel=1e-9)
-        assert est2.c_v == pytest.approx(est1.c_v / 4.0, rel=1e-9)
+        assert est2.u.c == pytest.approx(est1.u.c / 4.0, rel=1e-9)
+        assert est2.v.c == pytest.approx(est1.v.c / 4.0, rel=1e-9)
 
     def test_matches_independent_pipeline_oracle(self):
         # re-derive E||Phi||^2 with a standalone numpy replica of the
@@ -544,15 +607,12 @@ class TestBoundConstants:
         mu_u = AttributeEnsembleSpec(base=joint.marginal_x(), attribute_size=3, epsilon=0.05)
         mu_v = AttributeEnsembleSpec(base=joint.marginal_y(), attribute_size=3, epsilon=0.05)
         est = constants_report(mu_u, mu_v, joint, 4000, 33)
-        assert abs(est.c_u - oracle) <= 3.0 * (est.stderr_c_u + oracle_se)
+        assert abs(est.u.c - oracle) <= 3.0 * (est.u.stderr_c + oracle_se)
 
 
 class TestExponentReport:
     def test_rejects_negative_exponent(self):
         with pytest.raises(ValidationError):
-            ExponentReport(
-                e_u_s=-0.1, e_v_s=0, e_u_t=0, e_v_t=0,
-                stderr_u_s=0, stderr_v_s=0, stderr_u_t=0, stderr_v_t=0,
-                c_u=0, c_v=0,
-                stderr_c_u=0, stderr_c_v=0,
-            )
+            SideExponents(near=-0.1, far=0, c=0, stderr_near=0, stderr_far=0, stderr_c=0)
+        with pytest.raises(ValidationError):
+            SideExponents(near=0, far=-0.1, c=0, stderr_near=0, stderr_far=0, stderr_c=0)

@@ -74,6 +74,13 @@ class TestJointFromSamples:
         with pytest.raises(ValidationError, match="empty"):
             joint_from_samples([], ("a",), ("0",))
 
+    @pytest.mark.parametrize("x_alphabet", [("a", "b", "a b"), ("a", "", "b"), ("a", "\tb")],
+                             ids=["space", "empty", "tab"])
+    def test_rejects_labels_a_joint_file_cannot_hold(self, x_alphabet):
+        # joint files split labels on whitespace, so these would not read back
+        with pytest.raises(ValidationError, match="empty or hold whitespace"):
+            joint_from_samples([("a", "0")], x_alphabet, ("0", "1"))
+
     def test_sampling_recovers_known_joint(self, rng):
         truth = np.array([[0.10, 0.05, 0.15], [0.20, 0.10, 0.05], [0.05, 0.20, 0.10]])
         xs = ("x0", "x1", "x2")
@@ -133,6 +140,11 @@ class TestChannel:
     def test_rejects_bad_column_sum(self):
         with pytest.raises(ValidationError, match="sums to"):
             Channel(("a", "b"), 0.1, np.array([[-1.0, 0.5], [1.0, -1.0]]))
+
+    @pytest.mark.parametrize("eta", [-0.1, float("nan")], ids=["negative", "nan"])
+    def test_rejects_eta_below_zero_or_nan(self, eta):
+        with pytest.raises(ValidationError, match="eta must be >= 0"):
+            Channel(("a", "b"), eta, T_BINARY)
 
     def test_direct_construction_checks_eta_bound(self):
         with pytest.raises(FeasibilityError, match="eta exceeds feasibility bound") as exc:

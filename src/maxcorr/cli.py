@@ -47,6 +47,7 @@ from .model import (
     load_joint,
     make_channel,
     parse_matrix,
+    require_finite,
 )
 from .symmetry import MomentSymmetryReport, delta_report, moment_symmetry_report
 
@@ -119,7 +120,8 @@ def _option(parser: configparser.ConfigParser, section: str, key: str, parse):
     """`parse` of `[section] key`, or of its CONFIG_KEYS default when absent.
 
     A missing key without a default or a value `parse` rejects raises a
-    ValidationError that names the key and the value.
+    ValidationError that names the key and, when it is one line, the value;
+    a multi-line value (a matrix) is not echoed, as it may be 128 x 128.
     """
     if parser.has_option(section, key):
         text = parser.get(section, key)
@@ -130,7 +132,16 @@ def _option(parser: configparser.ConfigParser, section: str, key: str, parse):
     try:
         return parse(text)
     except (ValueError, OSError) as exc:
-        raise ValidationError(f"[{section}] {key} = {text!r}: {exc}") from None
+        value = "" if "\n" in text else f" = {text!r}"
+        raise ValidationError(f"[{section}] {key}{value}: {exc}") from None
+
+
+def _channel_t(text: str) -> np.ndarray:
+    """The read-only T matrix of a `[channel_*] t` value; a non-finite entry
+    is refused here, where the error can name the key."""
+    t = require_finite("T", parse_matrix(text))
+    t.setflags(write=False)
+    return t
 
 
 def _refuse_unknown(parser: configparser.ConfigParser) -> None:
@@ -184,8 +195,12 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
         else:
             raise ValidationError("[chain] needs `joint = <path>` or `generator = seeded`")
 
-        t_x = _option(parser, "channel_x", "t", parse_matrix)
-        t_y = _option(parser, "channel_y", "t", parse_matrix)
+        t_x = _option(parser, "channel_x", "t", _channel_t)
+        # the demo's and the benchmark's configs give both channels one text
+        if parser.get("channel_y", "t", fallback=None) == parser.get("channel_x", "t"):
+            t_y = t_x
+        else:
+            t_y = _option(parser, "channel_y", "t", _channel_t)
         seed = (_option(parser, "sampling", "seed", int) if seed_override is None
                 else seed_override)
         # every draw comes from the one stream of its seed; an old multi-worker

@@ -303,8 +303,11 @@ def exponent_bound(
     """
     if k < 1 or k > len(sigmas):
         raise ValidationError(f"k={k} incompatible with {len(sigmas)} singular values")
-    if min(delta, eta1, eta2, epsilon, c_u, c_v) < 0:
-        raise ValidationError("epsilon, c_u, c_v, delta and etas must be >= 0")
+    for name, value in (("epsilon", epsilon), ("c_u", c_u), ("c_v", c_v),
+                        ("delta", delta), ("eta1", eta1), ("eta2", eta2)):
+        if not value >= 0:  # NaN fails every comparison
+            raise ValidationError(
+                f"{name} = {value!r}: epsilon, c_u, c_v, delta and etas must be >= 0")
     ssq = float(np.sum(np.asarray(sigmas, dtype=float)[:k] ** 2))
     e2 = epsilon**2
     bound = np.array([c_u * e2 * k, c_v * e2 * ssq, c_u * e2 * ssq, c_v * e2 * k])

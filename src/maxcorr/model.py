@@ -27,6 +27,16 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def require_finite(name: str, a: np.ndarray) -> np.ndarray:
+    """`a`, unless it holds a NaN or an infinity: then a ValidationError
+    naming `name`, the first such entry and its numpy index."""
+    bad = ~np.isfinite(a)
+    if bad.any():
+        idx = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise ValidationError(f"{name} has non-finite entry {float(a[idx])} at {idx}")
+    return a
+
+
 def _check_labels(labels: Sequence[str]) -> tuple[str, ...]:
     labels = tuple(str(x) for x in labels)
     if len(labels) == 0:
@@ -54,6 +64,7 @@ class Pmf:
             raise ValidationError(
                 f"probs shape {p.shape} does not match {len(self.labels)} labels"
             )
+        require_finite("probs", p)
         if np.any(p < 0):
             raise ValidationError("negative probability entry")
         if abs(float(p.sum()) - 1.0) > MASS_TOL:
@@ -105,6 +116,7 @@ class JointPmf:
                 f"probs shape {p.shape}, expected "
                 f"({len(self.y_labels)}, {len(self.x_labels)})"
             )
+        require_finite("probs", p)
         if np.any(p < 0):
             raise ValidationError("negative probability entry")
         if abs(float(p.sum()) - 1.0) > MASS_TOL:
@@ -150,6 +162,7 @@ class Channel:
         n = len(self.labels)
         if t.shape != (n, n):
             raise ValidationError(f"T shape {t.shape}, expected ({n}, {n})")
+        require_finite("T", t)
         if not self.eta >= 0:  # NaN fails every comparison
             raise ValidationError("eta must be >= 0")
         col_sums = t.sum(axis=0)
@@ -268,15 +281,21 @@ def _fmt_row(row: np.ndarray) -> str:
 
 
 def parse_matrix(text: str) -> np.ndarray:
-    """Whitespace-separated rows, one per non-blank line, parsed in one call."""
+    """Whitespace-separated rows, one per non-blank line, read by one
+    `np.loadtxt` call.  Row widths are counted only after that call fails,
+    so a ragged matrix is named as ragged even where it also holds a word."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError("no rows")
-    widths = [len(line.split()) for line in lines]
-    for row, width in enumerate(widths[1:], start=2):
-        if width != widths[0]:
-            raise ValueError(f"row {row} has {width} entries, row 1 has {widths[0]}")
-    return np.loadtxt(lines, ndmin=2, comments=None)
+    try:
+        return np.loadtxt(lines, ndmin=2, comments=None)
+    except ValueError:
+        widths = [len(line.split()) for line in lines]
+        for row, width in enumerate(widths[1:], start=2):
+            if width != widths[0]:
+                raise ValueError(
+                    f"row {row} has {width} entries, row 1 has {widths[0]}") from None
+        raise
 
 
 def dump_joint(joint: JointPmf, header: Sequence[str] = ()) -> str:

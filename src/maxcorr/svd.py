@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .model import require_finite
 
 ZERO_SIGMA_TOL = 1e-13
 
@@ -71,12 +71,7 @@ def jacobi_svd(a: np.ndarray) -> SvdResult:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {a.shape}")
-    finite = np.isfinite(a)
-    if not finite.all():
-        idx = tuple(int(i) for i in np.argwhere(~finite)[0])
-        raise ValidationError(
-            f"matrix of shape {a.shape} has non-finite entry {float(a[idx])} at {idx}"
-        )
+    require_finite(f"matrix of shape {a.shape}", a)
     u, sigma, vt = np.linalg.svd(a, full_matrices=False)
     v = vt.T
     sign = _column_signs(v)

@@ -173,12 +173,16 @@ class TestConfig:
          ("[chain] x_size", "next to joint")),
         ("exp.ini", "seed = 3", "seed = -1", ("[sampling] seed = -1", ">= 0")),
         ("exp.ini", "eta_grid = 0.0", "eta_grid = nan", ("[channel_x] eta_grid = nan", ">= 0")),
+        ("exp.ini", "-0.75 0.25 0.25 0.25", "-0.75 0.25 nan 0.25",
+         ("[channel_x] t: T has non-finite entry nan at (0, 2)",)),
+        ("joint.txt", " 0.090228508938800953\n", " nan\n",
+         ("[chain] joint", "probs has non-finite entry nan")),
     ], ids=["non-numeric-int", "zero-configs", "one-delta-sample", "non-numeric-matrix", "ragged-matrix", "missing-section",
             "workers", "misspelt-section", "misspelt-key", "default-section",
             "negative-rejection-cap", "duplicate-key", "missing-joint-file", "interpolation",
             "missing-config-file", "joint-without-x-labels", "ragged-joint-row",
             "wrong-joint-kind", "empty-epsilon", "empty-eta-grid", "joint-with-generator-key",
-            "negative-seed", "nan-eta"])
+            "negative-seed", "nan-eta", "nan-in-t", "nan-in-joint"])
     def test_malformed_value_named_in_error_record(self, tmp_path, capsys, name, old, new,
                                                    needles):
         path = tiny_config(tmp_path)
@@ -196,6 +200,17 @@ class TestConfig:
             for needle in needles:
                 assert needle in record["message"]
             assert [p.name for p in out.iterdir()] == ["error.json"]
+
+    def test_wide_ragged_matrix_error_is_short(self, tmp_path, capsys):
+        # the message names the key and the row, not the 128 x 128 matrix text
+        path = seeded_config(tmp_path, x_size=128, y_size=128)
+        row = path.read_text().split("t =\n", 1)[1].splitlines()[1]
+        path.write_text(path.read_text().replace(row, row.rsplit(" ", 1)[0], 1))
+        out = tmp_path / "o"
+        assert main(["features", "--config", str(path), "--out", str(out)]) == 1
+        assert (out / "error.json").stat().st_size < 1024
+        record = json.loads((out / "error.json").read_text())
+        assert record["message"] == "[channel_x] t: row 2 has 127 entries, row 1 has 128"
 
     def test_negative_seed_flag_named_in_error_record(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -232,6 +247,19 @@ class TestConfig:
         lines = (out / "simulate.csv").read_text().splitlines()
         assert [line.split(",")[:3] for line in lines[3:]] == [
             ["0000", "0.050000000000000003", "1"], ["0001", "0.050000000000000003", "2"]]
+
+    @pytest.mark.parametrize("y_size, parses", [(3, 1), (4, 2)],
+                             ids=["equal-texts", "distinct-texts"])
+    def test_each_t_text_is_parsed_once(self, tmp_path, monkeypatch, y_size, parses):
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: calls.append(1) or loadtxt(*a, **kw))
+        cfg = load_config(seeded_config(tmp_path, x_size=3, y_size=y_size))
+        assert len(calls) == parses
+        assert (cfg.t_x is cfg.t_y) == (parses == 1)
+        for t, n in ((cfg.t_x, 3), (cfg.t_y, y_size)):
+            assert np.array_equal(t, np.full((n, n), 1 / n) - np.eye(n))
+            assert not t.flags.writeable
 
     def test_readme_config_block_lists_config_keys(self):
         # README's ```ini block (commented keys included) is the documented format

@@ -312,6 +312,16 @@ class TestExponentBound:
         with pytest.raises(ValidationError, match="c_u, c_v"):
             exponent_bound(0.1, 1, np.array([0.5]), c_u, c_v, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("position, name", list(enumerate(
+        ["epsilon", "c_u", "c_v", "delta", "eta1", "eta2"])))
+    def test_rejects_nan_by_argument(self, position, name):
+        # NaN fails every comparison, so a min(...) < 0 check let it through
+        args = [0.1, 0.5, 0.4, 0.2, 0.05, 0.3]
+        args[position] = float("nan")
+        epsilon, c_u, c_v, delta, eta1, eta2 = args
+        with pytest.raises(ValidationError, match=f"^{name} = nan: "):
+            exponent_bound(epsilon, 1, np.array([0.5]), c_u, c_v, delta, eta1, eta2)
+
     def test_exchange(self):
         # exchanging (X, U, eta1) with (Y, V, eta2) swaps C_U with C_V and
         # reverses the (U|S, V|S, U|T, V|T) order

@@ -20,6 +20,7 @@ from maxcorr.model import (
     load_joint,
     make_channel,
     max_feasible_eta,
+    parse_matrix,
     require_marginal,
     uniform_pmf,
 )
@@ -48,6 +49,19 @@ class TestPmf:
         p = uniform_pmf(("a", "b"))
         with pytest.raises(ValueError):
             p.probs[0] = 0.9
+
+    def test_rejects_nan_by_position(self):
+        # NaN fails both the sign and the mass comparison, so it is named on its own
+        with pytest.raises(ValidationError, match=r"probs has non-finite entry nan at \(1,\)"):
+            Pmf(("a", "b", "c"), np.array([0.5, np.nan, 0.5]))
+
+
+class TestJointPmf:
+    def test_rejects_nan_by_row_and_column(self):
+        probs = np.full((2, 3), 1 / 6)
+        probs[1, 0] = np.nan
+        with pytest.raises(ValidationError, match=r"probs has non-finite entry nan at \(1, 0\)"):
+            JointPmf(("a", "b", "c"), ("u", "v"), probs)
 
 
 class TestJointFromSamples:
@@ -141,6 +155,13 @@ class TestChannel:
         with pytest.raises(ValidationError, match="sums to"):
             Channel(("a", "b"), 0.1, np.array([[-1.0, 0.5], [1.0, -1.0]]))
 
+    def test_rejects_non_finite_t_by_row_and_column(self):
+        # a NaN column sums to NaN, which the column-sum check cannot see
+        t = T_BINARY.copy()
+        t[0, 1] = np.nan
+        with pytest.raises(ValidationError, match=r"T has non-finite entry nan at \(0, 1\)"):
+            make_channel(t, 0.1)
+
     @pytest.mark.parametrize("eta", [-0.1, float("nan")], ids=["negative", "nan"])
     def test_rejects_eta_below_zero_or_nan(self, eta):
         with pytest.raises(ValidationError, match="eta must be >= 0"):
@@ -225,6 +246,23 @@ class TestSerialization:
         assert back.x_labels == j.x_labels
         assert back.y_labels == j.y_labels
         assert np.array_equal(back.probs, j.probs)
+
+    def test_load_joint_refuses_nan(self):
+        text = dump_joint(JointPmf(("a", "b"), ("u", "v"), np.full((2, 2), 0.25)))
+        with pytest.raises(ValidationError, match=r"non-finite entry nan at \(0, 1\)"):
+            load_joint(text.replace("0.25 0.25\n", "0.25 nan\n", 1))
+
+    def test_parse_matrix_names_a_ragged_row_before_a_word(self):
+        # row 3 is both short and non-numeric; the width check runs only
+        # after np.loadtxt fails, and its message wins
+        with pytest.raises(ValueError, match="^row 3 has 1 entries, row 1 has 2$"):
+            parse_matrix("1 2\n3 4\nabc\n")
+
+    def test_parse_matrix_one_row_and_blank_lines(self):
+        assert parse_matrix("\n  1 2 3\n\n").shape == (1, 3)
+        assert parse_matrix("1\n2\n").shape == (2, 1)
+        with pytest.raises(ValueError, match="no rows"):
+            parse_matrix(" \n\n")
 
     def test_sample_pair_reader(self):
         lines = ["x,y", "a,0", "b,1", "", "a,1"]

@@ -12,7 +12,6 @@ from .ensemble import (
     chain_residual,
     configuration_stream,
     information_ensemble,
-    push_through_channel,
     sample_configuration,
 )
 from .errors import (

@@ -135,7 +135,7 @@ def channel_spectrum_slope(cases: Iterable[tuple]) -> Check:
     """The spectral spread sigma_max^2 - sigma_min^2 of the uncentered B of
     `make(eta)` at `p` grows as O(eta) over :data:`ETAS`, in every (make, p)
     case."""
-    fits = [_slope_ok([_spectral_spread(uncentered_b(make(eta), p)) for eta in ETAS])
+    fits = [_slope_ok([_spectral_spread(uncentered_b(make(eta).P, p)) for eta in ETAS])
             for make, p in cases]
     return Check("channel_spectrum_slope", all(ok for ok, _ in fits),
                  "slope " + ", ".join(f"{s:.3f}" for _, s in fits))

@@ -185,6 +185,13 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
             ny = _option(parser, "chain", "y_size", int)
             floor = _option(parser, "chain", "floor", float)
             gen_seed = _option(parser, "chain", "generator_seed", int)
+            for key, size in (("x_size", nx), ("y_size", ny)):
+                if size < 2:  # an alphabet of one symbol has no features
+                    raise ValidationError(f"[chain] {key} = {size}: must be >= 2")
+            if not 0 <= floor < np.inf:  # NaN fails both comparisons
+                raise ValidationError(f"[chain] floor = {floor!r}: must be finite and >= 0")
+            if gen_seed < 0:  # SeedSequence takes no negative entropy
+                raise ValidationError(f"[chain] generator_seed = {gen_seed}: must be >= 0")
             rng = np.random.default_rng(gen_seed)
             probs = rng.random((ny, nx)) + floor
             joint = JointPmf(

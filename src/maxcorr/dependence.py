@@ -9,9 +9,11 @@ values are the maximal-correlation coefficients of the pair.  The top-k
 right/left singular vectors, divided entrywise by the sqrt-marginals,
 are the optimal feature functions over X and Y.
 
-`uncentered_b` is the uncentered dependence matrix of a channel's (input,
-output) pair.  Its top singular value is 1, at the sqrt-marginal pair, and
-the spread of its spectrum grows as O(eta) for P = I + eta*T.
+`uncentered_b(K, p)` is the uncentered dependence matrix of a kernel K
+(a channel's P, or a joint's P(y|x)) with input marginal p, and the one
+push along the chain: it takes an attribute's information matrix on the
+input to the output's.  Its top singular value is 1, at the sqrt-marginal
+pair, and the spread of its spectrum grows as O(eta) for P = I + eta*T.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import FeatureSet
-from .model import Channel, JointPmf, Pmf
+from .model import JointPmf, Pmf
 from .svd import SvdResult, jacobi_svd
 
 NULL_TOL = 1e-10
@@ -79,17 +81,29 @@ def canonical_dependence_matrix(joint: JointPmf) -> CdmMatrix:
     return CdmMatrix(b=b, px=px, py=py)
 
 
-def uncentered_b(chan: Channel, input_pmf: Pmf) -> np.ndarray:
-    """Uncentered dependence matrix D_out^{-1/2} P D_in^{1/2} of (input, output)
-    under `chan`.
+def uncentered_b(kernel: np.ndarray, input_pmf: Pmf) -> np.ndarray:
+    """Uncentered dependence matrix D_out^{-1/2} K D_in^{1/2} of (input, output)
+    under the column-stochastic kernel K = P(output | input).
 
-    Its top singular value is 1 for every column-stochastic P, achieved by
-    the sqrt-marginal pair.
+    An attribute whose information matrix on the input is Phi has this
+    matrix times Phi on the output.  The top singular value is 1, at the
+    sqrt-marginal pair.
     """
     input_pmf.require_positive()
-    out = chan.apply(input_pmf)
-    out.require_positive()
-    return (chan.P * np.sqrt(input_pmf.probs)[None, :]) / np.sqrt(out.probs)[:, None]
+    k = np.asarray(kernel, dtype=float)
+    if k.ndim != 2 or k.shape[1] != input_pmf.size:
+        raise ValidationError(
+            f"kernel shape {k.shape}: needs one column per input symbol ({input_pmf.size})"
+        )
+    if np.any(k < 0):
+        raise ValidationError(f"kernel has a negative entry {float(k.min())!r}")
+    col_err = float(np.max(np.abs(k.sum(axis=0) - 1.0)))
+    if not col_err <= 1e-11:  # NaN fails every comparison
+        raise ValidationError(f"kernel columns miss a sum of 1 by {col_err:g}")
+    out = k @ input_pmf.probs
+    if float(out.min()) <= 0.0:
+        raise ValidationError(f"output symbol {int(np.argmin(out))} has zero probability")
+    return (k * np.sqrt(input_pmf.probs)[None, :]) / np.sqrt(out)[:, None]
 
 
 def complete_orthonormal(cols: np.ndarray, count: int) -> np.ndarray:

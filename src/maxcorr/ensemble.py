@@ -29,26 +29,27 @@ boundaries and resets at each acceptance; cap + 1 in a row raise a
 FeasibilityError.  Draws past the last accepted matrix are discarded with
 the seed's generator, which nothing else draws from.
 
-`configuration_stream` returns the conditionals of its configurations as
-one (count, |Z|, |W|) array.  They are converted and validated as stacks
-of CHUNK rows, one `config_from_information_matrix` call per stack, so no
-per-configuration object is built and working memory stays a few
-CHUNK-row arrays besides the output.
+`configuration_stream` returns the information matrices of its
+configurations as one (count, |Z|, |W|) array.  They are validated as
+configurations in stacks of CHUNK rows, one `config_from_information_matrix`
+call per stack, so no per-configuration object is built and working memory
+stays a few CHUNK-row arrays besides the output.
 
-Propagation has one push per channel, `push_through_channel`, and one
-chain statement, `chain_residual`: an attribute of the clean X pushed to
-the noisy Y^ differs from B^ times its push to the noisy X^ by a residual
-that is O(eta_1), with no residual without X noise.
+Along the chain an attribute travels as its information matrix, pushed by
+`dependence.uncentered_b` of each kernel it crosses.  `chain_residual` is
+the one chain statement: an attribute of the clean X pushed to the noisy Y^
+differs from B^ times its push to the noisy X^ by a residual that is
+O(eta_1), with no residual without X noise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dependence import canonical_dependence_matrix
-from .errors import AlphabetMismatchError, FeasibilityError, ValidationError
+from .dependence import canonical_dependence_matrix, uncentered_b
+from .errors import FeasibilityError, ValidationError
 from .geometry import (
     Configuration,
     InformationMatrix,
@@ -221,27 +222,12 @@ def sample_configuration(spec: AttributeEnsembleSpec, seed: int = 0) -> Configur
 def configuration_stream(
     spec: AttributeEnsembleSpec, count: int, seed: int = 0
 ) -> np.ndarray:
-    """The (count, |Z|, |W|) conditionals of `count` configurations drawn
-    from the one stream of `seed`, validated CHUNK rows at a time."""
+    """The (count, |Z|, |W|) information matrices of `count` configurations
+    drawn from the one stream of `seed`, validated CHUNK rows at a time."""
     block = _accepted_block(spec, seed_rng(seed), count)
     for start in range(0, count, CHUNK):
-        rows = slice(start, start + CHUNK)
-        # the conditionals overwrite the slice's draws, which validation copied
-        block[rows] = _configuration(spec, block[rows]).conditionals
+        _configuration(spec, block[start : start + CHUNK])
     return block
-
-
-def push_through_channel(config: Configuration, chan: Channel) -> Configuration:
-    """Propagate an attribute of X to an attribute of the channel output.
-
-    Conditionals transform by the channel kernel, so the information matrix
-    transforms by the channel's uncentered dependence matrix; `Configuration`
-    validates the result, a positive output base included.
-    """
-    if chan.labels != config.base.labels:
-        raise AlphabetMismatchError("channel alphabet does not match configuration")
-    return replace(config, base=chan.apply(config.base),
-                   conditionals=chan.P @ config.conditionals)
 
 
 def chain_residual(config: Configuration, joint: JointPmf,
@@ -255,10 +241,9 @@ def chain_residual(config: Configuration, joint: JointPmf,
     is O(eta_1): U - X - Y^ is itself a Markov chain, so there is no
     residual without X noise.
     """
-    require_marginal("configuration", config.base, joint.marginal_x())
-    noisy = apply_channels(joint, chan_x, chan_y)
-    x_hat = push_through_channel(config, chan_x)
-    y_given_u = joint.conditional_y_given_x() @ config.conditionals
-    y_hat = replace(config, base=noisy.marginal_y(), conditionals=chan_y.P @ y_given_u)
-    b = canonical_dependence_matrix(noisy).b
-    return information_matrix(y_hat).phi - b @ information_matrix(x_hat).phi
+    px = joint.marginal_x()
+    require_marginal("configuration", config.base, px)
+    b_hat = canonical_dependence_matrix(apply_channels(joint, chan_x, chan_y)).b
+    phi = information_matrix(config).phi
+    y_hat = uncentered_b(chan_y.P @ joint.conditional_y_given_x(), px) @ phi
+    return y_hat - b_hat @ (uncentered_b(chan_x.P, px) @ phi)

@@ -9,14 +9,15 @@ Three routes to the same exponent, in increasing cost and exactness:
 * ``mc_error_curve`` - direct simulation of the test with a slope fit.
 
 ``average_exponents`` runs the full pipeline one attribute side at a time:
-sample configurations of U (on X) or V (on Y), score the
-least-distinguishable pair of each on its own variable (near) and, pushed
-across the chain, on the other (far), and average.  Configurations are
-pushed and scored as stacked (C, |Z|, |W|) arrays of at most
-``ensemble.CHUNK`` (512) rows, as `configuration_stream` validates them;
-only the oracle's I-projection runs per configuration.  Each side also
-carries its constant, C_U or C_V; ``exponent_bound`` combines them with
-the spectrum of the CDM the features were selected from.
+sample configurations of U (on X) or V (on Y), push their information
+matrices to the noisy variable on their own side (near) and across the chain
+to the other (far), score the least-distinguishable pair of each with the
+analytic exponent, and average.  Every push is one product with an
+uncentered dependence matrix (`dependence.uncentered_b`), applied to stacked
+(C, |Z|, |W|) arrays of at most ``ensemble.CHUNK`` (512) rows as
+`configuration_stream` validates them.  Each side also carries its
+constant, C_U or C_V; ``exponent_bound`` combines them with the spectrum of
+the CDM the features were selected from.
 All decision rules are nearest-centroid on the empirical feature mean
 (midpoint hyperplane); exponents are in nats per sample.
 """
@@ -30,9 +31,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .dependence import uncentered_b
 from .ensemble import CHUNK, AttributeEnsembleSpec, configuration_stream
 from .errors import AlphabetMismatchError, ValidationError
-from .geometry import FeatureSet, feature_vectors, information_phi
+from .geometry import FeatureSet, feature_vectors
 from .model import Channel, JointPmf, Pmf, require_marginal
 
 DEGENERATE_MEAN_GAP = 1e-12
@@ -352,52 +354,41 @@ class ExponentReport:
         return (self.u.stderr_near, self.v.stderr_far, self.u.stderr_far, self.v.stderr_near)
 
 
-def _least_pair(proj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _least_pair(proj: np.ndarray) -> np.ndarray:
     """Minimal squared column distance of each (k, m) matrix of a (C, k, m)
-    stack, with its column pair (i, j); ties go to the lexicographically
-    first pair."""
-    rows, cols = np.triu_indices(proj.shape[-1], k=1)  # pairs in lexicographic order
+    stack."""
+    rows, cols = np.triu_indices(proj.shape[-1], k=1)
     d = proj[:, :, rows] - proj[:, :, cols]
-    dist = np.einsum("ckp,ckp->cp", d, d)
-    best = dist.argmin(axis=1)  # first minimum
-    return dist[np.arange(dist.shape[0]), best], rows[best], cols[best]
+    return np.einsum("ckp,ckp->cp", d, d).min(axis=1)
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return float(values.mean()), float(values.std(ddof=1)) / np.sqrt(values.size)
 
 
-def _score(fs: FeatureSet, cond_hat: np.ndarray, epsilon: float,
-           oracle: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The least pair's score of each (|Z|, |W|) matrix of `cond_hat` under
-    the features `fs`, and the information matrices it was read from."""
-    phi = information_phi(cond_hat, fs.base.probs, epsilon)
-    val, i, j = _least_pair(feature_vectors(fs).T @ phi)
-    if oracle:
-        labels = fs.base.labels
-        return np.array([
-            iprojection_exponent(Pmf(labels, c[:, a]), Pmf(labels, c[:, b]), fs)
-            for c, a, b in zip(cond_hat, i, j)
-        ]), phi
-    return epsilon**2 / 8.0 * val, phi
+def _score(fs: FeatureSet, phi: np.ndarray, epsilon: float) -> np.ndarray:
+    """The analytic exponent of the least-distinguishable pair of each
+    (|Z|, |W|) information matrix of `phi` under the features `fs`."""
+    return epsilon**2 / 8.0 * _least_pair(feature_vectors(fs).T @ phi)
 
 
-def _side_exponents(mu: AttributeEnsembleSpec, near: tuple[Channel, FeatureSet],
-                    far: tuple[Channel, FeatureSet], cross: np.ndarray, n_configs: int,
-                    seed: tuple, *, oracle: bool = False) -> SideExponents:
+def _side_exponents(mu: AttributeEnsembleSpec, near: tuple[np.ndarray, FeatureSet],
+                    far: tuple[np.ndarray, FeatureSet], n_configs: int,
+                    seed: tuple) -> SideExponents:
     """Average the near and far scores of `n_configs` configurations of
     `mu`, drawn from stream `seed`, and C = E ||Phi^(Zh|W)||_F^2 / (4 |Z| |W|).
 
-    `mu` is an attribute W of the near variable Z that reaches the far one
-    through `cross`, the clean P(far | near).  `near` and `far` are
-    (channel, features) pairs, the features on the noisy marginals."""
-    (near_chan, near_fs), (far_chan, far_fs) = near, far
+    `mu` is an attribute W of the near variable Z.  `near` and `far` are
+    (push, features) pairs: the push takes W's information matrix on Z to
+    the noisy near or far variable, and the features live on its marginal."""
+    (near_push, near_fs), (far_push, far_fs) = near, far
     out = np.empty((3, n_configs))
-    conds = configuration_stream(mu, n_configs, seed=seed)
+    phi = configuration_stream(mu, n_configs, seed=seed)
     for start in range(0, n_configs, CHUNK):
         rows = slice(start, start + CHUNK)
-        out[0, rows], phi_near = _score(near_fs, near_chan.P @ conds[rows], mu.epsilon, oracle)
-        out[1, rows], _ = _score(far_fs, far_chan.P @ (cross @ conds[rows]), mu.epsilon, oracle)
+        phi_near = near_push @ phi[rows]
+        out[0, rows] = _score(near_fs, phi_near, mu.epsilon)
+        out[1, rows] = _score(far_fs, far_push @ phi[rows], mu.epsilon)
         out[2, rows] = (phi_near**2).sum(axis=(1, 2))
     (e_near, se_near), (e_far, se_far), (frob, se_frob) = (_mean_se(row) for row in out)
     d = 4.0 * near_fs.base.size * mu.attribute_size
@@ -414,8 +405,6 @@ def average_exponents(
     g: FeatureSet,
     n_configs: int,
     seed: int,
-    *,
-    oracle: bool = False,
 ) -> ExponentReport:
     """Monte Carlo estimate of the four averaged error exponents.
 
@@ -427,8 +416,8 @@ def average_exponents(
     Per configuration, the scored hypothesis pair is the least
     distinguishable one under the statistic at hand (argmin of the
     analytic exponent; the argmax-error-probability pair to leading
-    order).  With ``oracle=True`` the scored value is the exact
-    I-projection exponent of that pair instead of the analytic one.
+    order), and its score is the analytic exponent.  V crosses to X by the
+    transpose of U's clean push P(y|x), which is the push of P(x|y).
 
     U-configurations use seed stream (seed, 0), V-configurations
     (seed, 1); per-configuration limits are computed first and averaged
@@ -447,10 +436,9 @@ def average_exponents(
     require_marginal("f ensemble", f.base, chan_x.apply(px))
     require_marginal("g ensemble", g.base, chan_y.apply(py))
 
-    x_side, y_side = (chan_x, f), (chan_y, g)
+    to_x, to_y = uncentered_b(chan_x.P, px), uncentered_b(chan_y.P, py)
+    y_of_x = uncentered_b(joint.conditional_y_given_x(), px)
     return ExponentReport(
-        u=_side_exponents(mu_u, x_side, y_side, joint.conditional_y_given_x(),
-                          n_configs, (seed, 0), oracle=oracle),
-        v=_side_exponents(mu_v, y_side, x_side, joint.conditional_x_given_y(),
-                          n_configs, (seed, 1), oracle=oracle),
+        u=_side_exponents(mu_u, (to_x, f), (to_y @ y_of_x, g), n_configs, (seed, 0)),
+        v=_side_exponents(mu_v, (to_y, g), (to_x @ y_of_x.T, f), n_configs, (seed, 1)),
     )

@@ -171,7 +171,9 @@ def loop_least_pair(proj):
 def loop_average_exponents(mu_u, mu_v, joint, chan_x, chan_y, f, g, n_configs, seed,
                            *, oracle=False):
     """Per-configuration reference for exponent.average_exponents: one 2-D
-    Configuration per draw of the loop sampler, scored one at a time."""
+    Configuration per draw of the loop sampler, pushed as conditionals and
+    scored one at a time.  With `oracle=True` each least pair is scored by
+    its exact I-projection exponent in place of the analytic one."""
     from maxcorr.exponent import ExponentReport, SideExponents, iprojection_exponent
     from maxcorr.geometry import (
         InformationMatrix,

@@ -70,6 +70,12 @@ def grid_config(tmp_path):
     return path
 
 
+def seeded_chain(x_size=4, y_size=4, **extra):
+    """`[chain]` keys of a seeded joint, to replace tiny_config's joint line."""
+    return "\n".join([f"generator = seeded\nx_size = {x_size}\ny_size = {y_size}"]
+                     + [f"{key} = {value}" for key, value in extra.items()])
+
+
 def seeded_config(tmp_path, x_size=3, y_size=4, extra=""):
     """A config whose [chain] is a seeded random joint of the given sizes."""
     def t(n):  # T = J/n - I
@@ -177,12 +183,28 @@ class TestConfig:
          ("[channel_x] t: T has non-finite entry nan at (0, 2)",)),
         ("joint.txt", " 0.090228508938800953\n", " nan\n",
          ("[chain] joint", "probs has non-finite entry nan")),
+        ("exp.ini", "joint = joint.txt", seeded_chain(x_size=-1),
+         ("[chain] x_size = -1: must be >= 2",)),
+        ("exp.ini", "joint = joint.txt", seeded_chain(x_size=0),
+         ("[chain] x_size = 0: must be >= 2",)),
+        ("exp.ini", "joint = joint.txt", seeded_chain(y_size=1),
+         ("[chain] y_size = 1: must be >= 2",)),
+        ("exp.ini", "joint = joint.txt", seeded_chain(floor=-2),
+         ("[chain] floor = -2.0: must be finite and >= 0",)),
+        ("exp.ini", "joint = joint.txt", seeded_chain(floor=-0.5),
+         ("[chain] floor = -0.5: must be finite and >= 0",)),
+        ("exp.ini", "joint = joint.txt", seeded_chain(floor="nan"),
+         ("[chain] floor = nan: must be finite and >= 0",)),
+        ("exp.ini", "joint = joint.txt", seeded_chain(generator_seed=-1),
+         ("[chain] generator_seed = -1: must be >= 0",)),
     ], ids=["non-numeric-int", "zero-configs", "one-delta-sample", "non-numeric-matrix", "ragged-matrix", "missing-section",
             "workers", "misspelt-section", "misspelt-key", "default-section",
             "negative-rejection-cap", "duplicate-key", "missing-joint-file", "interpolation",
             "missing-config-file", "joint-without-x-labels", "ragged-joint-row",
             "wrong-joint-kind", "empty-epsilon", "empty-eta-grid", "joint-with-generator-key",
-            "negative-seed", "nan-eta", "nan-in-t", "nan-in-joint"])
+            "negative-seed", "nan-eta", "nan-in-t", "nan-in-joint", "negative-x-size",
+            "zero-x-size", "one-symbol-y-size", "floor-below-minus-one", "negative-floor",
+            "nan-floor", "negative-generator-seed"])
     def test_malformed_value_named_in_error_record(self, tmp_path, capsys, name, old, new,
                                                    needles):
         path = tiny_config(tmp_path)

@@ -93,8 +93,8 @@ class TestCanonicalDependenceMatrix:
         cy = make_channel(ty, 0.3 * max_feasible_eta(ty), j.y_labels)
         clean = canonical_dependence_matrix(j)
         noisy = canonical_dependence_matrix(apply_channels(j, cx, cy))
-        mx = uncentered_b(cx, j.marginal_x())
-        my = uncentered_b(cy, j.marginal_y())
+        mx = uncentered_b(cx.P, j.marginal_x())
+        my = uncentered_b(cy.P, j.marginal_y())
         assert np.max(np.abs(noisy.b - my @ clean.b @ mx.T)) < 1e-10
 
     def test_repeated_singular_values(self):
@@ -108,14 +108,14 @@ class TestCanonicalDependenceMatrix:
 class TestUncenteredB:
     def test_identity_channel(self):
         p = Pmf(("a", "b"), np.array([0.3, 0.7]))
-        b = uncentered_b(identity_channel(p.labels), p)
+        b = uncentered_b(identity_channel(p.labels).P, p)
         assert np.max(np.abs(b - np.eye(2))) < 1e-12
         assert jacobi_svd(b).s == pytest.approx([1.0, 1.0], abs=1e-12)
 
     def test_bsc_uniform_closed_form(self):
         eta = 0.15
         b = uncentered_b(
-            make_channel(T_BINARY, eta, ("a", "b")), uniform_pmf(("a", "b"))
+            make_channel(T_BINARY, eta, ("a", "b")).P, uniform_pmf(("a", "b"))
         )
         assert np.max(np.abs(b - b.T)) < 1e-15
         s = jacobi_svd(b).s
@@ -126,7 +126,7 @@ class TestUncenteredB:
         t = random_perturbation_t(rng, 4)
         p = Pmf(tuple("abcd"), random_positive_pmf(rng, 4))
         etas = np.array([0.01, 0.02, 0.04, 0.08]) * max_feasible_eta(t)
-        sigmas = [jacobi_svd(uncentered_b(make_channel(t, e, p.labels), p)).s for e in etas]
+        sigmas = [jacobi_svd(uncentered_b(make_channel(t, e, p.labels).P, p)).s for e in etas]
         spreads = [s[0] ** 2 - s[-1] ** 2 for s in sigmas]
         slope = np.polyfit(np.log(etas), np.log(spreads), 1)[0]
         assert abs(slope - 1.0) < 0.2
@@ -137,8 +137,21 @@ class TestUncenteredB:
             for frac in (0.0, 0.3, 0.7, 1.0):
                 t = random_perturbation_t(rng, n)
                 p = Pmf(tuple("abcde"[:n]), random_positive_pmf(rng, n))
-                b = uncentered_b(make_channel(t, frac * max_feasible_eta(t), p.labels), p)
+                b = uncentered_b(make_channel(t, frac * max_feasible_eta(t), p.labels).P, p)
                 assert abs(jacobi_svd(b).s[0] - 1.0) < 1e-10
+
+    # each kernel rule, with the name the error gives it
+    @pytest.mark.parametrize("kernel, needle", [
+        (np.full((3, 3), 1.0 / 3.0), "one column per input symbol (2)"),
+        (np.array([[1.2, 0.5], [-0.2, 0.5]]), "negative entry -0.2"),
+        (np.array([[0.6, 0.5], [0.4 + 1e-10, 0.5]]), "columns miss a sum of 1 by 1e-10"),
+        (np.array([[0.6, 0.5], [0.4, 0.5], [0.0, 0.0]]), "output symbol 2 has zero probability"),
+    ], ids=["columns", "negative", "column-sum", "zero-output"])
+    def test_kernel_rules(self, kernel, needle):
+        p = Pmf(("a", "b"), np.array([0.3, 0.7]))
+        with pytest.raises(ValidationError) as exc:
+            uncentered_b(kernel, p)
+        assert needle in str(exc.value)
 
 
 class TestSelectFeatures:

@@ -10,28 +10,27 @@ from conftest import (
     random_perturbation_t,
     random_positive_joint,
 )
-from maxcorr.dependence import uncentered_b
+from maxcorr.dependence import canonical_dependence_matrix, uncentered_b
 from maxcorr.ensemble import (
     CHUNK,
     AttributeEnsembleSpec,
     chain_residual,
     configuration_stream,
     information_ensemble,
-    push_through_channel,
     raw_information_sample,
     sample_configuration,
 )
 from maxcorr.errors import AlphabetMismatchError, FeasibilityError, ValidationError
 from maxcorr.geometry import (
     Configuration,
-    InformationMatrix,
-    config_from_information_matrix,
     information_matrix,
+    information_phi,
     max_feasible_epsilon,
 )
 from maxcorr.model import (
     JointPmf,
     Pmf,
+    apply_channels,
     make_channel,
     uniform_pmf,
 )
@@ -63,12 +62,9 @@ class TestSampling:
     def test_ensemble_matches_stream(self):
         # information_ensemble and configuration_stream share one phi stream
         spec = spec4()
-        phis = information_ensemble(spec).sample(4, seed=9)
-        conds = configuration_stream(spec, 4, seed=9)
-        assert conds.shape == (4, 4, 3)
-        for phi, cond in zip(phis, conds):
-            cfg = Configuration(spec.base, spec.prior, cond, spec.epsilon)
-            assert np.max(np.abs(phi - information_matrix(cfg).phi)) < 1e-12
+        phis = configuration_stream(spec, 4, seed=9)
+        assert phis.shape == (4, 4, 3)
+        assert np.array_equal(phis, information_ensemble(spec).sample(4, seed=9))
 
     def test_projected_delta_measured(self):
         # Measured symmetry deviation of the s=0 projected-Gaussian phi
@@ -140,17 +136,7 @@ class TestArraySampler:
     def test_matches_loop(self, count, spec, seed):
         want = loop_information_sample(spec, count, seed=seed)
         assert np.array_equal(information_ensemble(spec).sample(count, seed), want)
-        assert np.array_equal(
-            configuration_stream(spec, count, seed=seed),
-            np.stack([
-                config_from_information_matrix(
-                    spec.base, spec.prior,
-                    InformationMatrix(phi=phi, epsilon=spec.epsilon, base=spec.base),
-                    spec.epsilon,
-                ).conditionals
-                for phi in want
-            ]),
-        )
+        assert np.array_equal(configuration_stream(spec, count, seed=seed), want)
 
     @pytest.mark.parametrize("eps, seed, count, whole_chunk", [
         # the longest run before the 23rd acceptance is draws 448..544
@@ -192,31 +178,38 @@ class TestArraySampler:
 
 
 class TestPushThroughChannel:
+    """An attribute's information matrix crosses a channel as one product
+    with the channel's uncentered dependence matrix."""
+
     def test_identity_channel_unchanged(self):
         cfg = sample_configuration(spec4(), seed=3)
-        out = push_through_channel(cfg, identity_channel(BASE4.labels))
-        assert np.max(np.abs(out.conditionals - cfg.conditionals)) < 1e-15
+        phi = information_matrix(cfg).phi
+        out = uncentered_b(identity_channel(BASE4.labels).P, cfg.base) @ phi
+        assert np.max(np.abs(out - phi)) < 1e-15
 
     def test_binary_hand_computation(self):
         base = uniform_pmf(("a", "b"))
         cond = np.array([[0.6, 0.4], [0.4, 0.6]])
-        from maxcorr.geometry import Configuration
-
         cfg = Configuration(base, uniform_pmf(("w0", "w1")), cond, 0.3)
         chan = make_channel(np.array([[-1.0, 1.0], [1.0, -1.0]]), 0.1, base.labels)
-        out = push_through_channel(cfg, chan)
-        # P(a|w0) = 0.9*0.6 + 0.1*0.4 = 0.58
+        out = uncentered_b(chan.P, base) @ information_matrix(cfg).phi
+        # P(a|w0) = 0.9*0.6 + 0.1*0.4 = 0.58, on the uniform output base
         expected = np.array([[0.58, 0.42], [0.42, 0.58]])
-        assert np.max(np.abs(out.conditionals - expected)) < 1e-15
+        want = information_phi(expected, base.probs, 0.3)
+        # the conditionals' 1e-15, in units of eps * sqrt(P(z)) = 0.3 * sqrt(1/2)
+        assert np.max(np.abs(out - want)) < 1e-15 / (0.3 * np.sqrt(0.5))
 
     def test_phi_path_agreement_seeded(self, rng):
+        # the push of the information matrix is the information matrix of
+        # the pushed conditionals P Cond, on the pushed base P p
         cfg = sample_configuration(spec4(), seed=4)
         t = random_perturbation_t(rng, 4)
         chan = make_channel(t, 0.3, BASE4.labels)
-        out = push_through_channel(cfg, chan)
-        b = uncentered_b(chan, cfg.base)
+        pushed = Configuration(chan.apply(cfg.base), cfg.prior,
+                               chan.P @ cfg.conditionals, cfg.epsilon)
+        b = uncentered_b(chan.P, cfg.base)
         gap = np.abs(
-            b @ information_matrix(cfg).phi - information_matrix(out).phi
+            b @ information_matrix(cfg).phi - information_matrix(pushed).phi
         ).max()
         assert gap < 1e-12
 
@@ -240,6 +233,24 @@ class TestMarkovPush:
         res = chain_residual(cfg, j, cx, cy)
         assert res.shape == (len(j.y_labels), 3)
         assert np.abs(res).max() < 1e-12
+
+    @pytest.mark.parametrize("eta1", [0.0, 0.05])
+    def test_matches_conditional_space_formula(self, rng, eta1):
+        # the residual written on conditionals: push U's conditionals through
+        # P(x^|x) and through P(y^|y) P(y|x), take each information matrix on
+        # its noisy base, and subtract B^ times the X^ one
+        j, cx, cy = chain_fixture(rng, eta1, 0.3)
+        spec = AttributeEnsembleSpec(base=j.marginal_x(), attribute_size=3,
+                                     epsilon=0.05, anisotropy=0.3)
+        cfg = sample_configuration(spec, seed=11)
+        noisy = apply_channels(j, cx, cy)
+        cond_x = cx.P @ cfg.conditionals
+        cond_y = cy.P @ (j.conditional_y_given_x() @ cfg.conditionals)
+        phi_x = information_phi(cond_x, noisy.marginal_x().probs, cfg.epsilon)
+        phi_y = information_phi(cond_y, noisy.marginal_y().probs, cfg.epsilon)
+        b_hat = canonical_dependence_matrix(noisy).b
+        want = phi_y - b_hat @ phi_x
+        assert np.abs(chain_residual(cfg, j, cx, cy) - want).max() < 1e-12
 
     def test_y_noise_alone_leaves_no_residual(self, rng):
         # U - X - Y^ is a Markov chain, so only X noise leaves a residual

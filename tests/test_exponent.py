@@ -13,8 +13,8 @@ from conftest import (
     random_positive_joint,
 )
 from maxcorr import exponent
-from maxcorr.dependence import canonical_dependence_matrix, select_features
-from maxcorr.ensemble import CHUNK, AttributeEnsembleSpec
+from maxcorr.dependence import canonical_dependence_matrix, select_features, uncentered_b
+from maxcorr.ensemble import CHUNK, AttributeEnsembleSpec, configuration_stream
 from maxcorr.errors import AlphabetMismatchError, ValidationError
 from maxcorr.exponent import (
     MC_CHUNK,
@@ -35,6 +35,7 @@ from maxcorr.geometry import (
     InformationMatrix,
     config_from_information_matrix,
     feature_vectors,
+    information_phi,
     normalize_features,
 )
 from maxcorr.model import JointPmf, Pmf, apply_channels, make_channel, uniform_pmf
@@ -422,21 +423,21 @@ class TestAverageExponents:
         assert abs(rep.v.near - bound[3]) <= residual + 3 * rep.v.stderr_near
 
     def test_oracle_mode_close_to_analytic(self):
+        # the averaged analytic exponent is within 2% of the exact one, which
+        # the per-configuration reference scores by the I-projection of each
+        # configuration's least pair
         joint = demo_joint()
         cx, cy = identity_channel(joint.x_labels), identity_channel(joint.y_labels)
         mu_u = AttributeEnsembleSpec(base=joint.marginal_x(), attribute_size=3, epsilon=0.02)
         mu_v = AttributeEnsembleSpec(base=joint.marginal_y(), attribute_size=3, epsilon=0.02)
         f, g = select_features(canonical_dependence_matrix(joint), 2)
         rep_a = average_exponents(mu_u, mu_v, joint, cx, cy, f, g, 40, 888)
-        rep_o = average_exponents(mu_u, mu_v, joint, cx, cy, f, g, 40, 888, oracle=True)
+        rep_o = loop_average_exponents(mu_u, mu_v, joint, cx, cy, f, g, 40, 888, oracle=True)
         for a, o in zip(rep_a.exponents, rep_o.exponents):
             assert a == pytest.approx(o, rel=0.02)
 
-    # oracle scoring runs one I-projection per configuration, so it gets fewer
-    @pytest.mark.parametrize("oracle, n_configs", [(False, CHUNK + 7), (True, 30)],
-                             ids=["analytic", "oracle"])
     @pytest.mark.parametrize("seed", [5, 6])
-    def test_matches_per_configuration_loop(self, rng, oracle, n_configs, seed):
+    def test_matches_per_configuration_loop(self, rng, seed):
         # noisy channels, |X| != |Y| and s > 0, so every push and side is exercised
         joint = JointPmf(tuple("abcd"), tuple("vwxyz"), random_positive_joint(rng, 4, 5))
         cx = make_channel(random_perturbation_t(rng, 4), 0.05, joint.x_labels)
@@ -447,9 +448,9 @@ class TestAverageExponents:
                                      epsilon=0.05, anisotropy=0.3, rho=0.6)
         cdm = canonical_dependence_matrix(apply_channels(joint, cx, cy))
         f, g = select_features(cdm, 2)
-        args = (mu_u, mu_v, joint, cx, cy, f, g, n_configs, seed)
-        rep = average_exponents(*args, oracle=oracle)
-        want = loop_average_exponents(*args, oracle=oracle)
+        args = (mu_u, mu_v, joint, cx, cy, f, g, CHUNK + 7, seed)
+        rep = average_exponents(*args)
+        want = loop_average_exponents(*args)
         for side in ("u", "v"):
             for fld in dataclasses.fields(SideExponents):
                 assert getattr(getattr(rep, side), fld.name) == pytest.approx(
@@ -469,31 +470,66 @@ class TestAverageExponents:
         assert exchanged.stderrs == pytest.approx(rep.stderrs[::-1], rel=1e-12, abs=0.0)
 
     def test_exchange_identity_misses_with_the_wrong_cross(self, rng):
-        # negative control on a square joint, where both conditionals fit:
-        # the exchanged V side crosses with P(X|Y) in place of P(Y|X)
-        rep, exchanged = exchanged_reports(rng, 4, 5, wrong_v_cross=True)
+        # negative control on a square joint, where both clean hops fit: the
+        # exchanged V side crosses by the push of P(X|Y) in place of P(Y|X)
+        rep, exchanged = exchanged_reports(rng, 4, 5, wrong_v_hop=True)
         assert exchanged.v.near == pytest.approx(rep.u.near, rel=1e-12, abs=0.0)
         assert abs(exchanged.v.far - rep.u.far) > 1e-6 * rep.u.far
 
     def test_least_pair_ties_go_to_first_pair(self):
         # columns 0, 1, 2 on a line: (0, 1) and (1, 2) tie at 1, (0, 2) is 4;
-        # columns 0, 3, 1.5: (0, 2) and (1, 2) tie at 2.25, (0, 1) is 9
+        # columns 0, 3, 1.5: (0, 2) and (1, 2) tie at 2.25, (0, 1) is 9.  A
+        # tie does not move the least distance; the reference's pair, which
+        # its I-projection scores, is the first one
         proj = np.array([
             [[0.0, 1.0, 2.0], [5.0, 5.0, 5.0]],
             [[0.0, 3.0, 1.5], [0.0, 0.0, 0.0]],
         ])
-        val, i, j = _least_pair(proj)
-        assert val.tolist() == [1.0, 2.25]
-        assert list(zip(i.tolist(), j.tolist())) == [(0, 1), (0, 2)]
+        assert _least_pair(proj).tolist() == [1.0, 2.25]
         assert [loop_least_pair(p) for p in proj] == [(1.0, 0, 1), (2.25, 0, 2)]
 
     def test_least_pair_matches_loop(self, rng):
         proj = rng.normal(size=(200, 3, 5))
-        val, i, j = _least_pair(proj)
+        val = _least_pair(proj)
         for c, p in enumerate(proj):
-            want_val, want_i, want_j = loop_least_pair(p)
-            assert (i[c], j[c]) == (want_i, want_j)
-            assert val[c] == pytest.approx(want_val, rel=1e-14)
+            assert val[c] == pytest.approx(loop_least_pair(p)[0], rel=1e-14)
+
+    def test_pushes_match_conditional_space(self, rng, monkeypatch):
+        # the (push, features) pairs average_exponents hands each side, on a
+        # noisy 4 x 5 joint with s > 0: each push of a configuration stack is
+        # the information matrix of the pushed conditionals on the noisy base,
+        # U's through P(x^|x) and P(y^|y) P(y|x), V's through P(y^|y) and
+        # P(x^|x) P(x|y)
+        joint = JointPmf(tuple("abcd"), tuple("vwxyz"), random_positive_joint(rng, 4, 5))
+        cx = make_channel(random_perturbation_t(rng, 4), 0.05, joint.x_labels)
+        cy = make_channel(random_perturbation_t(rng, 5), 0.03, joint.y_labels)
+        mu_u = AttributeEnsembleSpec(base=joint.marginal_x(), attribute_size=4,
+                                     epsilon=0.05, anisotropy=0.3, rho=0.6)
+        mu_v = AttributeEnsembleSpec(base=joint.marginal_y(), attribute_size=3,
+                                     epsilon=0.05, anisotropy=0.3, rho=0.6)
+        noisy = apply_channels(joint, cx, cy)
+        f, g = select_features(canonical_dependence_matrix(noisy), 2)
+        pushes = {}
+
+        def spy(mu, near, far, n_configs, seed):
+            pushes[seed[1]] = (near, far)
+            return real(mu, near, far, n_configs, seed)
+
+        real = exponent._side_exponents
+        monkeypatch.setattr(exponent, "_side_exponents", spy)
+        average_exponents(mu_u, mu_v, joint, cx, cy, f, g, 2, 5)
+        pxh, pyh = noisy.marginal_x().probs, noisy.marginal_y().probs
+        kernels = {
+            0: ((cx.P, pxh, f), (cy.P @ joint.conditional_y_given_x(), pyh, g)),
+            1: ((cy.P, pyh, g), (cx.P @ joint.conditional_x_given_y(), pxh, f)),
+        }
+        for side, mu in enumerate((mu_u, mu_v)):
+            phi = configuration_stream(mu, 40, seed=(5, side))
+            cond = mu.base.probs[:, None] + mu.epsilon * np.sqrt(mu.base.probs)[:, None] * phi
+            for (push, fs), (kernel, base_hat, want_fs) in zip(pushes[side], kernels[side]):
+                assert fs is want_fs
+                want = information_phi(kernel @ cond, base_hat, mu.epsilon)
+                assert np.abs(push @ phi - want).max() < 1e-12
 
     def test_epsilon_mismatch_rejected(self):
         joint = demo_joint()
@@ -538,11 +574,12 @@ class TestAverageExponents:
             average_exponents(mu_u, mu_v, joint, cx, cy, f, g, 10, 1)
 
 
-def exchanged_reports(rng, ny, seed, *, wrong_v_cross=False):
+def exchanged_reports(rng, ny, seed, *, wrong_v_hop=False):
     """average_exponents on a noisy 4 x `ny` joint (|U| = 4, |V| = 3,
     s = 0.3), and the report of the exchanged problem from two side calls:
-    on the transposed joint, with features from its CDM, V (on Y, stream
-    (seed, 1)) is its u side and U (on X, stream (seed, 0)) its v side."""
+    on the transposed joint, with features from its CDM and pushes from its
+    kernels, V (on Y, stream (seed, 1)) is its u side and U (on X, stream
+    (seed, 0)) its v side."""
     joint = JointPmf(tuple("abcd"), tuple("vwxyz")[:ny], random_positive_joint(rng, 4, ny))
     joint_t = JointPmf(joint.y_labels, joint.x_labels, joint.probs.T)
     cx = make_channel(random_perturbation_t(rng, 4), 0.05, joint.x_labels)
@@ -554,13 +591,15 @@ def exchanged_reports(rng, ny, seed, *, wrong_v_cross=False):
     f, g = select_features(canonical_dependence_matrix(apply_channels(joint, cx, cy)), 2)
     rep = average_exponents(mu_u, mu_v, joint, cx, cy, f, g, 700, seed)
     g_t, f_t = select_features(canonical_dependence_matrix(apply_channels(joint_t, cy, cx)), 2)
-    # the v side's cross is P(Y|X), which is the transposed joint's P(X|Y)
-    v_cross = (joint_t.conditional_y_given_x() if wrong_v_cross
-               else joint_t.conditional_x_given_y())
+    px_t, py_t = joint_t.marginal_x(), joint_t.marginal_y()  # P_Y and P_X
+    to_y, to_x = uncentered_b(cy.P, px_t), uncentered_b(cx.P, py_t)
+    # the u side's clean hop is P(X|Y) and the v side's P(Y|X), which is the
+    # transposed joint's P(x|y)
+    u_hop = uncentered_b(joint_t.conditional_y_given_x(), px_t)
+    v_hop = u_hop if wrong_v_hop else uncentered_b(joint_t.conditional_x_given_y(), py_t)
     return rep, ExponentReport(
-        u=_side_exponents(mu_v, (cy, g_t), (cx, f_t), joint_t.conditional_y_given_x(),
-                          700, (seed, 1)),
-        v=_side_exponents(mu_u, (cx, f_t), (cy, g_t), v_cross, 700, (seed, 0)),
+        u=_side_exponents(mu_v, (to_y, g_t), (to_x @ u_hop, f_t), 700, (seed, 1)),
+        v=_side_exponents(mu_u, (to_x, f_t), (to_y @ v_hop, g_t), 700, (seed, 0)),
     )
 
 

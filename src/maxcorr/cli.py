@@ -194,10 +194,14 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
                 raise ValidationError(f"[chain] generator_seed = {gen_seed}: must be >= 0")
             rng = np.random.default_rng(gen_seed)
             probs = rng.random((ny, nx)) + floor
+            with np.errstate(over="ignore"):
+                mass = probs.sum()
+            if not np.isfinite(mass):
+                raise ValidationError(f"[chain] floor = {floor!r}: the joint's mass overflows")
             joint = JointPmf(
                 tuple(f"x{i}" for i in range(nx)),
                 tuple(f"y{j}" for j in range(ny)),
-                probs / probs.sum(),
+                probs / mass,
             )
         else:
             raise ValidationError("[chain] needs `joint = <path>` or `generator = seeded`")

@@ -17,23 +17,24 @@ never clipped, so the measured symmetry structure stays unbiased.
 Every sampling path (`information_ensemble`, `configuration_stream`,
 `sample_configuration`) draws through one array sampler,
 `raw_information_sample`, which builds a whole (count, n, m) stack from one
-normal draw.  Accepted matrices are collected CHUNK raw draws at a time.  A
-(B, n, m) normal draw consumes exactly the normals of B sequential (n, m)
+normal draw.  A call draws one stack (`stack_rows`) at most, and no more
+than the draws still expected to be needed at the acceptance seen so far.
+A (B, n, m) normal draw consumes exactly the normals of B sequential (n, m)
 draws, so the accepted sequence is the one a draw-by-draw loop yields, bit
-for bit.  That equality also rests on the two projections staying stacked
-per-draw products (one large product over all draws rounds differently);
-every elementwise step and reduction runs on an (n, m, B) array, with the
-draw axis innermost, so numpy's inner loops are B entries long rather than
-m.  The rejection cap counts consecutive rejected draws across chunk
-boundaries and resets at each acceptance; cap + 1 in a row raise a
-FeasibilityError.  Draws past the last accepted matrix are discarded with
-the seed's generator, which nothing else draws from.
+for bit, however it is split into calls.  That equality also rests on the
+two projections staying stacked per-draw products (one large product over
+all draws rounds differently); every elementwise step and reduction runs
+on an (n, m, B) array, with the draw axis innermost, so numpy's inner loops
+are B entries long rather than m.  The rejection cap counts consecutive
+rejected draws across calls and resets at each acceptance; cap + 1 in a
+row raise a FeasibilityError.  Draws past the last accepted matrix are
+discarded with the seed's generator, which nothing else draws from.
 
 `configuration_stream` returns the information matrices of its
 configurations as one (count, |Z|, |W|) array.  They are validated as
-configurations in stacks of CHUNK rows, one `config_from_information_matrix`
-call per stack, so no per-configuration object is built and working memory
-stays a few CHUNK-row arrays besides the output.
+configurations one stack at a time, copied with the draw axis innermost,
+by one `config_from_information_matrix` call, so no per-configuration object
+is built and working memory stays a few stacks besides the output.
 
 Along the chain an attribute travels as its information matrix, pushed by
 `dependence.uncentered_b` of each kernel it crosses.  `chain_residual` is
@@ -60,10 +61,14 @@ from .geometry import (
 from .model import Channel, JointPmf, Pmf, apply_channels, require_marginal, uniform_pmf
 from .symmetry import MatrixEnsemble, seed_rng
 
-# Raw draws per `_accepted_block` sampler call, and rows per validated stack
-# in `configuration_stream`: working memory is a few chunk-sized arrays
-# besides the output, whatever the requested count.
-CHUNK = 512
+# Entries in one sampler call, validated stack or scored stack: 256 KiB of floats,
+# enough draws to spread per-call overhead, few enough to stay in cache.
+STACK_ENTRIES = 1 << 15
+
+
+def stack_rows(n: int, m: int) -> int:
+    """Draws of (n, m) matrices in one stack of STACK_ENTRIES entries."""
+    return max(1, STACK_ENTRIES // (n * m))
 
 
 @dataclass(frozen=True)
@@ -136,7 +141,8 @@ def _accept(spec: AttributeEnsembleSpec, phi: np.ndarray) -> tuple[np.ndarray, n
     top = np.sqrt(np.add.reduce(t * t, axis=0).max(axis=0))
     nonzero = top > 0.0
     t *= np.divide(spec.rho, top, out=np.zeros_like(top), where=nonzero)
-    cond = base[:, None, None] + spec.epsilon * np.sqrt(base)[:, None, None] * t
+    cond = spec.epsilon * np.sqrt(base)[:, None, None] * t
+    cond += base[:, None, None]
     cond = cond.reshape(-1, t.shape[2])
     return phi, nonzero & (cond.min(axis=0) >= 0.0) & (cond.max(axis=0) <= 1.0)
 
@@ -165,18 +171,24 @@ def _accepted_block(
     """The first `count` accepted information matrices drawn from `rng`."""
     base, prior, cap = spec.base.probs, spec.prior.probs, spec.rejection_cap
     out = np.empty((count, base.size, prior.size))
-    steps = np.arange(CHUNK)
+    rows = stack_rows(base.size, prior.size)
     filled = drawn = 0
     carried = 0  # consecutive rejected draws since the last acceptance
     pending: list[np.ndarray] = []  # those draws, for the rejection-cap error
     while filled < count:
+        # draws still expected to be needed: all first, a stack before any accepts
+        need = count - filled
+        if drawn:
+            need = -(-need * drawn // filled) if filled else rows
+        size = min(rows, need)
         phi, ok = _accept(
-            spec, raw_information_sample(rng, base, prior, spec.anisotropy, CHUNK)
+            spec, raw_information_sample(rng, base, prior, spec.anisotropy, size)
         )
+        steps = np.arange(size)
         # consecutive rejections ending at each draw (0 at an acceptance)
         run = steps - np.maximum.accumulate(np.where(ok, steps, -1 - carried))
         taken = np.flatnonzero(ok)[: count - filled]
-        used = taken[-1] if filled + taken.size == count else CHUNK
+        used = taken[-1] if filled + taken.size == count else size
         over = np.flatnonzero(run[:used] > cap)
         if over.size:
             stop = over[0] + 1
@@ -186,11 +198,11 @@ def _accepted_block(
             )
         out[filled : filled + taken.size] = phi[taken]
         filled += taken.size
-        drawn += CHUNK
+        drawn += size
         if taken.size:
             pending = []
         carried = int(run[-1])
-        pending.append(phi[max(CHUNK - carried, 0):])
+        pending.append(phi[max(size - carried, 0):])
     return out
 
 
@@ -223,10 +235,12 @@ def configuration_stream(
     spec: AttributeEnsembleSpec, count: int, seed: int = 0
 ) -> np.ndarray:
     """The (count, |Z|, |W|) information matrices of `count` configurations
-    drawn from the one stream of `seed`, validated CHUNK rows at a time."""
+    drawn from the one stream of `seed`, validated `stack_rows` at a time."""
     block = _accepted_block(spec, seed_rng(seed), count)
-    for start in range(0, count, CHUNK):
-        _configuration(spec, block[start : start + CHUNK])
+    rows = stack_rows(spec.base.size, spec.attribute_size)
+    for start in range(0, count, rows):
+        stack = block[start : start + rows].transpose(1, 2, 0).copy()
+        _configuration(spec, stack.transpose(2, 0, 1))
     return block
 
 

@@ -14,8 +14,8 @@ matrices to the noisy variable on their own side (near) and across the chain
 to the other (far), score the least-distinguishable pair of each with the
 analytic exponent, and average.  Every push is one product with an
 uncentered dependence matrix (`dependence.uncentered_b`), applied to stacked
-(C, |Z|, |W|) arrays of at most ``ensemble.CHUNK`` (512) rows as
-`configuration_stream` validates them.  Each side also carries its
+(C, |Z|, |W|) arrays of ``ensemble.stack_rows`` rows, the size of the stacks
+`configuration_stream` validates.  Each side also carries its
 constant, C_U or C_V; ``exponent_bound`` combines them with the spectrum of
 the CDM the features were selected from.
 All decision rules are nearest-centroid on the empirical feature mean
@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .dependence import uncentered_b
-from .ensemble import CHUNK, AttributeEnsembleSpec, configuration_stream
+from .ensemble import AttributeEnsembleSpec, configuration_stream, stack_rows
 from .errors import AlphabetMismatchError, ValidationError
 from .geometry import FeatureSet, feature_vectors
 from .model import Channel, JointPmf, Pmf, require_marginal
@@ -384,8 +384,9 @@ def _side_exponents(mu: AttributeEnsembleSpec, near: tuple[np.ndarray, FeatureSe
     (near_push, near_fs), (far_push, far_fs) = near, far
     out = np.empty((3, n_configs))
     phi = configuration_stream(mu, n_configs, seed=seed)
-    for start in range(0, n_configs, CHUNK):
-        rows = slice(start, start + CHUNK)
+    step = stack_rows(*phi.shape[1:])
+    for start in range(0, n_configs, step):
+        rows = slice(start, start + step)
         phi_near = near_push @ phi[rows]
         out[0, rows] = _score(near_fs, phi_near, mu.epsilon)
         out[1, rows] = _score(far_fs, far_push @ phi[rows], mu.epsilon)

@@ -13,7 +13,8 @@ declared base.
 
 `Configuration` and `InformationMatrix` also take a stack of C draws of one
 attribute, shaped (C, |Z|, |W|), and run each check once over the whole
-stack, at the same tolerances as for a single (|Z|, |W|) matrix.
+stack, at the same tolerances as for a single (|Z|, |W|) matrix.  A stack
+stored draw axis innermost keeps that layout, so its checks run C-long loops.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ RANK_TOL = 1e-10
 
 def _chi2_columns(cond: np.ndarray, base: np.ndarray) -> np.ndarray:
     d = cond - base[:, None]
-    return (d * d / base[:, None]).sum(axis=-2)
+    return np.divide(np.multiply(d, d, out=d), base[:, None], out=d).sum(axis=-2)
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,8 @@ def config_from_information_matrix(
     """
     if phi.base.labels != base.labels:
         raise AlphabetMismatchError("phi base does not match supplied base")
-    cond = base.probs[:, None] + epsilon * np.sqrt(base.probs)[:, None] * phi.phi
+    cond = epsilon * np.sqrt(base.probs)[:, None] * phi.phi
+    cond += base.probs[:, None]
     if np.any(cond < 0) or np.any(cond > 1):
         raise FeasibilityError(
             "epsilon too large for this direction", max_feasible_epsilon(base, phi.phi)

@@ -68,7 +68,7 @@ class Pmf:
         if np.any(p < 0):
             raise ValidationError("negative probability entry")
         if abs(float(p.sum()) - 1.0) > MASS_TOL:
-            raise ValidationError(f"probabilities sum to {p.sum()!r}, not 1")
+            raise ValidationError(f"probabilities sum to {float(p.sum())!r}, not 1")
         object.__setattr__(self, "probs", p)
 
     @property
@@ -120,7 +120,7 @@ class JointPmf:
         if np.any(p < 0):
             raise ValidationError("negative probability entry")
         if abs(float(p.sum()) - 1.0) > MASS_TOL:
-            raise ValidationError(f"joint mass is {p.sum()!r}, not 1")
+            raise ValidationError(f"joint mass is {float(p.sum())!r}, not 1")
         object.__setattr__(self, "probs", p)
 
     def marginal_x(self) -> Pmf:

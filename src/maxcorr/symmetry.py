@@ -165,11 +165,12 @@ class RankOneRange:
         return self.max_val - self.min_val
 
 
-def _extreme_eigpairs(mats: np.ndarray, pick: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _extreme_eigpairs(mats: np.ndarray, pick: np.ndarray,
+                      rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalue and unit eigenvector `pick[c]` (-1 largest, 0 smallest) of
-    each symmetrised matrix in a (C, d, d) stack."""
+    symmetrised matrix `rows[c]` (default c) of a (C, d, d) stack."""
     w, q = np.linalg.eigh((mats + mats.transpose(0, 2, 1)) / 2.0)
-    rows = np.arange(len(pick))
+    rows = np.arange(len(pick)) if rows is None else rows
     return w[rows, pick], q[rows, :, pick]
 
 
@@ -223,10 +224,11 @@ def rank_one_range(form: SecondMomentForm) -> RankOneRange:
     obj = np.full(2 * s, np.nan)  # so no chain stops on its first iteration
     converged = np.zeros(2 * s, dtype=bool)
     live = np.arange(2 * s)
-    for _ in range(RANK_ONE_MAX_ITER):
-        vl = v[live]
+    for it in range(RANK_ONE_MAX_ITER):
+        # the two chains of a start share v0: decompose each M(v0) once
+        vl = v[:s] if it == 0 else v[live]
         mu = ((vl[:, :, None] * vl[:, None, :]).reshape(-1, m * m) @ kv.T).reshape(-1, n, n)
-        _, ul = _extreme_eigpairs(mu, pick[live])
+        _, ul = _extreme_eigpairs(mu, pick[live], live % s if it == 0 else None)
         nv = ((ul[:, :, None] * ul[:, None, :]).reshape(-1, n * n) @ kv).reshape(-1, m, m)
         new_obj, v[live] = _extreme_eigpairs(nv, pick[live])
         u[live] = ul

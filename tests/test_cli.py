@@ -195,6 +195,8 @@ class TestConfig:
          ("[chain] floor = -0.5: must be finite and >= 0",)),
         ("exp.ini", "joint = joint.txt", seeded_chain(floor="nan"),
          ("[chain] floor = nan: must be finite and >= 0",)),
+        ("exp.ini", "joint = joint.txt", seeded_chain(floor="1e308"),
+         ("[chain] floor = 1e+308: the joint's mass overflows",)),
         ("exp.ini", "joint = joint.txt", seeded_chain(generator_seed=-1),
          ("[chain] generator_seed = -1: must be >= 0",)),
     ], ids=["non-numeric-int", "zero-configs", "one-delta-sample", "non-numeric-matrix", "ragged-matrix", "missing-section",
@@ -204,7 +206,7 @@ class TestConfig:
             "wrong-joint-kind", "empty-epsilon", "empty-eta-grid", "joint-with-generator-key",
             "negative-seed", "nan-eta", "nan-in-t", "nan-in-joint", "negative-x-size",
             "zero-x-size", "one-symbol-y-size", "floor-below-minus-one", "negative-floor",
-            "nan-floor", "negative-generator-seed"])
+            "nan-floor", "overflowing-floor", "negative-generator-seed"])
     def test_malformed_value_named_in_error_record(self, tmp_path, capsys, name, old, new,
                                                    needles):
         path = tiny_config(tmp_path)

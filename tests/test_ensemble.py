@@ -11,14 +11,15 @@ from conftest import (
     random_positive_joint,
 )
 from maxcorr.dependence import canonical_dependence_matrix, uncentered_b
+import maxcorr.ensemble as ensemble
 from maxcorr.ensemble import (
-    CHUNK,
     AttributeEnsembleSpec,
     chain_residual,
     configuration_stream,
     information_ensemble,
     raw_information_sample,
     sample_configuration,
+    stack_rows,
 )
 from maxcorr.errors import AlphabetMismatchError, FeasibilityError, ValidationError
 from maxcorr.geometry import (
@@ -124,36 +125,74 @@ class TestSampling:
 
 # uniform 4-symbol base, rho 1: eps 0.6 rejects about 8% of draws, eps 1.0 about 95%
 REJECTING = spec4(eps=0.6)
+BASE16 = Pmf(tuple(f"z{i}" for i in range(16)),
+             np.linspace(1.0, 2.0, 16) / np.linspace(1.0, 2.0, 16).sum())
+WIDE = AttributeEnsembleSpec(base=BASE16, attribute_size=6, epsilon=0.05, anisotropy=0.5)
+
+
+def recorded_call_sizes(monkeypatch) -> list[int]:
+    """The draw count of every sampler call made after this is called."""
+    sizes = []
+
+    def spy(rng, base, prior, anisotropy, count):
+        sizes.append(count)
+        return raw_information_sample(rng, base, prior, anisotropy, count)
+
+    monkeypatch.setattr(ensemble, "raw_information_sample", spy)
+    return sizes
 
 
 class TestArraySampler:
-    """The chunked sampler against the draw-by-draw reference loop."""
+    """The stacked sampler against the draw-by-draw reference loop."""
 
+    # counts below one 4 x 3 stack: met by one call of the request, then by
+    # top-up calls sized at the acceptance seen so far
     @pytest.mark.parametrize("seed", [1, 3])
     @pytest.mark.parametrize("spec", [spec4(0.0), spec4(0.5), REJECTING],
                              ids=["s0", "s0.5", "rejecting"])
-    @pytest.mark.parametrize("count", [1, CHUNK - 1, CHUNK, CHUNK + 1, 20_000])
+    @pytest.mark.parametrize("count", [1, 511, 512, 513, 20_000])
     def test_matches_loop(self, count, spec, seed):
         want = loop_information_sample(spec, count, seed=seed)
         assert np.array_equal(information_ensemble(spec).sample(count, seed), want)
         assert np.array_equal(configuration_stream(spec, count, seed=seed), want)
 
+    @pytest.mark.parametrize("seed", [1, 3])
+    @pytest.mark.parametrize("spec", [spec4(0.0), spec4(0.5), REJECTING, WIDE],
+                             ids=["s0", "s0.5", "rejecting", "16x6"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["stack-1", "stack", "stack+1"])
+    def test_matches_loop_around_stack(self, offset, spec, seed):
+        count = stack_rows(spec.base.size, spec.attribute_size) + offset
+        want = loop_information_sample(spec, count, seed=seed)
+        assert np.array_equal(information_ensemble(spec).sample(count, seed), want)
+        assert np.array_equal(configuration_stream(spec, count, seed=seed), want)
+
+    def test_first_call_draws_the_request(self, monkeypatch):
+        sizes = recorded_call_sizes(monkeypatch)
+        configuration_stream(spec4(), 60, seed=9)
+        assert sizes == [60]
+        sizes.clear()
+        configuration_stream(spec4(), 20_000, seed=9)
+        assert sizes[0] == stack_rows(4, 3) == 2730
+        assert sum(sizes) == 20_000
+
     @pytest.mark.parametrize("eps, seed, count, whole_chunk", [
-        # the longest run before the 23rd acceptance is draws 448..544
-        (1.0, 9, 23, False),
-        # the longest run before the 16th acceptance is draws 1527..2139: it
-        # starts 9 draws before a chunk boundary and rejects all of the
-        # next chunk (about 1% acceptance)
-        (1.1, 7, 16, True),
+        # the longest run before the 4th acceptance is draws 1812..2749: it
+        # crosses the end of the full stack of draws 4..2733
+        (1.16, 82, 4, False),
+        # the longest run before the 3rd acceptance is draws 2321..5652: it
+        # rejects all of the full stack of draws 2733..5462 (about 0.03%
+        # acceptance)
+        (1.18, 95, 3, True),
     ], ids=["one-boundary", "whole-chunk"])
-    def test_cap_counts_runs_across_chunks(self, eps, seed, count, whole_chunk):
+    def test_cap_counts_runs_across_chunks(self, monkeypatch, eps, seed, count, whole_chunk):
         spec = spec4(eps=eps)
         draws = loop_information_draws(spec, seed_rng(seed))
-        phis, flags = [], []
-        while sum(flags) < count:
+        phis, flags, accepted = [], [], 0
+        while accepted < count:
             phi, ok = next(draws)
             phis.append(phi)
             flags.append(ok)
+            accepted += ok
         runs, start = [], 0
         for i, ok in enumerate(flags):
             if ok:
@@ -163,11 +202,17 @@ class TestArraySampler:
         # the first longest run fails a cap of longest - 1 at its last draw
         k, (_, first) = next((k, run) for k, run in enumerate(runs) if run[0] == longest)
         last = first + longest - 1
-        assert first // CHUNK != last // CHUNK
-        assert (first % CHUNK != 0 and last // CHUNK - first // CHUNK >= 2) == whole_chunk
         ens = information_ensemble(replace(spec, rejection_cap=longest))
-        want = loop_information_sample(spec, count, seed)
+        want = np.stack([phi for phi, ok in zip(phis, flags) if ok])
+        sizes = recorded_call_sizes(monkeypatch)
         assert np.array_equal(ens.sample(count, seed), want)
+        calls = np.array(sizes)
+        ends = np.cumsum(calls)
+        full = calls == stack_rows(4, 3)
+        # the run goes on past the last draw of a full stack
+        assert np.any(full & (first < ends) & (ends <= last))
+        # and holds every draw of one, or of none
+        assert np.any(full & (first <= ends - calls) & (ends - 1 <= last)) == whole_chunk
         with pytest.raises(FeasibilityError) as exc:
             information_ensemble(replace(spec, rejection_cap=longest - 1)).sample(count, seed)
         assert (f"{longest} consecutive draws rejected (accepted {k} of "

@@ -14,7 +14,7 @@ from conftest import (
 )
 from maxcorr import exponent
 from maxcorr.dependence import canonical_dependence_matrix, select_features, uncentered_b
-from maxcorr.ensemble import CHUNK, AttributeEnsembleSpec, configuration_stream
+from maxcorr.ensemble import AttributeEnsembleSpec, configuration_stream, stack_rows
 from maxcorr.errors import AlphabetMismatchError, ValidationError
 from maxcorr.exponent import (
     MC_CHUNK,
@@ -448,7 +448,8 @@ class TestAverageExponents:
                                      epsilon=0.05, anisotropy=0.3, rho=0.6)
         cdm = canonical_dependence_matrix(apply_channels(joint, cx, cy))
         f, g = select_features(cdm, 2)
-        args = (mu_u, mu_v, joint, cx, cy, f, g, CHUNK + 7, seed)
+        # past one scoring stack on both sides: 2,048 rows of 4 x 4, 1,638 of 5 x 4
+        args = (mu_u, mu_v, joint, cx, cy, f, g, stack_rows(4, 4) + 7, seed)
         rep = average_exponents(*args)
         want = loop_average_exponents(*args)
         for side in ("u", "v"):

@@ -162,6 +162,11 @@ def stacked_phi(phi):
     return InformationMatrix(phi=phi, epsilon=STACK_EPS, base=STACK_BASE)
 
 
+def draw_innermost(stack):
+    """`stack` as a (C, |Z|, |W|) view of a (|Z|, |W|, C) array."""
+    return stack.transpose(1, 2, 0).copy().transpose(2, 0, 1)
+
+
 def _negative_entry(phi, cond):
     cond[0, 1] += cond[0, 0] + 0.01  # the column still sums to one
     cond[0, 0] = -0.01
@@ -204,6 +209,12 @@ class TestStackedValidation:
                 STACK_BASE, STACK_PRIOR, stacked_phi(p), STACK_EPS).conditionals
             for p in phi
         ]))
+        # a stack stored draw axis innermost is kept in that layout
+        inner = draw_innermost(phi)
+        assert inner.strides[0] == phi.itemsize
+        kept = config_from_information_matrix(STACK_BASE, STACK_PRIOR, stacked_phi(inner),
+                                              STACK_EPS).conditionals
+        assert np.array_equal(kept, back.conditionals) and kept.strides == inner.strides
 
     @pytest.mark.parametrize("spoil, build, needle", [
         (_negative_entry, stacked_config, "negative"),
@@ -228,6 +239,9 @@ class TestStackedValidation:
         assert type(stacked.value) is type(single.value)
         assert needle in str(single.value)
         assert str(stacked.value) == str(single.value)
+        with pytest.raises(ValidationError) as innermost:
+            build(draw_innermost(arg))
+        assert str(innermost.value) == str(single.value)
 
     def test_infeasible_draw_reports_its_max_epsilon(self):
         phi, _ = stack_draws()

@@ -41,6 +41,11 @@ class TestPmf:
         with pytest.raises(ValidationError):
             Pmf(("a", "b"), np.array([0.3, 0.6]))
 
+    def test_mass_error_prints_a_plain_float(self):
+        with pytest.raises(ValidationError) as exc:
+            Pmf(("a", "b"), np.array([0.5, 0.625]))
+        assert str(exc.value) == "probabilities sum to 1.125, not 1"
+
     def test_require_positive_names_zero_symbol(self):
         with pytest.raises(ValidationError, match="'a' has zero probability"):
             Pmf(("a", "b"), np.array([0.0, 1.0])).require_positive()
@@ -57,6 +62,12 @@ class TestPmf:
 
 
 class TestJointPmf:
+    def test_mass_error_prints_a_plain_float(self):
+        with pytest.raises(ValidationError) as exc:
+            JointPmf(("a", "b"), ("u", "v"), np.full((2, 2), 0.275))
+        assert "joint mass is 1.1, not 1" in str(exc.value)
+        assert "np.float64" not in str(exc.value)
+
     def test_rejects_nan_by_row_and_column(self):
         probs = np.full((2, 3), 1 / 6)
         probs[1, 0] = np.nan

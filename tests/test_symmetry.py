@@ -198,6 +198,24 @@ class TestRankOneRange:
             assert r.min_val == pytest.approx(lo, abs=1e-4)
             assert r.max_val == pytest.approx(hi, abs=1e-4)
 
+    def test_first_iteration_decomposes_each_start_once(self, monkeypatch):
+        # the max and min chains of a start share v0, so M(v0) is decomposed once
+        calls, extreme = [], symmetry._extreme_eigpairs
+
+        def spy(mats, pick, *rows):
+            out = extreme(mats, pick, *rows)
+            calls.append((mats, out[1]))
+            return out
+
+        monkeypatch.setattr(symmetry, "_extreme_eigpairs", spy)
+        rank_one_range(oracle_form("info-16x6"))
+        (mats, u), (n_of_u, _) = calls[:2]
+        assert len(mats) == symmetry.RANK_ONE_RESTARTS + 2 == 18
+        assert len(n_of_u) == 36
+        # chain c takes the top eigenvector of start c's M(v0), chain 18 + c the bottom one
+        _, q = np.linalg.eigh((mats + mats.transpose(0, 2, 1)) / 2.0)
+        assert np.array_equal(u, np.concatenate([q[:, :, -1], q[:, :, 0]]))
+
     @pytest.mark.parametrize("name", ORACLE_FORMS)
     def test_matches_scalar_oracle(self, name):
         form = oracle_form(name)

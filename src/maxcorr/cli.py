@@ -23,6 +23,8 @@ import hashlib
 import json
 import os
 import sys
+import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import astuple, dataclass, fields
 from itertools import product
@@ -392,10 +394,44 @@ SIM_COLUMNS = (
 )
 
 
+class _DeltaBlocks:
+    """The delta blocks of one `simulate` run, by (side, eps, s).
+
+    delta depends on the ensemble at (eps, s) only, so the points of one
+    (eps, s) read one block per side: the first reader draws it with
+    `_delta_block`, later readers reuse it, and the table drops it when its
+    last reader takes it.  `readers` holds the (eps, s) of each point still to
+    run, so the readings are counted up front.  A reader of a block being
+    drawn waits for that draw; blocks of other keys draw meanwhile.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, readers: list[tuple[float, float]]):
+        self._cfg = cfg
+        self._readers = Counter((side, eps, s) for eps, s in readers for side in "xy")
+        self._entries: dict[tuple, list] = {}  # key -> [draw lock, block or None]
+        self._lock = threading.Lock()
+
+    def take(self, side: str, eps: float, s: float) -> np.ndarray:
+        key = (side, eps, s)
+        with self._lock:
+            entry = self._entries.setdefault(key, [threading.Lock(), None])
+        try:
+            with entry[0]:
+                if entry[1] is None:
+                    entry[1] = _delta_block(self._cfg, *key)
+                return entry[1]
+        finally:  # a failed draw is a reading too, so its key is still dropped
+            with self._lock:
+                self._readers[key] -= 1
+                if not self._readers[key]:
+                    del self._entries[key]
+
+
 def _simulate_point(cfg: ExperimentConfig, point_id: str, eps: float, k: int, s: float,
-                    chan_x: Channel, chan_y: Channel, cdm: CdmMatrix) -> dict:
+                    chan_x: Channel, chan_y: Channel, cdm: CdmMatrix,
+                    blocks: _DeltaBlocks) -> dict:
     """One sweep row; `cdm` is that of the joint seen through (chan_x, chan_y)."""
-    delta_hat = max(delta_report(_delta_block(cfg, side, eps, s)).delta for side in "xy")
+    delta_hat = max(delta_report(blocks.take(side, eps, s)).delta for side in "xy")
     f, g = select_features(cdm, k)
     rep = average_exponents(cfg.ensemble("x", eps, s), cfg.ensemble("y", eps, s), cfg.joint,
                             chan_x, chan_y, f, g, cfg.n_configs, (cfg.seed, 12))
@@ -466,6 +502,10 @@ def cmd_simulate(args) -> int:
             cdm = canonical_dependence_matrix(apply_channels(cfg.joint, chan_x, chan_y))
             noisy[e1, e2] = (chan_x, chan_y, cdm)
         todo.append((point_id, eps, k, s, *noisy[e1, e2]))
+    # one (eps, s) after another, in grid order: a serial run then holds the
+    # delta blocks of one (eps, s) at a time
+    todo.sort(key=lambda p: (cfg.epsilon_grid.index(p[1]), cfg.s_grid.index(p[3])))
+    blocks = _DeltaBlocks(cfg, [(p[1], p[3]) for p in todo])
 
     with journal.open("w" if args.fresh else "a") as fh:
 
@@ -478,11 +518,11 @@ def cmd_simulate(args) -> int:
 
         if args.jobs == 1 or len(todo) <= 1:
             for p in todo:
-                record(_simulate_point(cfg, *p))
+                record(_simulate_point(cfg, *p, blocks))
         else:
             failure = None
             with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                futures = [pool.submit(_simulate_point, cfg, *p) for p in todo]
+                futures = [pool.submit(_simulate_point, cfg, *p, blocks) for p in todo]
                 try:
                     # a failed point must not cost the rows of points finishing after it
                     for future in as_completed(futures):

@@ -121,10 +121,14 @@ def raw_information_sample(
     if anisotropy:
         phi[:, 0, :] *= 1.0 + anisotropy
     root = np.sqrt(base)
+    along = (root @ phi).T
+    # the normals are freed before the projection's temporary is made, and the
+    # row-major copy right after its product, so at most two stacks are alive
     t = phi.transpose(1, 2, 0).copy()
-    t -= root[:, None, None] * (root @ phi).T
-    phi = t.transpose(2, 0, 1).copy()
-    t -= (phi.reshape(-1, m) @ prior).reshape(count, n).T[:, None, :]
+    del phi
+    t -= root[:, None, None] * along
+    mix = t.transpose(2, 0, 1).copy().reshape(-1, m) @ prior
+    t -= mix.reshape(count, n).T[:, None, :]
     return t.transpose(2, 0, 1)
 
 
@@ -202,7 +206,10 @@ def _accepted_block(
         if taken.size:
             pending = []
         carried = int(run[-1])
-        pending.append(phi[max(size - carried, 0):])
+        # a copy of the trailing rejected draws, so this stack is freed before
+        # the next one is drawn
+        pending.append(phi[max(size - carried, 0):].copy())
+        del phi
     return out
 
 

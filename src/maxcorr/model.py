@@ -138,11 +138,6 @@ class JointPmf:
         px = self.marginal_x().require_positive().probs
         return self.probs / px[np.newaxis, :]
 
-    def conditional_x_given_y(self) -> np.ndarray:
-        """|X| x |Y| column-stochastic matrix P(x|y); requires positive P_Y."""
-        py = self.marginal_y().require_positive().probs
-        return self.probs.T / py[np.newaxis, :]
-
 
 @dataclass(frozen=True)
 class Channel:

@@ -189,7 +189,7 @@ def loop_average_exponents(mu_u, mu_v, joint, chan_x, chan_y, f, g, n_configs, s
     pxh, pyh = joint_hat.marginal_x(), joint_hat.marginal_y()
     psi_f, psi_g = feature_vectors(f), feature_vectors(g)
     y_given_x = joint.conditional_y_given_x()
-    x_given_y = joint.conditional_x_given_y()
+    x_given_y = joint.probs.T / py.probs[None, :]  # P(x|y)
 
     def configs(spec, stream_seed):
         for phi in loop_information_sample(spec, n_configs, seed=stream_seed):

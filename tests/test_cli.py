@@ -4,8 +4,11 @@ import configparser
 import gc
 import json
 import signal
+import sys
 import threading
 import time
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +70,13 @@ def grid_config(tmp_path):
     path = tiny_config(tmp_path, n_configs=4, delta_samples=500)
     text = path.read_text().replace("epsilon = 0.05", "epsilon = 0.05 0.1")
     path.write_text(text.replace("s = 0.0", "s = 0.0 0.4"))
+    return path
+
+
+def aniso_config(tmp_path):
+    """tiny_config swept over k = 1 2 and s = 0.0 0.4: two points per (epsilon, s)."""
+    path = tiny_config(tmp_path, n_configs=4, delta_samples=500, k="1 2")
+    path.write_text(path.read_text().replace("s = 0.0", "s = 0.0 0.4"))
     return path
 
 
@@ -774,3 +784,117 @@ class TestSimulateJournal:
         assert "(1 computed)" in capsys.readouterr().out
         assert (out / "simulate.csv").read_bytes() == csv
         assert journal.read_text() == "".join(rows)
+
+
+def spy_draws(monkeypatch):
+    """The key of each `cli._delta_block` call, and a weak reference to its block."""
+    draws, refs = [], []
+    draw = cli._delta_block
+
+    def drawing(cfg, side, eps, s):
+        block = draw(cfg, side, eps, s)
+        draws.append((side, eps, s))
+        refs.append(weakref.ref(block))
+        return block
+
+    monkeypatch.setattr(cli, "_delta_block", drawing)
+    return draws, refs
+
+
+def spy_live_blocks(monkeypatch, refs):
+    """(sweep_id, blocks of `refs` still referenced) after each point returns."""
+    live, point = [], cli._simulate_point
+
+    def counting(cfg, point_id, *args):
+        row = point(cfg, point_id, *args)
+        live.append((point_id, sum(ref() is not None for ref in refs)))
+        return row
+
+    monkeypatch.setattr(cli, "_simulate_point", counting)
+    return live
+
+
+class TestDeltaBlocks:
+    """`simulate` draws each (side, epsilon, s) delta block once per run."""
+
+    def test_demo_draws_one_block_per_side(self, tmp_path, capsys, monkeypatch):
+        # the demo's 4 points share one (epsilon, s)
+        draws, _ = spy_draws(monkeypatch)
+        assert simulate(DEMO, tmp_path / "o") == 0
+        assert draws == [("x", 0.05, 0.0), ("y", 0.05, 0.0)]
+
+    def test_points_differing_in_k_share_blocks(self, tmp_path, capsys, monkeypatch):
+        draws, _ = spy_draws(monkeypatch)
+        assert simulate(aniso_config(tmp_path), tmp_path / "o") == 0
+        assert draws == [(side, 0.05, s) for s in (0.0, 0.4) for side in "xy"]
+
+    def test_each_block_dropped_after_its_last_point(self, tmp_path, capsys, monkeypatch):
+        # serial points run one (epsilon, s) at a time, k = 1 and 2 at s = 0.0
+        # and then at s = 0.4, so at most one pair of blocks is ever held
+        _, refs = spy_draws(monkeypatch)
+        live = spy_live_blocks(monkeypatch, refs)
+        assert simulate(aniso_config(tmp_path), tmp_path / "o") == 0
+        assert live == [("0000", 2), ("0002", 0), ("0001", 2), ("0003", 0)]
+
+    def test_resumed_run_draws_only_keys_left_to_run(self, tmp_path, capsys, monkeypatch):
+        path = aniso_config(tmp_path)
+        out = tmp_path / "o"
+        assert simulate(path, tmp_path / "whole") == 0
+        journal = (tmp_path / "whole" / "simulate.partial.jsonl").read_text().splitlines()
+        out.mkdir()
+        # every point but 0003 (k = 2 at s = 0.4) is done
+        (out / "simulate.partial.jsonl").write_text("".join(
+            line + "\n" for line in journal if json.loads(line)["sweep_id"] != "0003"))
+        draws, refs = spy_draws(monkeypatch)
+        live = spy_live_blocks(monkeypatch, refs)
+        capsys.readouterr()
+        assert simulate(path, out) == 0
+        assert "(1 computed)" in capsys.readouterr().out
+        assert draws == [("x", 0.05, 0.4), ("y", 0.05, 0.4)]
+        # the one point left is the last reader of its blocks, so they are dropped
+        assert live == [("0003", 0)]
+        csv = (tmp_path / "whole" / "simulate.csv").read_bytes()
+        assert (out / "simulate.csv").read_bytes() == csv
+
+    def test_jobs_draw_each_block_once(self, tmp_path, capsys, monkeypatch):
+        path = aniso_config(tmp_path)
+        assert simulate(path, tmp_path / "j1") == 0
+        draws, _ = spy_draws(monkeypatch)
+        assert simulate(path, tmp_path / "j2", "--jobs", "2") == 0
+        assert sorted(draws) == sorted((side, 0.05, s) for s in (0.0, 0.4) for side in "xy")
+        csv = (tmp_path / "j1" / "simulate.csv").read_bytes()
+        assert (tmp_path / "j2" / "simulate.csv").read_bytes() == csv
+
+    def test_concurrent_readers_draw_each_key_once(self, monkeypatch):
+        # eight threads read 6 (epsilon, s) keys, four readers each, while each
+        # draw lasts long enough for other readers of its key to arrive
+        readers = [(eps, s) for eps in (0.05, 0.1) for s in (0.0, 0.4, 0.8) for _ in range(4)]
+        draws = []
+
+        def slow_draw(cfg, side, eps, s):
+            draws.append((side, eps, s))
+            time.sleep(0.002)
+            return np.zeros(1)
+
+        monkeypatch.setattr(cli, "_delta_block", slow_draw)
+        blocks = cli._DeltaBlocks(None, readers)
+        taken = []
+
+        def read(eps, s):
+            for side in "xy":
+                taken.append(((side, eps, s), blocks.take(side, eps, s)))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for future in [pool.submit(read, *key) for key in readers]:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert sorted(draws) == sorted({(side, *key) for key in readers for side in "xy"})
+        assert len(taken) == 2 * len(readers)
+        for key in set(draws):  # every reader of a key holds the one block drawn for it
+            first = next(block for k, block in taken if k == key)
+            assert all(block is first for k, block in taken if k == key)
+        assert blocks._entries == {}

@@ -520,9 +520,10 @@ class TestAverageExponents:
         monkeypatch.setattr(exponent, "_side_exponents", spy)
         average_exponents(mu_u, mu_v, joint, cx, cy, f, g, 2, 5)
         pxh, pyh = noisy.marginal_x().probs, noisy.marginal_y().probs
+        x_given_y = joint.probs.T / joint.marginal_y().probs[None, :]  # P(x|y)
         kernels = {
             0: ((cx.P, pxh, f), (cy.P @ joint.conditional_y_given_x(), pyh, g)),
-            1: ((cy.P, pyh, g), (cx.P @ joint.conditional_x_given_y(), pxh, f)),
+            1: ((cy.P, pyh, g), (cx.P @ x_given_y, pxh, f)),
         }
         for side, mu in enumerate((mu_u, mu_v)):
             phi = configuration_stream(mu, 40, seed=(5, side))
@@ -597,7 +598,7 @@ def exchanged_reports(rng, ny, seed, *, wrong_v_hop=False):
     # the u side's clean hop is P(X|Y) and the v side's P(Y|X), which is the
     # transposed joint's P(x|y)
     u_hop = uncentered_b(joint_t.conditional_y_given_x(), px_t)
-    v_hop = u_hop if wrong_v_hop else uncentered_b(joint_t.conditional_x_given_y(), py_t)
+    v_hop = u_hop if wrong_v_hop else uncentered_b(joint_t.probs.T / py_t.probs[None, :], py_t)
     return rep, ExponentReport(
         u=_side_exponents(mu_v, (to_y, g_t), (to_x @ u_hop, f_t), 700, (seed, 1)),
         v=_side_exponents(mu_u, (to_x, f_t), (to_y @ v_hop, g_t), 700, (seed, 0)),

@@ -4,12 +4,12 @@ measurement, and error-exponent verification."""
 from .dependence import (
     CdmMatrix,
     canonical_dependence_matrix,
+    chain_residual_operator,
     select_features,
     uncentered_b,
 )
 from .ensemble import (
     AttributeEnsembleSpec,
-    chain_residual,
     configuration_stream,
     information_ensemble,
     sample_configuration,

@@ -13,11 +13,14 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .dependence import canonical_dependence_matrix, select_features, uncentered_b
-from .ensemble import chain_residual
+from .dependence import (
+    canonical_dependence_matrix,
+    chain_residual_operator,
+    select_features,
+    uncentered_b,
+)
 from .exponent import analytic_pairwise_exponent, iprojection_exponent
 from .geometry import (
-    Configuration,
     InformationMatrix,
     config_from_information_matrix,
     feature_vectors,
@@ -36,6 +39,7 @@ from .symmetry import (
 BUMP = variance_bump(2, 2, 1.5)
 # channel strengths of the O(eta) fits; a fitted log-log slope must be 1 +- 0.2
 ETAS = (0.01, 0.02, 0.04, 0.08)
+ZERO = 1e-12  # a quantity at most this large is zero
 
 
 @dataclass(frozen=True)
@@ -45,9 +49,13 @@ class Check:
     detail: str
 
 
-def _slope_ok(values: list[float]) -> tuple[bool, float]:
+def _slope_ok(values: list[float]) -> tuple[bool, str]:
+    """Whether `values` over :data:`ETAS` are O(eta), and their fitted log-log
+    slope as text.  A quantity that is zero at every eta is O(eta) too."""
+    if max(values) <= ZERO:
+        return True, "none (vanishes at every eta)"
     slope = float(np.polyfit(np.log(ETAS), np.log(values), 1)[0])
-    return abs(slope - 1.0) <= 0.2, slope
+    return abs(slope - 1.0) <= 0.2, f"{slope:.3f}"
 
 
 def cdm_null_directions(joints: Iterable[JointPmf],
@@ -138,21 +146,24 @@ def channel_spectrum_slope(cases: Iterable[tuple]) -> Check:
     fits = [_slope_ok([_spectral_spread(uncentered_b(make(eta).P, p)) for eta in ETAS])
             for make, p in cases]
     return Check("channel_spectrum_slope", all(ok for ok, _ in fits),
-                 "slope " + ", ".join(f"{s:.3f}" for _, s in fits))
+                 "slope " + ", ".join(slope for _, slope in fits))
 
 
-def markov_residual(config: Configuration, joint: JointPmf,
-                    make_x: Callable[[float], Channel], chan_y: Channel) -> Check:
-    """The chain residual of `config`, an attribute of the clean X of `joint`,
-    through (`make_x(eta)`, `chan_y`) is O(eta) over :data:`ETAS`, with no
-    residual without X noise (eta = 0) even though `chan_y` is noisy."""
+def markov_residual(joint: JointPmf, make_x: Callable[[float], Channel],
+                    chan_y: Channel) -> Check:
+    """The chain residual operator R of `joint` through (`make_x(eta)`, `chan_y`)
+    is O(eta) over :data:`ETAS` on sqrt(p_X)^perp, where attributes of X live
+    (on sqrt(p_X) it is 1), with none at eta = 0 even though `chan_y` is noisy."""
+    root = np.sqrt(joint.marginal_x().probs)
+
     def norm(eta: float) -> float:
-        return float(np.abs(chain_residual(config, joint, make_x(eta), chan_y)).max())
+        r = chain_residual_operator(joint, make_x(eta), chan_y)
+        return float(np.linalg.norm(r - np.outer(r @ root, root), 2))
 
     res0 = norm(0.0)
     slope_ok, slope = _slope_ok([norm(eta) for eta in ETAS])
-    return Check("markov_residual", bool(res0 < 1e-12 and slope_ok),
-                 f"eta=0 residual {res0:.1e}, slope {slope:.3f}")
+    return Check("markov_residual", bool(res0 < ZERO and slope_ok),
+                 f"eta=0 residual {res0:.1e}, slope {slope}")
 
 
 def exponent_consistency(base: Pmf, prior: Pmf,

@@ -14,6 +14,10 @@ are the optimal feature functions over X and Y.
 push along the chain: it takes an attribute's information matrix on the
 input to the output's.  Its top singular value is 1, at the sqrt-marginal
 pair, and the spread of its spectrum grows as O(eta) for P = I + eta*T.
+
+`chain_residual_operator` is the chain's one residual R: an attribute of
+the clean X reaches the noisy Y^ as B^ times its push to the noisy X^, plus
+R times its information matrix.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import FeatureSet
-from .model import JointPmf, Pmf
+from .model import Channel, JointPmf, Pmf, apply_channels
 from .svd import SvdResult, jacobi_svd
 
 NULL_TOL = 1e-10
@@ -104,6 +108,20 @@ def uncentered_b(kernel: np.ndarray, input_pmf: Pmf) -> np.ndarray:
     if float(out.min()) <= 0.0:
         raise ValidationError(f"output symbol {int(np.argmin(out))} has zero probability")
     return (k * np.sqrt(input_pmf.probs)[None, :]) / np.sqrt(out)[:, None]
+
+
+def chain_residual_operator(joint: JointPmf, chan_x: Channel, chan_y: Channel) -> np.ndarray:
+    """R = uncentered_b(chan_y.P P(y|x), p_X) - B^ uncentered_b(chan_x.P, p_X).
+
+    Any attribute U of the clean X of `joint` has Phi^{Y^|U} = B^ Phi^{X^|U}
+    + R Phi^{X|U}, with B^ the CDM of (chan_x(X), chan_y(Y)).  R sqrt(p_X) =
+    sqrt(p_Y^); on sqrt(p_X)^perp, R is O(eta_1), and zero at eta_1 = 0
+    since U - X - Y^ is a Markov chain.
+    """
+    b_hat = canonical_dependence_matrix(apply_channels(joint, chan_x, chan_y)).b
+    px = joint.marginal_x()
+    return (uncentered_b(chan_y.P @ joint.conditional_y_given_x(), px)
+            - b_hat @ uncentered_b(chan_x.P, px))
 
 
 def complete_orthonormal(cols: np.ndarray, count: int) -> np.ndarray:

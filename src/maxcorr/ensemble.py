@@ -1,4 +1,4 @@
-"""Samplers for attribute ensembles and their propagation along the chain.
+"""Samplers for attribute ensembles.
 
 A sampled attribute is built from an i.i.d. Gaussian seed matrix by
 
@@ -35,12 +35,6 @@ configurations as one (count, |Z|, |W|) array.  They are validated as
 configurations one stack at a time, copied with the draw axis innermost,
 by one `config_from_information_matrix` call, so no per-configuration object
 is built and working memory stays a few stacks besides the output.
-
-Along the chain an attribute travels as its information matrix, pushed by
-`dependence.uncentered_b` of each kernel it crosses.  `chain_residual` is
-the one chain statement: an attribute of the clean X pushed to the noisy Y^
-differs from B^ times its push to the noisy X^ by a residual that is
-O(eta_1), with no residual without X noise.
 """
 
 from __future__ import annotations
@@ -49,16 +43,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dependence import canonical_dependence_matrix, uncentered_b
 from .errors import FeasibilityError, ValidationError
 from .geometry import (
     Configuration,
     InformationMatrix,
     config_from_information_matrix,
-    information_matrix,
     max_feasible_epsilon,
 )
-from .model import Channel, JointPmf, Pmf, apply_channels, require_marginal, uniform_pmf
+from .model import Pmf, uniform_pmf
 from .symmetry import MatrixEnsemble, seed_rng
 
 # Entries in one sampler call, validated stack or scored stack: 256 KiB of floats,
@@ -250,21 +242,3 @@ def configuration_stream(
         _configuration(spec, stack.transpose(2, 0, 1))
     return block
 
-
-def chain_residual(config: Configuration, joint: JointPmf,
-                   chan_x: Channel, chan_y: Channel) -> np.ndarray:
-    """The residual of the linearized push across the noisy chain.
-
-    `config` is an attribute U of the clean X of `joint`.  Its exact push
-    to Y^ = chan_y(Y) runs through the clean chain U - X - Y - Y^; the
-    linearized push is B^ Phi^{X^|U}, with B^ the dependence matrix of the
-    noisy pair and X^ = chan_x(X).  The residual Phi^{Y^|U} - B^ Phi^{X^|U}
-    is O(eta_1): U - X - Y^ is itself a Markov chain, so there is no
-    residual without X noise.
-    """
-    px = joint.marginal_x()
-    require_marginal("configuration", config.base, px)
-    b_hat = canonical_dependence_matrix(apply_channels(joint, chan_x, chan_y)).b
-    phi = information_matrix(config).phi
-    y_hat = uncentered_b(chan_y.P @ joint.conditional_y_given_x(), px) @ phi
-    return y_hat - b_hat @ (uncentered_b(chan_x.P, px) @ phi)

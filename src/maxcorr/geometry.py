@@ -122,8 +122,8 @@ def information_phi(
 ) -> np.ndarray:
     """phi[i, j] = (P(z_i | w_j) - P(z_i)) / (eps * sqrt(P(z_i))), unvalidated.
 
-    Raw formula for hot paths, on one (|Z|, |W|) matrix or a stack of them;
-    :func:`information_matrix` validates it.
+    The formula behind :func:`information_matrix`, which validates its
+    result; on one (|Z|, |W|) matrix or a stack of them.
     """
     return (conditionals - base[:, None]) / (epsilon * np.sqrt(base)[:, None])
 

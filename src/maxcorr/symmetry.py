@@ -205,21 +205,18 @@ def rank_one_range(form: SecondMomentForm) -> RankOneRange:
     # kv[(i, k), (j, l)] = K[i, j, k, l], K's (n, m, n, m) view of vec(A) pairs
     kv = form.k.reshape((n, m, n, m), order="F").transpose(0, 2, 1, 3).reshape(n * n, m * m)
     diag = np.diag(form.k)
-    starts_u, starts_v = [], []
-    for pos in (int(np.argmax(diag)), int(np.argmin(diag))):
-        starts_u.append(np.eye(n)[pos % n])
-        starts_v.append(np.eye(m)[pos // n])
+    # a start is its v (the first iteration sets u); row r of the draw holds
+    # n normals (a random u, never read) and then restart r's v
+    canonical = np.eye(m)[[int(np.argmax(diag)) // n, int(np.argmin(diag)) // n]]
     rng = np.random.default_rng(np.random.SeedSequence(entropy=0, spawn_key=(97,)))
-    for _ in range(RANK_ONE_RESTARTS):
-        u = rng.standard_normal(n)
-        v = rng.standard_normal(m)
-        starts_u.append(u / np.linalg.norm(u))
-        starts_v.append(v / np.linalg.norm(v))
+    x = rng.standard_normal((RANK_ONE_RESTARTS, n + m))[:, n:]
+    # a stacked dot product rounds as np.linalg.norm of each row does
+    starts = np.concatenate([canonical, x / np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0]])
 
     # chain c < S runs start c toward the maximum, chain S + c toward the minimum
-    s = len(starts_u)
-    u = np.array(starts_u + starts_u)
-    v = np.array(starts_v + starts_v)
+    s = len(starts)
+    u = np.zeros((2 * s, n))
+    v = np.concatenate([starts, starts])
     pick = np.repeat([-1, 0], s)
     obj = np.full(2 * s, np.nan)  # so no chain stops on its first iteration
     converged = np.zeros(2 * s, dtype=bool)

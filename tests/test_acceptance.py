@@ -20,7 +20,7 @@ from conftest import (
 )
 from maxcorr import checks
 from maxcorr.dependence import canonical_dependence_matrix, select_features
-from maxcorr.ensemble import AttributeEnsembleSpec, information_ensemble, sample_configuration
+from maxcorr.ensemble import AttributeEnsembleSpec, information_ensemble
 from maxcorr.exponent import (
     average_exponents,
     exponent_bound,
@@ -152,10 +152,8 @@ def test_criterion_06_channel_spectrum_scaling():
 
     # markov-push residual: zero at eta = 0, O(eta) slope across the grid
     joint = demo_joint()
-    spec = AttributeEnsembleSpec(base=joint.marginal_x(), attribute_size=3, epsilon=0.05)
     residual = checks.markov_residual(
-        sample_configuration(spec, seed=6), joint,
-        partial(make_channel, T4, labels=joint.x_labels),
+        joint, partial(make_channel, T4, labels=joint.x_labels),
         make_channel(T4, 0.05, joint.y_labels),
     )
     _report_checks(6, spectrum, residual)

@@ -6,7 +6,6 @@ import numpy as np
 
 from conftest import gaussian_iid, random_perturbation_t, random_positive_joint
 from maxcorr import checks
-from maxcorr.ensemble import AttributeEnsembleSpec, sample_configuration
 from maxcorr.model import JointPmf, Pmf, make_channel
 from maxcorr.symmetry import variance_bump
 
@@ -43,9 +42,7 @@ def test_markov_residual_fails_on_quadratic_channel():
     rng = np.random.default_rng(6)
     joint = JointPmf(tuple("abcd"), tuple("wxyz"), random_positive_joint(rng, 4, 4))
     tx, ty = random_perturbation_t(rng, 4), random_perturbation_t(rng, 4)
-    spec = AttributeEnsembleSpec(base=joint.marginal_x(), attribute_size=3, epsilon=0.05)
     check = checks.markov_residual(
-        sample_configuration(spec, seed=6), joint,
-        lambda eta: make_channel(tx, eta**2, joint.x_labels),
+        joint, lambda eta: make_channel(tx, eta**2, joint.x_labels),
         make_channel(ty, 0.05, joint.y_labels))
     assert not check.ok, check.detail

@@ -552,6 +552,28 @@ class TestCliCommands:
         assert len(lines) == 8
         assert all(line.startswith("PASS") for line in lines)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", ["independent_joint", "zero_t"])
+    def test_verify_vanishing_quantity_is_o_eta(self, tmp_path, capsys, case):
+        # a quantity that is zero at every eta passes its O(eta) fit without
+        # a log of zero: the chain residual of an independent joint, and both
+        # fitted quantities of an X channel with T = 0
+        path = tiny_config(tmp_path)
+        if case == "independent_joint":
+            probs = np.outer([0.25, 0.15, 0.35, 0.25], [0.1, 0.2, 0.3, 0.4])
+            joint = model.JointPmf(tuple("abcd"), tuple("wxyz"), probs)
+            (tmp_path / "joint.txt").write_text(model.dump_joint(joint))
+        else:
+            # the X channel's t is the only matrix before the first eta_grid
+            head, tail = path.read_text().split("eta_grid", 1)
+            path.write_text(head.replace("-0.75", "0").replace("0.25", "0") + "eta_grid" + tail)
+        main(["verify", "--config", str(path), "--out", str(tmp_path / "o")])
+        lines = {line.split()[1]: line for line in capsys.readouterr().out.splitlines()}
+        vanishing = ["markov_residual"] + (["channel_spectrum_slope"] if case == "zero_t" else [])
+        for name in ("channel_spectrum_slope", "markov_residual"):
+            assert lines[name].startswith("PASS"), lines[name]
+            assert ("vanishes at every eta" in lines[name]) == (name in vanishing)
+
     @pytest.mark.parametrize("command, k, joints", [("features", "2", 1),
                                                     ("simulate", "1 2", 1)])
     def test_one_cdm_per_joint(self, tmp_path, capsys, monkeypatch, command, k, joints):

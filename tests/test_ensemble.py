@@ -10,18 +10,21 @@ from conftest import (
     random_perturbation_t,
     random_positive_joint,
 )
-from maxcorr.dependence import canonical_dependence_matrix, uncentered_b
+from maxcorr.dependence import (
+    canonical_dependence_matrix,
+    chain_residual_operator,
+    uncentered_b,
+)
 import maxcorr.ensemble as ensemble
 from maxcorr.ensemble import (
     AttributeEnsembleSpec,
-    chain_residual,
     configuration_stream,
     information_ensemble,
     raw_information_sample,
     sample_configuration,
     stack_rows,
 )
-from maxcorr.errors import AlphabetMismatchError, FeasibilityError, ValidationError
+from maxcorr.errors import AlphabetMismatchError, FeasibilityError
 from maxcorr.geometry import (
     Configuration,
     information_matrix,
@@ -268,16 +271,18 @@ def chain_fixture(rng, eta1, eta2):
     return j, cx, cy
 
 
+def perp_norm(r, base):
+    """||R (I - sqrt(p) sqrt(p)^T)||_2: R on the space attributes of `base` live in."""
+    root = np.sqrt(base.probs)
+    return np.linalg.norm(r - np.outer(r @ root, root), 2)
+
+
 class TestMarkovPush:
     def test_zero_noise_residual_vanishes(self, rng):
         j, cx, cy = chain_fixture(rng, 0.0, 0.0)
-        spec = AttributeEnsembleSpec(
-            base=j.marginal_x(), attribute_size=3, epsilon=0.05
-        )
-        cfg = sample_configuration(spec, seed=5)
-        res = chain_residual(cfg, j, cx, cy)
-        assert res.shape == (len(j.y_labels), 3)
-        assert np.abs(res).max() < 1e-12
+        r = chain_residual_operator(j, cx, cy)
+        assert r.shape == (len(j.y_labels), len(j.x_labels))
+        assert perp_norm(r, j.marginal_x()) < 1e-12
 
     @pytest.mark.parametrize("eta1", [0.0, 0.05])
     def test_matches_conditional_space_formula(self, rng, eta1):
@@ -285,63 +290,42 @@ class TestMarkovPush:
         # P(x^|x) and through P(y^|y) P(y|x), take each information matrix on
         # its noisy base, and subtract B^ times the X^ one
         j, cx, cy = chain_fixture(rng, eta1, 0.3)
+        r = chain_residual_operator(j, cx, cy)
+        noisy = apply_channels(j, cx, cy)
+        b_hat = canonical_dependence_matrix(noisy).b
         spec = AttributeEnsembleSpec(base=j.marginal_x(), attribute_size=3,
                                      epsilon=0.05, anisotropy=0.3)
-        cfg = sample_configuration(spec, seed=11)
-        noisy = apply_channels(j, cx, cy)
-        cond_x = cx.P @ cfg.conditionals
-        cond_y = cy.P @ (j.conditional_y_given_x() @ cfg.conditionals)
-        phi_x = information_phi(cond_x, noisy.marginal_x().probs, cfg.epsilon)
-        phi_y = information_phi(cond_y, noisy.marginal_y().probs, cfg.epsilon)
-        b_hat = canonical_dependence_matrix(noisy).b
-        want = phi_y - b_hat @ phi_x
-        assert np.abs(chain_residual(cfg, j, cx, cy) - want).max() < 1e-12
+        for seed in (11, 12, 13):
+            cfg = sample_configuration(spec, seed=seed)
+            cond_x = cx.P @ cfg.conditionals
+            cond_y = cy.P @ (j.conditional_y_given_x() @ cfg.conditionals)
+            phi_x = information_phi(cond_x, noisy.marginal_x().probs, cfg.epsilon)
+            phi_y = information_phi(cond_y, noisy.marginal_y().probs, cfg.epsilon)
+            want = phi_y - b_hat @ phi_x
+            assert np.abs(r @ information_matrix(cfg).phi - want).max() < 1e-12
 
     def test_y_noise_alone_leaves_no_residual(self, rng):
         # U - X - Y^ is a Markov chain, so only X noise leaves a residual
         j, cx, cy = chain_fixture(rng, 0.0, 0.3)
-        spec = AttributeEnsembleSpec(
-            base=j.marginal_x(), attribute_size=3, epsilon=0.05
-        )
-        cfg = sample_configuration(spec, seed=9)
-        assert np.abs(chain_residual(cfg, j, cx, cy)).max() < 1e-12
+        assert perp_norm(chain_residual_operator(j, cx, cy), j.marginal_x()) < 1e-12
 
     def test_residual_linear_in_eta(self, rng):
         j, cx0, cy = chain_fixture(rng, 0.0, 0.05)
-        spec = AttributeEnsembleSpec(
-            base=j.marginal_x(), attribute_size=3, epsilon=0.05
-        )
-        clean_cfg = sample_configuration(spec, seed=6)
         etas = [0.02, 0.04, 0.08]
-        norms = []
-        for eta in etas:
-            cx = make_channel(cx0.T, eta, j.x_labels)
-            norms.append(np.abs(chain_residual(clean_cfg, j, cx, cy)).max())
+        norms = [perp_norm(chain_residual_operator(j, make_channel(cx0.T, eta, j.x_labels),
+                                                   cy), j.marginal_x())
+                 for eta in etas]
         slope = np.polyfit(np.log(etas), np.log(norms), 1)[0]
         assert abs(slope - 1.0) < 0.2
 
     def test_transposed_statement(self, rng):
         # attribute of Y pushed to X through the joint with X and Y exchanged
         j, cx, cy = chain_fixture(rng, 0.0, 0.0)
-        spec = AttributeEnsembleSpec(
-            base=j.marginal_y(), attribute_size=3, epsilon=0.05
-        )
-        cfg = sample_configuration(spec, seed=7)
-        res = chain_residual(cfg, JointPmf(j.y_labels, j.x_labels, j.probs.T), cy, cx)
-        assert np.abs(res).max() < 1e-12
-
-    def test_marginal_mismatch_rejected(self, rng):
-        j, cx, cy = chain_fixture(rng, 0.0, 0.0)
-        other = Pmf(j.x_labels, np.array([0.4, 0.3, 0.2, 0.1]))
-        spec = AttributeEnsembleSpec(base=other, attribute_size=3, epsilon=0.05)
-        cfg = sample_configuration(spec, seed=8)
-        with pytest.raises(ValidationError, match="marginal"):
-            chain_residual(cfg, j, cx, cy)
+        r = chain_residual_operator(JointPmf(j.y_labels, j.x_labels, j.probs.T), cy, cx)
+        assert perp_norm(r, j.marginal_y()) < 1e-12
 
     def test_alphabet_mismatch_rejected(self, rng):
         j, cx, cy = chain_fixture(rng, 0.0, 0.0)
-        other = Pmf(tuple("pqrs"), j.marginal_x().probs)
-        spec = AttributeEnsembleSpec(base=other, attribute_size=3, epsilon=0.05)
-        cfg = sample_configuration(spec, seed=8)
-        with pytest.raises(AlphabetMismatchError, match="configuration labels"):
-            chain_residual(cfg, j, cx, cy)
+        other = make_channel(cx.T, 0.0, tuple("pqrs"))
+        with pytest.raises(AlphabetMismatchError, match="x-channel alphabet"):
+            chain_residual_operator(j, other, cy)

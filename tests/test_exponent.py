@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from pathlib import Path
 from concurrent.futures import Future
 
 import numpy as np
@@ -13,6 +14,7 @@ from conftest import (
     random_positive_joint,
 )
 from maxcorr import exponent
+from maxcorr.cli import load_config
 from maxcorr.dependence import canonical_dependence_matrix, select_features, uncentered_b
 from maxcorr.ensemble import AttributeEnsembleSpec, configuration_stream, stack_rows
 from maxcorr.errors import AlphabetMismatchError, ValidationError
@@ -476,6 +478,21 @@ class TestAverageExponents:
         rep, exchanged = exchanged_reports(rng, 4, 5, wrong_v_hop=True)
         assert exchanged.v.near == pytest.approx(rep.u.near, rel=1e-12, abs=0.0)
         assert abs(exchanged.v.far - rep.u.far) > 1e-6 * rep.u.far
+
+    @pytest.mark.parametrize("eta1, holds", [(0.0, True), (0.05, False)],
+                             ids=["identity", "x_noise_breaks_it"])
+    def test_chain_identity_without_x_noise(self, eta1, holds):
+        # at eta_1 = 0 the chain residual is zero on sqrt(P_X)^perp, so at
+        # k = 1 every U configuration's far score is sigma_1^2 times its near
+        # score, even through a noisy Y; X noise breaks it (by 0.23 here)
+        cfg = load_config(Path(__file__).resolve().parent.parent / "demo" / "demo.ini")
+        cx, cy = cfg.channel_x(eta1), cfg.channel_y(0.1)
+        cdm = canonical_dependence_matrix(apply_channels(cfg.joint, cx, cy))
+        f, g = select_features(cdm, 1)
+        rep = average_exponents(cfg.ensemble("x", 0.05, 0.4), cfg.ensemble("y", 0.05, 0.4),
+                                cfg.joint, cx, cy, f, g, cfg.n_configs, cfg.seed)
+        gap = abs(rep.u.far - cdm.sigmas[0] ** 2 * rep.u.near) / rep.u.far
+        assert gap <= 1e-10 if holds else gap > 0.1
 
     def test_least_pair_ties_go_to_first_pair(self):
         # columns 0, 1, 2 on a line: (0, 1) and (1, 2) tie at 1, (0, 2) is 4;
